@@ -42,9 +42,9 @@ from .operator import InteractionSpec, OperatorSpec, OperatorTemplate
 from .spectral import (
     DENSE_DIAG_CAP,
     EnergyInterval,
-    SpectralData,
     _green_column,
     correlator,
+    green_entries,
     spectral_data,
 )
 
@@ -105,9 +105,16 @@ class Estimate:
 # ----------------------------------------------------------- shared plumbing
 
 
-@functools.lru_cache(maxsize=32)
 def _template_for(spec: OperatorSpec) -> OperatorTemplate:
-    # templates are immutable after assembly; equal specs can share one
+    # OperatorSpec equality ignores interaction callables, so the term
+    # functions themselves join the key (built-ins are module-level, so
+    # equal built-in specs still share one template)
+    return _cached_template(spec, tuple(sorted(spec.interaction.terms.items())))
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_template(spec: OperatorSpec, terms: tuple) -> OperatorTemplate:
+    # templates are immutable after assembly; equal keys can share one
     return OperatorTemplate(spec)
 
 
@@ -132,12 +139,6 @@ def _pick_backend(backend: str, dim: int) -> str:
     if backend not in ("eigen", "solve"):
         raise ValueError(f"unknown backend {backend!r}")
     return backend
-
-
-def _abs_green_eig(S: SpectralData, ix: int, iy: int, zs: np.ndarray) -> np.ndarray:
-    """|G(x, y; z)| on an array of z through the eigendecomposition."""
-    w = S.vectors[ix, :] * S.vectors[iy, :]
-    return np.abs(np.sum(w[None, :] / (S.energies[None, :] - zs[:, None]), axis=1))
 
 
 # --------------------------------------------------------- fractional moment
@@ -172,9 +173,9 @@ def fractional_moment(
             S = spectral_data(H)
             if z.imag == 0.0 and np.min(np.abs(S.energies - z.real)) == 0.0:
                 logger.warning("z = %s hit an eigenvalue; nudging by +1e-10i", z)
-                g = _abs_green_eig(S, ix, iy, np.array([z + 1j * _NUDGE]))[0]
+                g = np.abs(green_entries(S, ix, iy, np.array([z + 1j * _NUDGE])))[0]
             else:
-                g = _abs_green_eig(S, ix, iy, np.array([z]))[0]
+                g = np.abs(green_entries(S, ix, iy, np.array([z])))[0]
         else:
             try:
                 g = abs(_green_column(H.matrix, iy, z)[ix])
@@ -249,7 +250,7 @@ def wegner_samples(
                 bumped = safe[on_axis]
                 bumped[hits == 0.0] += 1j * _NUDGE
                 safe[on_axis] = bumped
-        values[row, :] = _abs_green_eig(S, ix, iy, safe) ** s
+        values[row, :] = np.abs(green_entries(S, ix, iy, safe)) ** s
     return values
 
 
@@ -376,8 +377,8 @@ def energy_averaged_moment(
     vals = np.empty(len(seeds))
     vals2 = np.empty(len(seeds))
     for j, (seed, S) in enumerate(ensemble_spectra(spec, seeds, density)):
-        vals[j] = np.mean(_abs_green_eig(S, ix, iy, nodes + 1j * eta) ** s)
-        vals2[j] = np.mean(_abs_green_eig(S, ix, iy, nodes + 2j * eta) ** s)
+        vals[j] = np.mean(np.abs(green_entries(S, ix, iy, nodes + 1j * eta)) ** s)
+        vals2[j] = np.mean(np.abs(green_entries(S, ix, iy, nodes + 2j * eta)) ** s)
     return AveragedMoment(
         estimate=Estimate.from_samples(vals, seeds),
         estimate_2eta=Estimate.from_samples(vals2, seeds),
@@ -436,7 +437,7 @@ def probe_samples(
     qvals = np.empty(len(pairs))
     _, S = next(ensemble_spectra(spec, [int(seed)], density))
     for p, ((px, py), (ix, iy)) in enumerate(zip(pairs, ranks)):
-        moments[p] = np.mean(_abs_green_eig(S, ix, iy, nodes + 1j * eta) ** s)
+        moments[p] = np.mean(np.abs(green_entries(S, ix, iy, nodes + 1j * eta)) ** s)
         qvals[p] = correlator(S, px, py, full)
     return moments, qvals
 

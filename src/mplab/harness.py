@@ -62,7 +62,7 @@ from .operator import (
     BUILTIN_INTERACTIONS,
     InteractionSpec,
     OperatorSpec,
-    assemble,
+    OperatorTemplate,
     gershgorin_interval,
 )
 from .spectral import (
@@ -741,8 +741,10 @@ def emit(table: ResultTable, directory, basename: str, formats=("csv", "json")):
 
     CSV cells are comma-separated with minimal double-quote quoting and
     CRLF row endings; floats carry 17 significant digits with a '.'
-    decimal point, enough to reproduce the binary values exactly. Returns
-    the list of written paths.
+    decimal point, enough to reproduce the binary values exactly. Both
+    JSON files are strict JSON: non-finite floats are written as the
+    strings "inf", "-inf" and "nan", spelled as in the CSV. Returns the
+    list of written paths.
     """
     directory = Path(directory)
     try:
@@ -773,13 +775,16 @@ def emit(table: ResultTable, directory, basename: str, formats=("csv", "json")):
 
         def _json(fh):
             json.dump(
-                {
-                    "columns": list(table.columns),
-                    "dtypes": list(table.dtypes),
-                    "rows": [list(row) for row in table.rows],
-                },
+                _jsonable(
+                    {
+                        "columns": table.columns,
+                        "dtypes": table.dtypes,
+                        "rows": table.rows,
+                    }
+                ),
                 fh,
                 indent=1,
+                allow_nan=False,
             )
             fh.write("\n")
 
@@ -787,15 +792,17 @@ def emit(table: ResultTable, directory, basename: str, formats=("csv", "json")):
 
     def _meta(fh):
         json.dump(
-            {
-                "columns": list(table.columns),
-                "dtypes": list(table.dtypes),
-                "metadata": table.metadata,
-            },
+            _jsonable(
+                {
+                    "columns": table.columns,
+                    "dtypes": table.dtypes,
+                    "metadata": table.metadata,
+                }
+            ),
             fh,
             indent=1,
             sort_keys=True,
-            default=_jsonable,
+            allow_nan=False,
         )
         fh.write("\n")
 
@@ -803,18 +810,45 @@ def emit(table: ResultTable, directory, basename: str, formats=("csv", "json")):
     return written
 
 
+# strict JSON has no literal for these; emit spells them as the CSV does
+_NONFINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
 def _jsonable(value):
-    if isinstance(value, (np.integer,)):
+    """Copy of value made of JSON types, non-finite floats as strings."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (bool, str)) or value is None:
+        return value
+    if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else _format_cell(value)
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _jsonable(value.tolist())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
+        return _jsonable(dataclasses.asdict(value))
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return _jsonable([value.real, value.imag])
     raise TypeError(f"not JSON-serializable: {type(value)}")
+
+
+def _from_jsonable(value):
+    """Inverse of _jsonable's non-finite encoding, applied recursively.
+
+    A metadata string spelled exactly "inf", "-inf" or "nan" reads back
+    as the float it names.
+    """
+    if isinstance(value, dict):
+        return {k: _from_jsonable(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_from_jsonable(v) for v in value]
+    if isinstance(value, str):
+        return _NONFINITE.get(value, value)
+    return value
 
 
 def read_table(csv_path) -> ResultTable:
@@ -832,7 +866,7 @@ def read_table(csv_path) -> ResultTable:
             meta = json.load(fh)
         if list(meta.get("columns", [])) == header:
             dtypes = list(meta.get("dtypes", dtypes))
-        metadata = meta.get("metadata", {})
+        metadata = _from_jsonable(meta.get("metadata", {}))
     rows = tuple(
         tuple(_parse_cell(cell, dt) for cell, dt in zip(row, dtypes))
         for row in raw_rows
@@ -894,22 +928,21 @@ def _draw_block(rng, config: ExperimentConfig, candidates):
         norm=config.model["norm"],
     )
     seed = int(rng.integers(2**31))
-    H = assemble(spec, sample(spec.box, config.density_spec(), seed))
-    return spec, seed, H
+    density = config.density_spec()
+    template = OperatorTemplate(spec)
+    H = template.hamiltonian(sample(spec.box, density, seed))
+    return seed, H, template.gershgorin_interval(density)
 
 
 def _composite_unit(args):
     config, candidates, i = args
     rng = np.random.default_rng([int(config.ensemble["base_seed"]), 0xC0, i])
-    spec_j, seed_j, H_j = _draw_block(rng, config, candidates)
-    spec_k, seed_k, H_k = _draw_block(rng, config, candidates)
-    density = config.density_spec()
+    seed_j, H_j, (lo_j, hi_j) = _draw_block(rng, config, candidates)
+    seed_k, H_k, (lo_k, hi_k) = _draw_block(rng, config, candidates)
     xj = H_j.index.config_at(int(rng.integers(H_j.index.size)))
     yj = H_j.index.config_at(int(rng.integers(H_j.index.size)))
     xk = H_k.index.config_at(int(rng.integers(H_k.index.size)))
     yk = H_k.index.config_at(int(rng.integers(H_k.index.size)))
-    lo_j, hi_j = gershgorin_interval(spec_j, density)
-    lo_k, hi_k = gershgorin_interval(spec_k, density)
     re = float(rng.uniform(lo_j + lo_k, hi_j + hi_k))
     # imaginary part strictly above any admissible contour radius
     im = max(1.25 * (hi_k - lo_k) / 2.0, 1.0) + 0.75
@@ -934,9 +967,8 @@ def _composite_unit(args):
 def _subadditivity_unit(args):
     config, candidates, i = args
     rng = np.random.default_rng([int(config.ensemble["base_seed"]), 0x5B, i])
-    spec_j, seed_j, H_j = _draw_block(rng, config, candidates)
-    spec_k, seed_k, H_k = _draw_block(rng, config, candidates)
-    density = config.density_spec()
+    seed_j, H_j, (lo_j, hi_j) = _draw_block(rng, config, candidates)
+    seed_k, H_k, (lo_k, hi_k) = _draw_block(rng, config, candidates)
     S_j = spectral_data(H_j)
     S_k = spectral_data(H_k)
     S_jk = composite_spectral_data(H_j, H_k)
@@ -944,8 +976,6 @@ def _subadditivity_unit(args):
     yj = H_j.index.config_at(int(rng.integers(H_j.index.size)))
     xk = H_k.index.config_at(int(rng.integers(H_k.index.size)))
     yk = H_k.index.config_at(int(rng.integers(H_k.index.size)))
-    lo_j, hi_j = gershgorin_interval(spec_j, density)
-    lo_k, hi_k = gershgorin_interval(spec_k, density)
     lo, hi = lo_j + lo_k, hi_j + hi_k
     a = float(rng.uniform(lo, hi))
     width = float(rng.uniform(0.1, max(hi - lo, 0.2)))

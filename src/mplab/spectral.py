@@ -1,9 +1,11 @@
 """Exact spectral quantities of assembled operators.
 
 Green functions G(x, y; z) = <delta_x, (H - z)^(-1) delta_y> via sparse
-shifted solves, eigenfunction correlators and dynamical kernels via dense
-eigendecomposition, a contour-convolution identity for non-interacting
-composites, and the correlator subadditivity check that rests on it.
+shifted solves or, for whole arrays of z at once, via a dense
+eigendecomposition (green_entries); eigenfunction correlators and
+dynamical kernels via the same eigendecomposition; a contour-convolution
+identity for non-interacting composites, and the correlator subadditivity
+check that rests on it.
 
 Eigenvalues closer than GROUPING_RTOL * ||H|| are treated as one degenerate
 group throughout: correlators sum |<x, P_g y>| per group, and time evolution
@@ -158,10 +160,19 @@ def green(
     return complex(_green_column(H.matrix, H.rank_of(y), complex(z))[H.rank_of(x)])
 
 
-def eig_green(S: SpectralData, ix: int, iy: int, z: complex) -> complex:
-    """Same entry through the eigendecomposition: sum psi psi / (E - z)."""
+def green_entries(S: SpectralData, ix: int, iy: int, zs: np.ndarray) -> np.ndarray:
+    """G(x, y; z) for every z in an array through the eigendecomposition.
+
+    One broadcast sum_k psi_k(x) psi_k(y) / (E_k - z) over all z, reduced
+    along the eigenvalue axis; memory is O(zs.size * dim).
+    """
     w = S.vectors[ix, :] * S.vectors[iy, :]
-    return complex(np.sum(w / (S.energies - z)))
+    return np.sum(w[None, :] / (S.energies[None, :] - zs[:, None]), axis=1)
+
+
+def eig_green(S: SpectralData, ix: int, iy: int, z: complex) -> complex:
+    """Same entry as green, through the eigendecomposition."""
+    return complex(green_entries(S, ix, iy, np.array([complex(z)]))[0])
 
 
 # ------------------------------------------------------------- correlator
@@ -325,17 +336,18 @@ def composite_green_check(
     G_K(x_K, y_K; E_m), nodes E_m on the circle around the spectrum of H_K.
     The identity needs every pole of G_J(z - .) strictly outside the circle;
     a violation raises ContourGeometryError instead of returning garbage.
-    The direct evaluation is an independent sparse solve on the assembled
-    composite, so the returned gap measures the identity, not a shared code
-    path.
+    The contour side evaluates G_J and G_K at all nodes in one pass each
+    through the block eigendecompositions (green_entries). The direct side
+    is an independent sparse solve on the assembled composite, so the
+    returned gap measures the identity, not a shared code path.
     """
     z = complex(z)
     basis = ProductBasis(left=H_J.index, right=H_K.index)
     xj, xk = basis.split(x)
     yj, yk = basis.split(y)
 
-    e_k = np.linalg.eigvalsh(H_K.matrix.toarray())
-    e_j = np.linalg.eigvalsh(H_J.matrix.toarray())
+    S_J, S_K = spectral_data(H_J), spectral_data(H_K)
+    e_j, e_k = S_J.energies, S_K.energies
     center = float((e_k.min() + e_k.max()) / 2.0)
     radius = max(1.25 * float(e_k.max() - e_k.min()) / 2.0, 1.0)
     # poles of E -> G_J(z - E) sit at E = z - sigma(H_J)
@@ -351,12 +363,8 @@ def composite_green_check(
         raise ValueError(f"need at least 2 quadrature points, got {n}")
     theta = 2.0 * np.pi * np.arange(n) / n
     nodes = center + radius * np.exp(1j * theta)
-    ij_x, ij_y = H_J.index.index_of(xj), H_J.index.index_of(yj)
-    ik_x, ik_y = H_K.index.index_of(xk), H_K.index.index_of(yk)
-    gj = np.array(
-        [_green_column(H_J.matrix, ij_y, z - e)[ij_x] for e in nodes]
-    )
-    gk = np.array([_green_column(H_K.matrix, ik_y, e)[ik_x] for e in nodes])
+    gj = green_entries(S_J, S_J.rank_of(xj), S_J.rank_of(yj), z - nodes)
+    gk = green_entries(S_K, S_K.rank_of(xk), S_K.rank_of(yk), nodes)
     contour = complex(-(radius / n) * np.sum(np.exp(1j * theta) * gj * gk))
 
     matrix, _ = composite_matrix(H_J, H_K)

@@ -45,6 +45,30 @@ SCALAR_SPEC = OperatorSpec(
 )
 
 
+# ----------------------------------------------------------- template cache
+
+
+def _custom_onsite_spec(term):
+    inter = InteractionSpec(p=1, alpha=(1.0,), range=0, terms={1: term})
+    return OperatorSpec(box=Box.centered(1, 4), n=1, lam=1.0, interaction=inter)
+
+
+def test_template_cache_tells_custom_terms_apart():
+    # equal specs by OperatorSpec equality, different interaction callables
+    five = _custom_onsite_spec(lambda pattern, occs: 5.0)
+    one = _custom_onsite_spec(lambda pattern, occs: 1.0)
+    assert five == one
+    assert diag._template_for(five).interaction_diag.tolist() == [5.0] * 4
+    assert diag._template_for(one).interaction_diag.tolist() == [1.0] * 4
+
+
+def test_template_cache_shares_equal_builtin_specs():
+    a = spec1d(6, n=2, alpha=0.3)
+    b = spec1d(6, n=2, alpha=0.3)
+    assert a is not b
+    assert diag._template_for(a) is diag._template_for(b)
+
+
 # --------------------------------------------------------------- estimates
 
 

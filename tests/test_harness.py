@@ -150,6 +150,53 @@ def test_quoting_survives_round_trip(tmp_path):
     assert read_table("%s/quoted.csv" % tmp_path).rows == table.rows
 
 
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_is_strict_and_non_finite_round_trips(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    table = ResultTable(
+        columns=("x", "y"),
+        dtypes=("float", "float"),
+        rows=((inf, -inf), (nan, 0.5)),
+        metadata={"xi": inf, "fits": [{"slope": -inf}, nan], "label": "info"},
+    )
+    emit(table, tmp_path, "edge")
+    mirror = _strict_loads((tmp_path / "edge.json").read_text())
+    assert mirror["rows"] == [["inf", "-inf"], ["nan", 0.5]]
+    meta = _strict_loads((tmp_path / "edge.meta.json").read_text())
+    assert meta["metadata"]["xi"] == "inf"
+    back = read_table(tmp_path / "edge.csv")
+    assert back.rows[0] == (inf, -inf)
+    assert math.isnan(back.rows[1][0]) and back.rows[1][1] == 0.5
+    assert back.metadata["xi"] == inf
+    assert back.metadata["fits"][0] == {"slope": -inf}
+    assert math.isnan(back.metadata["fits"][1])
+    assert back.metadata["label"] == "info"
+
+
+def test_region_scan_without_disorder_writes_strict_json(tmp_path):
+    raw = {
+        "kind": "region_scan",
+        "model": {"L": 8, "n": 1},
+        "ensemble": {"base_seed": 0, "count": 4},
+        "params": {"lambdas": [0.0], "alphas": [0.0]},
+        "output": {"directory": str(tmp_path)},
+    }
+    t = run(raw, workers=1)
+    xi = t.columns.index("xi")
+    assert t.rows[0][xi] == float("inf")
+    mirror = _strict_loads((tmp_path / "region_scan.json").read_text())
+    assert mirror["rows"][0][xi] == "inf"
+    _strict_loads((tmp_path / "region_scan.meta.json").read_text())
+    back = read_table(tmp_path / "region_scan.csv")
+    assert back.rows == t.rows
+
+
 def test_json_mirror_matches(tmp_path):
     t = run(probe_config(tmp_path), workers=1)
     mirror = json.loads((tmp_path / "decay_probe.json").read_text())

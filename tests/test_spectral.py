@@ -13,8 +13,10 @@ from mplab.spectral import (
     composite_spectral_data,
     correlator,
     dynamical_kernel,
+    _green_column,
     eig_green,
     green,
+    green_entries,
     spectral_data,
     subadditivity_check,
 )
@@ -81,6 +83,51 @@ def test_green_far_field_decay():
     z = 2.0 + 1e-2j
     vals = [abs(green(H, c1(0), c1(r), z)) for r in (2, 8, 20)]
     assert vals[0] > vals[1] > vals[2]
+
+
+# Near-real points (Im z down to 1e-8) are included: the eigen sum and the
+# LU solve must agree there too, where |G| is large and ill-conditioned.
+_NEAR_REAL_IMS = (1e-8, 1e-6, 1e-3, 0.3, 1.5)
+
+
+@pytest.mark.parametrize(
+    "d, side, n, sector",
+    [
+        (1, 9, 2, "distinguishable"),
+        (1, 10, 2, "fermion"),
+        (2, 3, 2, "distinguishable"),
+        (2, 4, 2, "fermion"),
+    ],
+)
+def test_green_entries_matches_sparse_solve(d, side, n, sector):
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for _ in range(3):
+        spec = OperatorSpec(
+            box=Box.centered(d, side),
+            n=n,
+            sector=sector,
+            lam=float(rng.uniform(0.5, 4.0)),
+            interaction=InteractionSpec.pair_nn(float(rng.uniform(-1.0, 1.0))),
+        )
+        H = assemble(spec, sample(spec.box, UNIFORM_HALF, int(rng.integers(2**31))))
+        S = spectral_data(H)
+        ix, iy = (int(rng.integers(S.dim)) for _ in range(2))
+        re = rng.uniform(S.energies[0] - 1.0, S.energies[-1] + 1.0, 15)
+        zs = re + 1j * np.resize(_NEAR_REAL_IMS, re.size)
+        got = green_entries(S, ix, iy, zs)
+        want = np.array([_green_column(H.matrix, iy, z)[ix] for z in zs])
+        assert got.shape == zs.shape and got.dtype == complex
+        worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    assert worst <= 1e-10
+
+
+def test_eig_green_is_green_entries_at_one_point():
+    H = build(side=10, lam=2.0, seed=3)
+    S = spectral_data(H)
+    zs = np.array([1.0 + 0.2j, 4.0 + 1e-6j])
+    many = green_entries(S, 2, 7, zs)
+    assert [eig_green(S, 2, 7, z) for z in zs] == many.tolist()
 
 
 # -------------------------------------------------------------- correlator
@@ -271,6 +318,28 @@ def test_composite_geometry_error_near_spectrum():
     x = Configuration(sites=((0,), (0,)))
     with pytest.raises(ContourGeometryError):
         composite_green_check(HJ, HK, x, x, z)
+
+
+@pytest.mark.parametrize("d, side, n", [(1, 4, 2), (2, 3, 1)])
+def test_composite_identity_on_free_blocks(d, side, n):
+    # lambda = 0: free blocks with degenerate spectra, identical for J and
+    # K, so the poles of both factors coincide
+    HJ = build(d=d, side=side, n=n, lam=0.0, seed=0)
+    HK = build(d=d, side=side, n=n, lam=0.0, seed=1)
+    eK = np.linalg.eigvalsh(HK.matrix.toarray())
+    assert np.min(np.diff(eK)) < 1e-9  # the spectrum is degenerate
+    radius = max(1.25 * (eK.max() - eK.min()) / 2.0, 1.0)
+    z = complex(eK.min() + eK.max(), radius + 0.75)
+    origin = (0,) * d
+    far = (side - 1,) * d
+    x = Configuration(sites=(origin,) * 2 * n)
+    y = Configuration(sites=(far,) + (origin,) * (2 * n - 1))
+    S = composite_spectral_data(HJ, HK)
+    ref = eig_green(S, S.rank_of(x), S.rank_of(y), z)
+    res = composite_green_check(HJ, HK, x, y, z, quadrature_points=512)
+    assert res.gap <= 1e-8
+    assert res.contour == pytest.approx(ref, rel=1e-8)
+    assert res.direct == pytest.approx(ref, rel=1e-9)
 
 
 def test_composite_matrix_is_kron_sum():
