@@ -21,7 +21,6 @@ conditional check exists precisely to monitor those means directly.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -38,7 +37,12 @@ from .configspace import (
 )
 from .disorder import UNIFORM_HALF, DensitySpec, resample_at, sample
 from .errors import BudgetError, SingularityError
-from .operator import InteractionSpec, OperatorSpec, OperatorTemplate
+from .operator import (
+    InteractionSpec,
+    OperatorSpec,
+    _template_for,
+    gershgorin_interval,
+)
 from .spectral import (
     DENSE_DIAG_CAP,
     EnergyInterval,
@@ -105,19 +109,6 @@ class Estimate:
 # ----------------------------------------------------------- shared plumbing
 
 
-def _template_for(spec: OperatorSpec) -> OperatorTemplate:
-    # OperatorSpec equality ignores interaction callables, so the term
-    # functions themselves join the key (built-ins are module-level, so
-    # equal built-in specs still share one template)
-    return _cached_template(spec, tuple(sorted(spec.interaction.terms.items())))
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_template(spec: OperatorSpec, terms: tuple) -> OperatorTemplate:
-    # templates are immutable after assembly; equal keys can share one
-    return OperatorTemplate(spec)
-
-
 def ensemble_spectra(spec: OperatorSpec, seeds, density: DensitySpec):
     """Yield (seed, SpectralData) per realization, one template for all."""
     if spec.dim > DENSE_DIAG_CAP:
@@ -131,6 +122,17 @@ def ensemble_spectra(spec: OperatorSpec, seeds, density: DensitySpec):
     for seed in seeds:
         real = sample(spec.box, density, int(seed))
         yield int(seed), spectral_data(template.hamiltonian(real))
+
+
+def _nudged(S, zs) -> np.ndarray:
+    """zs plus 1e-10i wherever a real z is exactly an eigenvalue of S; one
+    warning per call that nudges."""
+    zs = np.array(zs, dtype=complex)
+    hits = (zs.imag == 0.0) & np.isin(zs.real, S.energies)
+    if hits.any():
+        logger.warning("z = %s hit an eigenvalue; nudging by +1e-10i", zs[hits])
+        zs[hits] += 1j * _NUDGE
+    return zs
 
 
 def _pick_backend(backend: str, dim: int) -> str:
@@ -164,18 +166,14 @@ def fractional_moment(
     z = complex(z)
     seeds = [int(v) for v in seeds]
     backend = _pick_backend(backend, spec.dim)
-    template = OperatorTemplate(spec)
+    template = _template_for(spec)
     ix, iy = spec.config_index.index_of(x), spec.config_index.index_of(y)
     samples = np.empty(len(seeds))
     for j, seed in enumerate(seeds):
         H = template.hamiltonian(sample(spec.box, density, seed))
         if backend == "eigen":
             S = spectral_data(H)
-            if z.imag == 0.0 and np.min(np.abs(S.energies - z.real)) == 0.0:
-                logger.warning("z = %s hit an eigenvalue; nudging by +1e-10i", z)
-                g = np.abs(green_entries(S, ix, iy, np.array([z + 1j * _NUDGE])))[0]
-            else:
-                g = np.abs(green_entries(S, ix, iy, np.array([z])))[0]
+            g = np.abs(green_entries(S, ix, iy, _nudged(S, [z])))[0]
         else:
             try:
                 g = abs(_green_column(H.matrix, iy, z)[ix])
@@ -232,25 +230,14 @@ def wegner_samples(
     s = _check_s(s)
     zs = np.asarray([complex(z) for z in z_grid])
     subseeds = [int(k) for k in subseeds]
-    template = OperatorTemplate(spec)
+    template = _template_for(spec)
     base = sample(spec.box, density, int(base_seed))
     ix, iy = spec.config_index.index_of(x), spec.config_index.index_of(y)
     values = np.empty((len(subseeds), zs.size))
     for row, k in enumerate(subseeds):
         real = resample_at(base, marked, subseed=k)
         S = spectral_data(template.hamiltonian(real))
-        safe = zs.copy()
-        on_axis = safe.imag == 0.0
-        if np.any(on_axis):
-            hits = np.min(
-                np.abs(S.energies[None, :] - safe[on_axis, None].real), axis=1
-            )
-            if np.any(hits == 0.0):
-                logger.warning("z grid hit an eigenvalue; nudging by +1e-10i")
-                bumped = safe[on_axis]
-                bumped[hits == 0.0] += 1j * _NUDGE
-                safe[on_axis] = bumped
-        values[row, :] = np.abs(green_entries(S, ix, iy, safe)) ** s
+        values[row, :] = np.abs(green_entries(S, ix, iy, _nudged(S, zs))) ** s
     return values
 
 
@@ -406,7 +393,7 @@ def default_probe_interval(
     spec: OperatorSpec, density: DensitySpec = UNIFORM_HALF
 ) -> EnergyInterval:
     """Unit interval centered in the operator's spectral enclosure."""
-    lo, hi = OperatorTemplate(spec).gershgorin_interval(density)
+    lo, hi = gershgorin_interval(spec, density)
     return EnergyInterval.unit((lo + hi) / 2.0)
 
 
@@ -665,7 +652,7 @@ def monitor_plan(
         raise ValueError("monitor needs an ensemble of at least 2 seeds")
     half_width = box.side / 4.0
     boundary = box.boundary_sites()
-    lo, hi = OperatorTemplate(spec).gershgorin_interval(density)
+    lo, hi = gershgorin_interval(spec, density)
     tile_edges = np.arange(math.floor(lo - 1.0), math.ceil(hi + 1.0) + 1, 1.0)
 
     full_task = _region_task(spec, box, boundary, half_width)
@@ -931,6 +918,17 @@ def _scan_spec(lam: float, alpha: float, L: int, proto: ScanProtocol) -> Operato
     )
 
 
+def corner_block(spec: OperatorSpec, shift: int = 0) -> Configuration:
+    """n consecutive sites along the first axis, `shift` sites from the corner."""
+    corner = spec.box.origin
+    return Configuration(
+        sites=tuple(
+            (corner[0] + shift + k,) + tuple(corner[1:]) for k in range(spec.n)
+        ),
+        sector=spec.sector,
+    )
+
+
 def probe_pairs(spec: OperatorSpec, max_points: int = 6):
     """Corner-anchored block pairs at even separations along the first axis.
 
@@ -939,19 +937,11 @@ def probe_pairs(spec: OperatorSpec, max_points: int = 6):
     both supported norms.
     """
     box, n = spec.box, spec.n
-    corner = box.origin
-
-    def block(start):
-        return Configuration(
-            sites=tuple((start[0] + k,) + tuple(start[1:]) for k in range(n)),
-            sector=spec.sector,
-        )
-
-    x = block(corner)
+    x = corner_block(spec)
     out = []
     r = 2
     while r + n - 1 < box.side and len(out) < max_points:
-        out.append((x, block((corner[0] + r,) + tuple(corner[1:]))))
+        out.append((x, corner_block(spec, r)))
         r += 2
     if len(out) < 3:
         raise ValueError(

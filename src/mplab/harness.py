@@ -14,6 +14,13 @@ mutable, and a single reducer folds unit results in seed order. The result
 rows are therefore byte-identical for any worker count, and identical to
 the serial library entry points, which share the same per-unit functions.
 
+Model objects are built through the library, never copied here: the
+operator spec comes from `ExperimentConfig.operator_spec`, the interaction
+from `InteractionSpec.from_dict` (the `model.interaction` schema), sector
+dimensions from the spec's `ConfigIndex`, templates from the operator
+layer's shared cache, and default configurations from `diagnostics`
+(`probe_pairs`, `corner_block`).
+
 Boxes are always centered at the origin. `model.L` is the side of the box
 the model operator lives on; kinds that compare scales derive their boxes
 from it (b_monitor runs at side L; rescaling at sides L and 2L; region_scan
@@ -43,6 +50,7 @@ from .diagnostics import (
     DEFAULT_QUAD_POINTS,
     Estimate,
     ScanProtocol,
+    corner_block,
     decay_fit,
     default_probe_interval,
     monitor_plan,
@@ -60,9 +68,10 @@ from .disorder import DensitySpec, sample
 from .errors import BudgetError
 from .operator import (
     BUILTIN_INTERACTIONS,
+    INTERACTION_FIELDS,
     InteractionSpec,
     OperatorSpec,
-    OperatorTemplate,
+    assemble,
     gershgorin_interval,
 )
 from .spectral import (
@@ -218,28 +227,18 @@ class ExperimentConfig:
     # ------------------------------------------------------- model builders
 
     def interaction_spec(self) -> InteractionSpec:
-        d = self.model["interaction"]
-        builtin = d.get("builtin", "none")
-        if "alpha" in d and "coupling" not in d:
-            return InteractionSpec.from_dict(d)
-        coupling = float(d.get("coupling", 0.0))
-        if builtin == "none":
-            return InteractionSpec.none()
-        if builtin == "pair_nn":
-            return InteractionSpec.pair_nn(coupling, range=int(d.get("range", 1)))
-        if builtin == "onsite":
-            return InteractionSpec.onsite(coupling)
-        raise ValueError(f"unknown built-in interaction {builtin!r}")
+        return InteractionSpec.from_dict(self.model["interaction"])
 
     def density_spec(self) -> DensitySpec:
         d = self.model["density"]
         return DensitySpec(kind=d["kind"], params=tuple(d["params"]))
 
-    def operator_spec(self, side: int = None) -> OperatorSpec:
+    def operator_spec(self, side: int = None, n: int = None) -> OperatorSpec:
+        """The model on the centered box; side and n default to model.L, model.n."""
         side = int(self.model["L"]) if side is None else int(side)
         return OperatorSpec(
             box=Box.centered(int(self.model["d"]), side),
-            n=int(self.model["n"]),
+            n=int(self.model["n"]) if n is None else int(n),
             sector=self.model["sector"],
             lam=float(self.model["lambda"]),
             interaction=self.interaction_spec(),
@@ -303,31 +302,17 @@ def _as_configuration(obj, spec: OperatorSpec) -> Configuration:
     return cfg
 
 
-def _corner_block(spec: OperatorSpec) -> Configuration:
-    corner = spec.box.origin
-    sites = tuple((corner[0] + k,) + tuple(corner[1:]) for k in range(spec.n))
-    return Configuration(sites=sites, sector=spec.sector)
-
-
-def _sector_dim(d: int, side: int, n: int, sector: str) -> int:
-    V = side**d
-    if sector == "distinguishable":
-        return V**n
-    if sector == "boson":
-        return math.comb(V + n - 1, n)
-    return math.comb(V, n) if n <= V else 0
-
-
 def _block_candidates(config: ExperimentConfig) -> tuple:
     """(side, n) choices whose block dimension fits under params.dim_cap."""
     cap = int(config.params.get("dim_cap", 10))
-    inter = config.interaction_spec()
-    min_side = 2 if inter.is_trivial else max(2, inter.range + 1)
     out = []
-    for side in range(min_side, int(config.model["L"]) + 1):
+    for side in range(2, int(config.model["L"]) + 1):
         for n in range(1, int(config.model["n"]) + 1):
-            dim = _sector_dim(int(config.model["d"]), side, n, config.model["sector"])
-            if 0 < dim <= cap:
+            try:
+                dim = config.operator_spec(side, n).dim
+            except ValueError:  # too few sites, or the interaction spans the box
+                continue
+            if dim <= cap:
                 out.append((side, n))
     return tuple(out)
 
@@ -336,7 +321,7 @@ def _resolve_wegner(config: ExperimentConfig, spec: OperatorSpec):
     """Materialize x, y, u1, u2, z grid (defaults: corner block, its first
     site, a real grid across the spectral enclosure)."""
     p = config.params
-    x = _as_configuration(p["x"], spec) if p["x"] is not None else _corner_block(spec)
+    x = _as_configuration(p["x"], spec) if p["x"] is not None else corner_block(spec)
     y = _as_configuration(p["y"], spec) if p["y"] is not None else x
     u1 = tuple(int(c) for c in p["u1"]) if p["u1"] is not None else x.sites[0]
     u2 = tuple(int(c) for c in p["u2"]) if p["u2"] is not None else y.sites[0]
@@ -384,10 +369,7 @@ def _monitor_side_ok(config: ExperimentConfig, side: int, out: list) -> None:
 
 
 def _budget_check(config: ExperimentConfig, side: int, out: list) -> None:
-    dim = _sector_dim(
-        int(config.model["d"]), side, int(config.model["n"]),
-        config.model["sector"],
-    )
+    dim = config.operator_spec(side).dim
     if dim > DENSE_DIAG_CAP:
         out.append(
             f"budget: configuration space dimension {dim} at box side {side} "
@@ -434,6 +416,8 @@ def validate(config) -> list:
     if not isinstance(inter, dict):
         out.append("model.interaction must be an object")
         inter = {}
+    for key in set(inter) - set(INTERACTION_FIELDS):
+        out.append(f"unknown model.interaction field {key!r}")
     if inter.get("builtin", "none") not in BUILTIN_INTERACTIONS:
         out.append(
             f"model.interaction.builtin must be one of {BUILTIN_INTERACTIONS}, "
@@ -522,6 +506,13 @@ def _validate_params(config, spec, out: list) -> None:
     p = config.params
     kind = config.kind
     L = int(config.model["L"])
+    if "omega_samples" in allowed and (
+        not _is_int(p.get("omega_samples")) or p["omega_samples"] < 0
+    ):
+        out.append(
+            f"params.omega_samples must be a nonnegative integer, "
+            f"got {p.get('omega_samples')!r}"
+        )
 
     if kind in ("decay_probe", "equivalence"):
         if not _is_int(p.get("max_points")) or p["max_points"] < 3:
@@ -572,11 +563,6 @@ def _validate_params(config, spec, out: list) -> None:
         _budget_check(config, L, out)
 
     elif kind == "b_monitor":
-        if not _is_int(p.get("omega_samples")) or p["omega_samples"] < 0:
-            out.append(
-                f"params.omega_samples must be a nonnegative integer, "
-                f"got {p.get('omega_samples')!r}"
-            )
         _monitor_side_ok(config, L, out)
         _budget_check(config, L, out)
 
@@ -588,11 +574,6 @@ def _validate_params(config, spec, out: list) -> None:
                 )
         if _is_num(p.get("a")) and float(p["a"]) == 0.0:
             out.append("params.a must be positive")
-        if not _is_int(p.get("omega_samples")) or p["omega_samples"] < 0:
-            out.append(
-                f"params.omega_samples must be a nonnegative integer, "
-                f"got {p.get('omega_samples')!r}"
-            )
         _monitor_side_ok(config, L, out)
         _budget_check(config, 2 * L, out)
 
@@ -632,11 +613,6 @@ def _validate_params(config, spec, out: list) -> None:
             out.append(
                 f"params.monitor_eta must be null or positive, "
                 f"got {p['monitor_eta']!r}"
-            )
-        if not _is_int(p.get("omega_samples")) or p["omega_samples"] < 0:
-            out.append(
-                f"params.omega_samples must be a nonnegative integer, "
-                f"got {p.get('omega_samples')!r}"
             )
         if config.interaction_spec().label == "onsite":
             out.append(
@@ -919,37 +895,40 @@ def _scan_unit(args):
 
 def _draw_block(rng, config: ExperimentConfig, candidates):
     side, n = candidates[int(rng.integers(len(candidates)))]
-    spec = OperatorSpec(
-        box=Box.centered(int(config.model["d"]), side),
-        n=n,
-        sector=config.model["sector"],
-        lam=float(config.model["lambda"]),
-        interaction=config.interaction_spec(),
-        norm=config.model["norm"],
-    )
+    spec = config.operator_spec(side, n)
     seed = int(rng.integers(2**31))
     density = config.density_spec()
-    template = OperatorTemplate(spec)
-    H = template.hamiltonian(sample(spec.box, density, seed))
-    return seed, H, template.gershgorin_interval(density)
+    H = assemble(spec, sample(spec.box, density, seed))
+    return seed, H, gershgorin_interval(spec, density)
+
+
+def _draw_pair(config: ExperimentConfig, candidates, salt: int, i: int):
+    """Instance i of a block-pair kind: the generator (for further draws),
+    both blocks as (seed, H, enclosure), and the end configurations
+    x = (x_left, x_right), y = (y_left, y_right)."""
+    rng = np.random.default_rng([int(config.ensemble["base_seed"]), salt, i])
+    left = _draw_block(rng, config, candidates)
+    right = _draw_block(rng, config, candidates)
+    ix_j, ix_k = left[1].index, right[1].index
+    xj = ix_j.config_at(int(rng.integers(ix_j.size)))
+    yj = ix_j.config_at(int(rng.integers(ix_j.size)))
+    xk = ix_k.config_at(int(rng.integers(ix_k.size)))
+    yk = ix_k.config_at(int(rng.integers(ix_k.size)))
+    return rng, left, right, (xj, xk), (yj, yk)
 
 
 def _composite_unit(args):
     config, candidates, i = args
-    rng = np.random.default_rng([int(config.ensemble["base_seed"]), 0xC0, i])
-    seed_j, H_j, (lo_j, hi_j) = _draw_block(rng, config, candidates)
-    seed_k, H_k, (lo_k, hi_k) = _draw_block(rng, config, candidates)
-    xj = H_j.index.config_at(int(rng.integers(H_j.index.size)))
-    yj = H_j.index.config_at(int(rng.integers(H_j.index.size)))
-    xk = H_k.index.config_at(int(rng.integers(H_k.index.size)))
-    yk = H_k.index.config_at(int(rng.integers(H_k.index.size)))
+    rng, (seed_j, H_j, (lo_j, hi_j)), (seed_k, H_k, (lo_k, hi_k)), x, y = _draw_pair(
+        config, candidates, 0xC0, i
+    )
     re = float(rng.uniform(lo_j + lo_k, hi_j + hi_k))
     # imaginary part strictly above any admissible contour radius
     im = max(1.25 * (hi_k - lo_k) / 2.0, 1.0) + 0.75
     z = complex(re, im)
     quad = int(config.params["quadrature_points"])
-    chk = composite_green_check(H_j, H_k, (xj, xk), (yj, yk), z, quad)
-    chk2 = composite_green_check(H_j, H_k, (xj, xk), (yj, yk), z, 2 * quad)
+    chk = composite_green_check(H_j, H_k, x, y, z, quad)
+    chk2 = composite_green_check(H_j, H_k, x, y, z, 2 * quad)
     return (
         i,
         seed_j,
@@ -966,22 +945,15 @@ def _composite_unit(args):
 
 def _subadditivity_unit(args):
     config, candidates, i = args
-    rng = np.random.default_rng([int(config.ensemble["base_seed"]), 0x5B, i])
-    seed_j, H_j, (lo_j, hi_j) = _draw_block(rng, config, candidates)
-    seed_k, H_k, (lo_k, hi_k) = _draw_block(rng, config, candidates)
-    S_j = spectral_data(H_j)
-    S_k = spectral_data(H_k)
-    S_jk = composite_spectral_data(H_j, H_k)
-    xj = H_j.index.config_at(int(rng.integers(H_j.index.size)))
-    yj = H_j.index.config_at(int(rng.integers(H_j.index.size)))
-    xk = H_k.index.config_at(int(rng.integers(H_k.index.size)))
-    yk = H_k.index.config_at(int(rng.integers(H_k.index.size)))
+    rng, (seed_j, H_j, (lo_j, hi_j)), (seed_k, H_k, (lo_k, hi_k)), x, y = _draw_pair(
+        config, candidates, 0x5B, i
+    )
     lo, hi = lo_j + lo_k, hi_j + hi_k
     a = float(rng.uniform(lo, hi))
     width = float(rng.uniform(0.1, max(hi - lo, 0.2)))
-    res = subadditivity_check(
-        S_j, S_k, S_jk, (xj, xk), (yj, yk), EnergyInterval(a, a + width)
-    )
+    S_j, S_k = spectral_data(H_j), spectral_data(H_k)
+    S_jk = composite_spectral_data(H_j, H_k)
+    res = subadditivity_check(S_j, S_k, S_jk, x, y, EnergyInterval(a, a + width))
     return (
         i,
         seed_j,
@@ -1017,14 +989,19 @@ def _estimate_cols(est: Estimate):
     return est.mean, est.stderr
 
 
+def _numerics(config: ExperimentConfig, eta_default, qp_default):
+    """(s, eta, quad_points), with a kind's defaults for null entries."""
+    num = config.numerics
+    eta = eta_default if num["eta"] is None else float(num["eta"])
+    qp = qp_default if num["quad_points"] is None else int(num["quad_points"])
+    return float(num["s"]), eta, qp
+
+
 def _run_probe(config: ExperimentConfig, workers) -> ResultTable:
     spec = config.operator_spec()
     density = config.density_spec()
     seeds = config.seeds()
-    num = config.numerics
-    s = float(num["s"])
-    eta = DEFAULT_ETA if num["eta"] is None else float(num["eta"])
-    qp = DEFAULT_QUAD_POINTS if num["quad_points"] is None else int(num["quad_points"])
+    s, eta, qp = _numerics(config, DEFAULT_ETA, DEFAULT_QUAD_POINTS)
     pairs = _resolve_pairs(config, spec)
     iv = config.params["interval"]
     interval = (
@@ -1116,32 +1093,38 @@ def _run_wegner(config: ExperimentConfig, workers) -> ResultTable:
     )
 
 
-def _monitor_numerics(config: ExperimentConfig):
-    num = config.numerics
-    eta = None if num["eta"] is None else float(num["eta"])
-    qp = (
-        B_MONITOR_QUAD_POINTS
-        if num["quad_points"] is None
-        else int(num["quad_points"])
-    )
-    return float(num["s"]), eta, qp
+def _monitor_runs(config: ExperimentConfig, sides, workers):
+    """Monitor plans at each box side and their reduced results, from one
+    map over (plan, seed) units."""
+    seeds = config.seeds()
+    # eta None: monitor_plan matches it to the quadrature resolution
+    s, eta, qp = _numerics(config, None, B_MONITOR_QUAD_POINTS)
+    density = config.density_spec()
+    plans = [
+        monitor_plan(
+            config.operator_spec(side=side),
+            seeds,
+            s=s,
+            omega_samples=int(config.params["omega_samples"]),
+            eta=eta,
+            quad_points=qp,
+            density=density,
+        )
+        for side in sides
+    ]
+    units = [(plan, sd) for plan in plans for sd in seeds]
+    rows = _chunked_map(_monitor_unit, units, workers)
+    k = len(seeds)
+    results = [
+        monitor_reduce(plan, seeds, rows[j * k : (j + 1) * k])
+        for j, plan in enumerate(plans)
+    ]
+    return plans, results
 
 
 def _run_b_monitor(config: ExperimentConfig, workers) -> ResultTable:
-    spec = config.operator_spec()
     seeds = config.seeds()
-    s, eta, qp = _monitor_numerics(config)
-    plan = monitor_plan(
-        spec,
-        seeds,
-        s=s,
-        omega_samples=int(config.params["omega_samples"]),
-        eta=eta,
-        quad_points=qp,
-        density=config.density_spec(),
-    )
-    rows_by_seed = _chunked_map(_monitor_unit, [(plan, sd) for sd in seeds], workers)
-    res = monitor_reduce(plan, seeds, rows_by_seed)
+    (plan,), (res,) = _monitor_runs(config, [int(config.model["L"])], workers)
     desc = seed_descriptor(seeds)
     rows = tuple(
         (lo, lo + 1.0, mean, stderr, len(seeds), desc)
@@ -1170,25 +1153,9 @@ def _run_b_monitor(config: ExperimentConfig, workers) -> ResultTable:
 def _run_rescaling(config: ExperimentConfig, workers) -> ResultTable:
     L = int(config.model["L"])
     seeds = config.seeds()
-    s, eta, qp = _monitor_numerics(config)
-    density = config.density_spec()
+    s = float(config.numerics["s"])
     p = config.params
-    plans = [
-        monitor_plan(
-            config.operator_spec(side=side),
-            seeds,
-            s=s,
-            omega_samples=int(p["omega_samples"]),
-            eta=eta,
-            quad_points=qp,
-            density=density,
-        )
-        for side in (L, 2 * L)
-    ]
-    units = [(plan, sd) for plan in plans for sd in seeds]
-    results = _chunked_map(_monitor_unit, units, workers)
-    res_small = monitor_reduce(plans[0], seeds, results[: len(seeds)])
-    res_large = monitor_reduce(plans[1], seeds, results[len(seeds):])
+    _, (res_small, res_large) = _monitor_runs(config, [L, 2 * L], workers)
     report = rescaling_check(
         res_small,
         res_large,
@@ -1224,7 +1191,7 @@ def _run_rescaling(config: ExperimentConfig, workers) -> ResultTable:
 def _run_region_scan(config: ExperimentConfig, workers) -> ResultTable:
     L = int(config.model["L"])
     p = config.params
-    num = config.numerics
+    s, eta, qp = _numerics(config, DEFAULT_ETA, B_MONITOR_QUAD_POINTS)
     lambdas = p["lambdas"]
     if lambdas is None:
         lambdas = [float(config.model["lambda"])]
@@ -1235,14 +1202,10 @@ def _run_region_scan(config: ExperimentConfig, workers) -> ResultTable:
         sector=config.model["sector"],
         count=int(config.ensemble["count"]),
         base_seed=int(config.ensemble["base_seed"]),
-        s=float(num["s"]),
-        eta=DEFAULT_ETA if num["eta"] is None else float(num["eta"]),
+        s=s,
+        eta=eta,
         monitor_eta=None if p["monitor_eta"] is None else float(p["monitor_eta"]),
-        quad_points=(
-            B_MONITOR_QUAD_POINTS
-            if num["quad_points"] is None
-            else int(num["quad_points"])
-        ),
+        quad_points=qp,
         omega_samples=int(p["omega_samples"]),
         norm=config.model["norm"],
         density=config.density_spec(),

@@ -24,7 +24,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.io
@@ -131,27 +131,36 @@ class InteractionSpec:
     # ------------------------------------------------------ serialization
 
     def to_dict(self) -> dict:
+        """The `model.interaction` config object; "range" only for pair_nn."""
         if self.label not in BUILTIN_INTERACTIONS:
             raise ValueError(
                 f"only built-in interactions serialize; label {self.label!r}"
             )
-        return {"builtin": self.label, "alpha": list(self.alpha), "range": self.range}
+        out = {"builtin": self.label, "coupling": self.alpha[-1] if self.alpha else 0.0}
+        if self.label == "pair_nn":
+            out["range"] = self.range
+        return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> "InteractionSpec":
+        """Inverse of to_dict. Missing keys default to builtin "none",
+        coupling 0.0 and range 1; unknown keys are rejected."""
+        unknown = sorted(set(obj) - set(INTERACTION_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown interaction field(s) {unknown}")
         name = obj.get("builtin", "none")
+        coupling = float(obj.get("coupling", 0.0))
         if name == "none":
             return cls.none()
         if name == "pair_nn":
-            alpha = obj.get("alpha", (0.0, 0.0))
-            return cls.pair_nn(alpha[1], range=int(obj.get("range", 1)))
+            return cls.pair_nn(coupling, range=int(obj.get("range", 1)))
         if name == "onsite":
-            alpha = obj.get("alpha", (0.0,))
-            return cls.onsite(alpha[0])
+            return cls.onsite(coupling)
         raise ValueError(f"unknown built-in interaction {name!r}")
 
 
 BUILTIN_INTERACTIONS = ("none", "pair_nn", "onsite")
+INTERACTION_FIELDS = ("builtin", "coupling", "range")
 
 
 def _ball(center: Site, radius: int, norm: str):
@@ -384,9 +393,24 @@ class SparseHamiltonian:
         scipy.io.mmwrite(path, self.matrix.tocoo(), comment=comment)
 
 
+def _template_for(spec: OperatorSpec) -> OperatorTemplate:
+    """The shared template of a spec; mplab builds templates only here."""
+    # OperatorSpec equality ignores interaction callables, so the term
+    # functions themselves join the key (built-ins are module-level, so
+    # equal built-in specs still share one template)
+    return _cached_template(spec, tuple(sorted(spec.interaction.terms.items())))
+
+
+@lru_cache(maxsize=32)
+def _cached_template(spec: OperatorSpec, terms: tuple) -> OperatorTemplate:
+    # templates are immutable after assembly; equal keys can share one
+    return OperatorTemplate(spec)
+
+
 def assemble(spec: OperatorSpec, real: DisorderRealization) -> SparseHamiltonian:
-    """One-shot assembly; build an OperatorTemplate instead for ensembles."""
-    return OperatorTemplate(spec).hamiltonian(real)
+    """Hamiltonian of one realization; calls on one spec share one cached
+    template, so an ensemble assembles its fixed parts once."""
+    return _template_for(spec).hamiltonian(real)
 
 
 def number_operator(index: ConfigIndex, u: Site) -> sp.csr_matrix:
@@ -402,4 +426,4 @@ def number_operator(index: ConfigIndex, u: Site) -> sp.csr_matrix:
 def gershgorin_interval(
     spec: OperatorSpec, density: DensitySpec
 ) -> tuple[float, float]:
-    return OperatorTemplate(spec).gershgorin_interval(density)
+    return _template_for(spec).gershgorin_interval(density)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from mplab import diagnostics as diag
 from mplab.configspace import Box, Configuration, hausdorff_dist, symmetrized_dist
-from mplab.disorder import UNIFORM_HALF
+from mplab.disorder import UNIFORM_HALF, resample_at, sample
 from mplab.errors import BudgetError
-from mplab.operator import InteractionSpec, OperatorSpec, OperatorTemplate
-from mplab.spectral import EnergyInterval
+from mplab.operator import InteractionSpec, OperatorSpec, OperatorTemplate, assemble
+from mplab.spectral import EnergyInterval, green_entries, spectral_data
 from mplab.diagnostics import (
     Estimate,
     ScanProtocol,
@@ -22,6 +23,7 @@ from mplab.diagnostics import (
     scan_point,
     seed_descriptor,
     wegner_check,
+    wegner_samples,
 )
 
 
@@ -43,30 +45,6 @@ SCALAR_SPEC = OperatorSpec(
     lam=4.0,
     interaction=InteractionSpec.none(),
 )
-
-
-# ----------------------------------------------------------- template cache
-
-
-def _custom_onsite_spec(term):
-    inter = InteractionSpec(p=1, alpha=(1.0,), range=0, terms={1: term})
-    return OperatorSpec(box=Box.centered(1, 4), n=1, lam=1.0, interaction=inter)
-
-
-def test_template_cache_tells_custom_terms_apart():
-    # equal specs by OperatorSpec equality, different interaction callables
-    five = _custom_onsite_spec(lambda pattern, occs: 5.0)
-    one = _custom_onsite_spec(lambda pattern, occs: 1.0)
-    assert five == one
-    assert diag._template_for(five).interaction_diag.tolist() == [5.0] * 4
-    assert diag._template_for(one).interaction_diag.tolist() == [1.0] * 4
-
-
-def test_template_cache_shares_equal_builtin_specs():
-    a = spec1d(6, n=2, alpha=0.3)
-    b = spec1d(6, n=2, alpha=0.3)
-    assert a is not b
-    assert diag._template_for(a) is diag._template_for(b)
 
 
 # --------------------------------------------------------------- estimates
@@ -140,6 +118,47 @@ def test_fractional_moment_rejects_bad_s():
 
 
 # --------------------------------------------------------- conditional check
+
+
+def _nudge_records(caplog):
+    return [r for r in caplog.records if "nudging" in r.getMessage()]
+
+
+def test_eigenvalue_hit_is_nudged_in_fractional_moment(caplog):
+    # z is exactly an eigenvalue of seed 4 and of no other seed
+    sp, x, y, s = spec1d(5, lam=3.0), c1(0), c1(1), 0.5
+    ix, iy = sp.config_index.index_of(x), sp.config_index.index_of(y)
+    spectra = [
+        spectral_data(assemble(sp, sample(sp.box, UNIFORM_HALF, seed)))
+        for seed in (4, 5)
+    ]
+    z = complex(spectra[0].energies[2])
+    with caplog.at_level(logging.WARNING, logger="mplab.diagnostics"):
+        est = fractional_moment([4, 5], sp, x, y, z, s, backend="eigen")
+    assert len(_nudge_records(caplog)) == 1
+    expected = [
+        abs(green_entries(spectra[0], ix, iy, np.array([z + 1e-10j]))[0]) ** s,
+        abs(green_entries(spectra[1], ix, iy, np.array([z]))[0]) ** s,
+    ]
+    assert math.isfinite(est.mean)
+    assert est == Estimate.from_samples(expected, [4, 5])
+
+
+def test_eigenvalue_hit_is_nudged_in_wegner_samples(caplog):
+    # the first grid point is exactly an eigenvalue of subseed 1 only
+    sp, x, s = spec1d(5, lam=3.0), c1(0), 0.5
+    marked = ((0,),)
+    ix = sp.config_index.index_of(x)
+    base = sample(sp.box, UNIFORM_HALF, 7)
+    S1 = spectral_data(assemble(sp, resample_at(base, marked, subseed=1)))
+    zs = np.array([complex(S1.energies[1]), 0.5 + 0.2j])
+    with caplog.at_level(logging.WARNING, logger="mplab.diagnostics"):
+        values = wegner_samples(sp, 7, x, x, marked, zs, s, [0, 1, 2])
+    assert len(_nudge_records(caplog)) == 1
+    assert np.all(np.isfinite(values))
+    nudged = zs + np.array([1e-10j, 0.0])
+    expected = np.abs(green_entries(S1, ix, ix, nudged)) ** s
+    assert values[1].tolist() == expected.tolist()
 
 
 def test_wegner_scalar_closed_form_bound():

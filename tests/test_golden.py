@@ -18,6 +18,11 @@ from mplab.harness import run
 GOLDEN_SHA256 = {
     "decay_probe": "78ce224a37f87827b9b42c6fae4eea890ab07bcb3f2e6857e383f85b5113b8b0",
     "rescaling": "fbcbfda591e0eca8a0f9c220fe44b773f590e68067c2e00217647fc2432998ea",
+    "equivalence": "46aac196f85df537692ceca605560b85533391c0fe057a55b969d92a02df32b8",
+    "wegner": "45b649b1e910e54239db0a2134107b783735ff2afd060e5c01a8374601c7ac2c",
+    "b_monitor": "3bad8bf16dab3e6b486d520689282a8b1987d249428f32a626a528c898c24e95",
+    "region_scan": "b0888a0614d82f4c8a156399e3fd74836c67117bb072bb7c0509faf2a8dc0268",
+    "subadditivity": "be0b666a0a8ce33cb3deff02da20de0003f3de39f73aa11b6e4044181f8769c4",
 }
 
 # composite_check gap columns are round-off sized and depend on the
@@ -30,29 +35,62 @@ COMPOSITE_DRAWS = [
 ]
 
 
-def _config(kind, tmp_path):
-    out = {"directory": str(tmp_path), "formats": ["csv"]}
-    if kind == "decay_probe":
-        return {
-            "kind": kind,
-            "model": {"L": 12, "lambda": 8.0},
-            "ensemble": {"base_seed": 0, "count": 4},
-            "output": out,
-        }
-    if kind == "rescaling":
-        return {
-            "kind": kind,
-            "model": {"L": 8, "lambda": 20.0},
-            "ensemble": {"base_seed": 0, "count": 4},
-            "output": out,
-        }
-    return {
-        "kind": kind,
+# one small config per kind; sectors and interactions vary so that every
+# construction path (builtin pair_nn/onsite, boson/fermion) is pinned
+_CONFIGS = {
+    "decay_probe": {
+        "model": {"L": 12, "lambda": 8.0},
+        "ensemble": {"base_seed": 0, "count": 4},
+    },
+    "rescaling": {
+        "model": {"L": 8, "lambda": 20.0},
+        "ensemble": {"base_seed": 0, "count": 4},
+    },
+    "equivalence": {
+        "model": {
+            "L": 8, "n": 2, "sector": "fermion", "lambda": 6.0,
+            "interaction": {"builtin": "pair_nn", "coupling": 0.5, "range": 1},
+        },
+        "ensemble": {"base_seed": 0, "count": 3},
+        "params": {"max_points": 3},
+    },
+    "wegner": {
+        "model": {
+            "L": 6, "n": 2, "lambda": 4.0,
+            "interaction": {"builtin": "onsite", "coupling": 0.7},
+        },
+        "ensemble": {"base_seed": 3, "count": 4},
+        "params": {"z_count": 4, "z_im": 0.05},
+    },
+    "b_monitor": {
+        "model": {"L": 8, "n": 2, "sector": "boson", "lambda": 10.0},
+        "ensemble": {"base_seed": 0, "count": 3},
+        "params": {"omega_samples": 2},
+    },
+    "region_scan": {
+        "model": {"L": 8, "n": 2, "lambda": 10.0},
+        "ensemble": {"base_seed": 0, "count": 3},
+        "params": {"alphas": [0.0, 0.5]},
+    },
+    "composite_check": {
         "model": {"d": 1, "L": 8, "n": 1, "lambda": 1.0},
         "ensemble": {"base_seed": 0, "count": 2},
         "params": {"instances": 3, "dim_cap": 10, "quadrature_points": 16},
-        "output": out,
-    }
+    },
+    "subadditivity": {
+        "model": {
+            "d": 1, "L": 6, "n": 2, "lambda": 2.0,
+            "interaction": {"builtin": "pair_nn", "coupling": 0.4, "range": 1},
+        },
+        "ensemble": {"base_seed": 0, "count": 1},
+        "params": {"instances": 5, "dim_cap": 12},
+    },
+}
+
+
+def _config(kind, tmp_path):
+    out = {"directory": str(tmp_path), "formats": ["csv"]}
+    return {"kind": kind, **_CONFIGS[kind], "output": out}
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_SHA256))

@@ -10,6 +10,7 @@ import pytest
 from mplab import cli
 from mplab.diagnostics import b_monitor, rescaling_check, scan_point, wegner_check
 from mplab.errors import BudgetError
+from mplab.operator import InteractionSpec
 from mplab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -72,6 +73,32 @@ def test_unknown_fields_reported(tmp_path):
     msgs = validate(cfg)
     assert any("volume" in v for v in msgs)
     assert any("simulation" in v for v in msgs)
+
+
+@pytest.mark.parametrize(
+    "inter, field",
+    [
+        # an old-style coupling vector once ran silently with coupling 0
+        ({"builtin": "pair_nn", "alpha": [0.0, 0.5]}, "alpha"),
+        ({"builtin": "pair_nn", "coupling": 0.3, "rnage": 2}, "rnage"),
+    ],
+)
+def test_unknown_interaction_fields_reported(tmp_path, inter, field):
+    msgs = validate(probe_config(tmp_path, interaction=inter))
+    assert msgs == [f"unknown model.interaction field {field!r}"]
+    with pytest.raises(ConfigError):
+        run(probe_config(tmp_path, interaction=inter), workers=1)
+
+
+def test_interaction_to_dict_is_a_config_interaction(tmp_path):
+    for inter in (
+        InteractionSpec.none(),
+        InteractionSpec.pair_nn(0.3, range=2),
+        InteractionSpec.onsite(0.7),
+    ):
+        cfg = probe_config(tmp_path, interaction=inter.to_dict())
+        assert validate(cfg) == []
+        assert ExperimentConfig.from_dict(cfg).interaction_spec() == inter
 
 
 def test_unknown_kind(tmp_path):

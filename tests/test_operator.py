@@ -9,10 +9,13 @@ import scipy.sparse as sp
 
 from mplab.configspace import Box, ConfigIndex, Configuration
 from mplab.disorder import UNIFORM_HALF, DensitySpec, resample_at, sample
+from mplab.diagnostics import b_monitor, equivalence_probe, probe_pairs
 from mplab.operator import (
     InteractionSpec,
     OperatorSpec,
     OperatorTemplate,
+    _cached_template,
+    _template_for,
     assemble,
     gershgorin_interval,
     interaction_energy,
@@ -103,6 +106,26 @@ def test_interaction_dict_roundtrip():
     custom = InteractionSpec(p=1, alpha=(0.0,), range=0)
     with pytest.raises(ValueError, match="built-in"):
         custom.to_dict()
+
+
+def test_interaction_dict_uses_the_config_schema():
+    assert InteractionSpec.pair_nn(0.2, range=2).to_dict() == {
+        "builtin": "pair_nn",
+        "coupling": 0.2,
+        "range": 2,
+    }
+    assert InteractionSpec.onsite(1.5).to_dict() == {
+        "builtin": "onsite",
+        "coupling": 1.5,
+    }
+    assert InteractionSpec.from_dict({}) == InteractionSpec.none()
+    assert InteractionSpec.from_dict(
+        {"builtin": "pair_nn", "coupling": 0.4}
+    ) == InteractionSpec.pair_nn(0.4, range=1)
+    with pytest.raises(ValueError, match="alpha"):
+        InteractionSpec.from_dict({"builtin": "pair_nn", "alpha": [0.0, 0.5]})
+    with pytest.raises(ValueError, match="built-in"):
+        InteractionSpec.from_dict({"builtin": "yukawa"})
 
 
 # ----------------------------------------------------------- single particle
@@ -268,6 +291,59 @@ def test_template_rejects_foreign_box():
     tmpl = OperatorTemplate(spec)
     with pytest.raises(ValueError):
         tmpl.hamiltonian(sample(Box(d=1, side=5), UNIFORM_HALF, 0))
+
+
+# ----------------------------------------------------------- template cache
+
+
+def _custom_onsite_spec(term):
+    inter = InteractionSpec(p=1, alpha=(1.0,), range=0, terms={1: term})
+    return OperatorSpec(box=Box.centered(1, 4), n=1, lam=1.0, interaction=inter)
+
+
+def test_template_cache_tells_custom_terms_apart():
+    # equal specs by OperatorSpec equality, different interaction callables
+    five = _custom_onsite_spec(lambda pattern, occs: 5.0)
+    one = _custom_onsite_spec(lambda pattern, occs: 1.0)
+    assert five == one
+    assert _template_for(five).interaction_diag.tolist() == [5.0] * 4
+    assert _template_for(one).interaction_diag.tolist() == [1.0] * 4
+
+
+def _pair_spec(side, n, alpha):
+    return OperatorSpec(
+        box=Box.centered(1, side),
+        n=n,
+        lam=2.0,
+        interaction=InteractionSpec.pair_nn(alpha),
+    )
+
+
+def test_template_cache_shares_equal_builtin_specs():
+    a = _pair_spec(6, n=2, alpha=0.3)
+    b = _pair_spec(6, n=2, alpha=0.3)
+    assert a is not b
+    assert _template_for(a) is _template_for(b)
+
+
+def test_one_template_per_spec(monkeypatch):
+    # the monitor's energy tiles, its ensemble, the probe's default
+    # interval and its ensemble all share the one cached template
+    built = []
+    init = OperatorTemplate.__init__
+
+    def counting_init(self, spec):
+        built.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(OperatorTemplate, "__init__", counting_init)
+    _cached_template.cache_clear()
+    spec = _pair_spec(8, n=2, alpha=0.2)
+    b_monitor(spec, range(2))
+    equivalence_probe(range(2), spec, probe_pairs(spec, 3))
+    gershgorin_interval(spec, UNIFORM_HALF)
+    assemble(spec, sample(spec.box, UNIFORM_HALF, 0))
+    assert built == [spec]
 
 
 def test_resample_decomposition_identity():
