@@ -452,24 +452,31 @@ def equivalence_probe(
     pairs = [(px, py) for px, py in pairs]
     if interval is None:
         interval = default_probe_interval(spec, density)
-    moments = np.empty((len(seeds), len(pairs)))
-    qvals = np.empty((len(seeds), len(pairs)))
-    for j, seed in enumerate(seeds):
-        moments[j, :], qvals[j, :] = probe_samples(
-            spec, seed, pairs, interval, s, eta, quad_points, density
+    samples = [
+        probe_samples(spec, seed, pairs, interval, s, eta, quad_points, density)
+        for seed in seeds
+    ]
+    return probe_reduce(spec, pairs, seeds, samples)
+
+
+def probe_reduce(
+    spec: OperatorSpec, pairs, seeds, samples_by_seed
+) -> tuple[ProbeRow, ...]:
+    """Fold per-seed probe_samples output (in seed order) into one ProbeRow
+    per pair."""
+    seeds = [int(v) for v in seeds]
+    moments = np.stack([m for m, _ in samples_by_seed])
+    qvals = np.stack([q for _, q in samples_by_seed])
+    return tuple(
+        ProbeRow(
+            x=px,
+            y=py,
+            dist=hausdorff_dist(px, py, spec.norm),
+            moment=Estimate.from_samples(moments[:, p], seeds),
+            q=Estimate.from_samples(qvals[:, p], seeds),
         )
-    rows = []
-    for p, (px, py) in enumerate(pairs):
-        rows.append(
-            ProbeRow(
-                x=px,
-                y=py,
-                dist=hausdorff_dist(px, py, spec.norm),
-                moment=Estimate.from_samples(moments[:, p], seeds),
-                q=Estimate.from_samples(qvals[:, p], seeds),
-            )
-        )
-    return tuple(rows)
+        for p, (px, py) in enumerate(pairs)
+    )
 
 
 # ------------------------------------------------------------------ decay fit
@@ -626,6 +633,20 @@ def _region_task(
     )
 
 
+def check_monitor_box(spec: OperatorSpec) -> None:
+    """Raise ValueError unless the box side suits the boundary monitor: a
+    multiple of 4 (the box spans radius L = side/2, clusters have diameter
+    under L/2), and for distinct-site sectors above 4(n - 1)."""
+    side, n = spec.box.side, spec.n
+    if side % 4 != 0:
+        raise ValueError(f"monitor boxes need a side divisible by 4, got {side}")
+    if spec.sector in ("fermion", "hardcore") and side <= 4 * (n - 1):
+        raise ValueError(
+            f"side {side} leaves no cluster of {n} distinct particles with "
+            f"diameter under {side / 4}"
+        )
+
+
 def monitor_plan(
     spec: OperatorSpec,
     seeds,
@@ -639,12 +660,8 @@ def monitor_plan(
     s = _check_s(s)
     if eta is None:
         eta = 0.5 / quad_points
+    check_monitor_box(spec)
     box = spec.box
-    if box.side % 4 != 0:
-        raise ValueError(
-            f"monitor box side must be a multiple of 4, got {box.side}; "
-            "the box spans radius L = side/2 with cluster diameter < L/2"
-        )
     if box != Box.centered(box.d, box.side):
         raise ValueError("monitor expects the centered box (origin at -side//2)")
     seeds = [int(v) for v in seeds]
@@ -888,10 +905,14 @@ class ScanProtocol:
 
 @dataclass(frozen=True)
 class RegionVerdict:
+    """One scan point; gap = b_small - b_large, noise their combined stderr."""
+
     lam: float
     alpha: float
     b_small: BMonitorResult
     b_large: BMonitorResult
+    gap: float
+    noise: float
     fit: DecayFit
     verdict: str
 
@@ -993,6 +1014,8 @@ def scan_point(lam: float, alpha: float, proto: ScanProtocol) -> RegionVerdict:
         alpha=float(alpha),
         b_small=b_small,
         b_large=b_large,
+        gap=gap,
+        noise=noise,
         fit=fit,
         verdict=verdict,
     )

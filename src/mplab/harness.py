@@ -8,18 +8,24 @@ strings (budget problems carry a "budget:" prefix); `run` executes a valid
 config and writes a CSV table, a JSON mirror, and a metadata sidecar before
 returning.
 
+Each kind is described once, by its record in the kind table `_KINDS`:
+params defaults (also the allowed params fields), least ensemble count,
+the box sides its budget covers, params check, and runner. `KINDS` and the
+runner dict `_RUNNERS`, through which `run` dispatches, derive from it.
+
 Execution is deterministic by construction: work splits into units that
 depend only on their own seed (or instance index), workers share nothing
 mutable, and a single reducer folds unit results in seed order. The result
 rows are therefore byte-identical for any worker count, and identical to
-the serial library entry points, which share the same per-unit functions.
+the serial library entry points, which share the same per-unit functions
+and folds.
 
 Model objects are built through the library, never copied here: the
 operator spec comes from `ExperimentConfig.operator_spec`, the interaction
 from `InteractionSpec.from_dict` (the `model.interaction` schema), sector
 dimensions from the spec's `ConfigIndex`, templates from the operator
-layer's shared cache, and default configurations from `diagnostics`
-(`probe_pairs`, `corner_block`).
+layer's shared cache, default configurations and the monitor-box rules
+from `diagnostics` (`probe_pairs`, `corner_block`, `check_monitor_box`).
 
 Boxes are always centered at the origin. `model.L` is the side of the box
 the model operator lives on; kinds that compare scales derive their boxes
@@ -37,19 +43,20 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .configspace import SECTORS, Box, Configuration, hausdorff_dist, occupation
+from .configspace import SECTORS, Box, Configuration, occupation
 from .diagnostics import (
     B_MONITOR_QUAD_POINTS,
     DEFAULT_ETA,
     DEFAULT_QUAD_POINTS,
-    Estimate,
     ScanProtocol,
+    check_monitor_box,
     corner_block,
     decay_fit,
     default_probe_interval,
@@ -57,10 +64,10 @@ from .diagnostics import (
     monitor_reduce,
     monitor_seed_rows,
     probe_pairs,
+    probe_reduce,
     probe_samples,
     rescaling_check,
     scan_point,
-    seed_descriptor,
     wegner_reduce,
     wegner_samples,
 )
@@ -83,27 +90,6 @@ from .spectral import (
     subadditivity_check,
 )
 
-KINDS = (
-    "decay_probe",
-    "wegner",
-    "equivalence",
-    "b_monitor",
-    "rescaling",
-    "region_scan",
-    "composite_check",
-    "subadditivity",
-)
-
-# kinds whose tables aggregate over a seed ensemble (need >= 2 draws)
-_ENSEMBLE_KINDS = (
-    "decay_probe",
-    "equivalence",
-    "wegner",
-    "b_monitor",
-    "rescaling",
-    "region_scan",
-)
-
 _DEFAULT_MODEL = {
     "d": 1,
     "L": 8,
@@ -118,36 +104,9 @@ _DEFAULT_MODEL = {
 _DEFAULT_SECTIONS = {
     "model": _DEFAULT_MODEL,
     "ensemble": {"base_seed": 0, "count": 8},
-    "numerics": {"s": 0.5, "eta": None, "quad_points": None, "time_grid": None},
+    "numerics": {"s": 0.5, "eta": None, "quad_points": None},
     "output": {"directory": "out", "formats": ["csv", "json"]},
 }
-
-_PARAM_DEFAULTS = {
-    "decay_probe": {"max_points": 6, "pairs": None, "interval": None},
-    "equivalence": {"max_points": 6, "pairs": None, "interval": None},
-    "wegner": {
-        "x": None,
-        "y": None,
-        "u1": None,
-        "u2": None,
-        "z_grid": None,
-        "z_count": 8,
-        "z_im": 0.0,
-    },
-    "b_monitor": {"omega_samples": 0},
-    "rescaling": {"a": 1.0, "A": 0.0, "nu": 0.0, "p": 0.0, "omega_samples": 0},
-    "region_scan": {
-        "lambdas": None,
-        "alphas": [0.0],
-        "r2_threshold": 0.9,
-        "xi_max": None,
-        "monitor_eta": None,
-        "omega_samples": 0,
-    },
-    "composite_check": {"instances": 20, "dim_cap": 10, "quadrature_points": 512},
-    "subadditivity": {"instances": 500, "dim_cap": 12},
-}
-
 
 class ConfigError(ValueError):
     """A config failed validation; `violations` lists every problem."""
@@ -196,7 +155,8 @@ class ExperimentConfig:
             name: _merge(_DEFAULT_SECTIONS[name], raw.get(name, {}))
             for name in _DEFAULT_SECTIONS
         }
-        params = _merge(_PARAM_DEFAULTS.get(kind, {}), raw.get("params", {}))
+        defaults = _KINDS[kind].params if kind in _KINDS else {}
+        params = _merge(defaults, raw.get("params", {}))
         extra = {
             k: raw[k]
             for k in raw
@@ -284,6 +244,18 @@ def _is_num(v) -> bool:
     )
 
 
+def _positive_int(out: list, path: str, value) -> bool:
+    if _is_int(value) and value >= 1:
+        return True
+    out.append(f"{path} must be a positive integer, got {value!r}")
+    return False
+
+
+def _null_or_positive(out: list, path: str, value) -> None:
+    if value is not None and (not _is_num(value) or value <= 0):
+        out.append(f"{path} must be null or positive, got {value!r}")
+
+
 def _as_configuration(obj, spec: OperatorSpec) -> Configuration:
     """Accept a bare site list or a {sites, sector} object."""
     if isinstance(obj, dict):
@@ -304,7 +276,7 @@ def _as_configuration(obj, spec: OperatorSpec) -> Configuration:
 
 def _block_candidates(config: ExperimentConfig) -> tuple:
     """(side, n) choices whose block dimension fits under params.dim_cap."""
-    cap = int(config.params.get("dim_cap", 10))
+    cap = int(config.params["dim_cap"])
     out = []
     for side in range(2, int(config.model["L"]) + 1):
         for n in range(1, int(config.model["n"]) + 1):
@@ -352,31 +324,6 @@ def _resolve_pairs(config: ExperimentConfig, spec: OperatorSpec):
     return probe_pairs(spec, int(p["max_points"]))
 
 
-def _monitor_side_ok(config: ExperimentConfig, side: int, out: list) -> None:
-    if side % 4 != 0:
-        out.append(
-            f"model.L: monitor boxes need a side divisible by 4, got {side}"
-        )
-        return
-    n = int(config.model["n"])
-    if config.model["sector"] in ("fermion", "hardcore") and n > 1:
-        # distinct-site sectors cannot cluster below diameter n - 1
-        if side <= 4 * (n - 1):
-            out.append(
-                f"model.L: side {side} leaves no cluster of {n} distinct "
-                f"particles with diameter under {side / 4}"
-            )
-
-
-def _budget_check(config: ExperimentConfig, side: int, out: list) -> None:
-    dim = config.operator_spec(side).dim
-    if dim > DENSE_DIAG_CAP:
-        out.append(
-            f"budget: configuration space dimension {dim} at box side {side} "
-            f"exceeds the dense-diagonalization cap {DENSE_DIAG_CAP}"
-        )
-
-
 def validate(config) -> list:
     """Every violation in the config, as human-readable strings.
 
@@ -400,10 +347,8 @@ def validate(config) -> list:
         out.append(f"unknown model field {key!r}")
     if not _is_int(m.get("d")) or not 1 <= m["d"] <= 3:
         out.append(f"model.d must be an integer in [1, 3], got {m.get('d')!r}")
-    if not _is_int(m.get("L")) or m["L"] < 1:
-        out.append(f"model.L must be a positive integer, got {m.get('L')!r}")
-    if not _is_int(m.get("n")) or m["n"] < 1:
-        out.append(f"model.n must be a positive integer, got {m.get('n')!r}")
+    _positive_int(out, "model.L", m.get("L"))
+    _positive_int(out, "model.n", m.get("n"))
     if m.get("sector") not in SECTORS:
         out.append(f"model.sector must be one of {SECTORS}, got {m.get('sector')!r}")
     if not _is_num(m.get("lambda")) or float(m["lambda"]) < 0:
@@ -428,11 +373,8 @@ def validate(config) -> list:
             f"model.interaction.coupling must be a finite number, "
             f"got {inter['coupling']!r}"
         )
-    if "range" in inter and (not _is_int(inter["range"]) or inter["range"] < 1):
-        out.append(
-            f"model.interaction.range must be a positive integer, "
-            f"got {inter['range']!r}"
-        )
+    if "range" in inter:
+        _positive_int(out, "model.interaction.range", inter["range"])
     density_ok = True
     try:
         config.density_spec()
@@ -448,7 +390,7 @@ def validate(config) -> list:
             f"ensemble.base_seed must be a nonnegative integer, "
             f"got {e.get('base_seed')!r}"
         )
-    min_count = 2 if config.kind in _ENSEMBLE_KINDS else 1
+    min_count = _KINDS[config.kind].min_count
     if not _is_int(e.get("count")) or e["count"] < min_count:
         out.append(
             f"ensemble.count must be an integer >= {min_count} for kind "
@@ -456,23 +398,17 @@ def validate(config) -> list:
         )
 
     num = config.numerics
-    for key in set(num) - {"s", "eta", "quad_points", "time_grid"}:
+    for key in set(num) - {"s", "eta", "quad_points"}:
         out.append(f"unknown numerics field {key!r}")
     s = num.get("s")
     if not _is_num(s) or not 0.0 < float(s) < 1.0:
         out.append(f"numerics.s must lie in (0,1), got {s!r}")
-    if num.get("eta") is not None and (not _is_num(num["eta"]) or num["eta"] <= 0):
-        out.append(f"numerics.eta must be null or positive, got {num['eta']!r}")
+    _null_or_positive(out, "numerics.eta", num.get("eta"))
     qp = num.get("quad_points")
     if qp is not None and (not _is_int(qp) or qp < 1):
         out.append(
             f"numerics.quad_points must be null or a positive integer, got {qp!r}"
         )
-    tg = num.get("time_grid")
-    if tg is not None and (
-        not isinstance(tg, list) or not all(_is_num(t) for t in tg)
-    ):
-        out.append("numerics.time_grid must be null or a list of numbers")
 
     o = config.output
     for key in set(o) - {"directory", "formats"}:
@@ -495,175 +431,188 @@ def validate(config) -> list:
         out.append(f"model: {err}")
         return out
 
-    _validate_params(config, spec, out)
-    return out
-
-
-def _validate_params(config, spec, out: list) -> None:
-    allowed = set(_PARAM_DEFAULTS[config.kind])
-    for key in set(config.params) - allowed:
+    kind = _KINDS[config.kind]
+    for key in set(config.params) - set(kind.params):
         out.append(f"unknown params field {key!r} for kind {config.kind}")
     p = config.params
-    kind = config.kind
-    L = int(config.model["L"])
-    if "omega_samples" in allowed and (
+    if "omega_samples" in kind.params and (
         not _is_int(p.get("omega_samples")) or p["omega_samples"] < 0
     ):
         out.append(
             f"params.omega_samples must be a nonnegative integer, "
             f"got {p.get('omega_samples')!r}"
         )
-
-    if kind in ("decay_probe", "equivalence"):
-        if not _is_int(p.get("max_points")) or p["max_points"] < 3:
+    kind.check(config, spec, out)
+    for scale in kind.budget_sides:
+        side = scale * int(config.model["L"])
+        dim = config.operator_spec(side).dim
+        if dim > DENSE_DIAG_CAP:
             out.append(
-                f"params.max_points must be an integer >= 3, got {p.get('max_points')!r}"
+                f"budget: configuration space dimension {dim} at box side {side} "
+                f"exceeds the dense-diagonalization cap {DENSE_DIAG_CAP}"
             )
-        else:
-            try:
-                _resolve_pairs(config, spec)
-            except (ValueError, KeyError, TypeError) as err:
-                out.append(f"params.pairs: {err}")
-        iv = p.get("interval")
-        if iv is not None:
-            if (
-                not isinstance(iv, list)
-                or len(iv) != 2
-                or not all(_is_num(v) for v in iv)
-            ):
-                out.append(f"params.interval must be null or [lo, hi], got {iv!r}")
-            elif not iv[1] - iv[0] >= 1.0 - 1e-12:
-                out.append(
-                    f"params.interval must have length >= 1, got {iv[1] - iv[0]}"
-                )
-        _budget_check(config, L, out)
+    return out
 
-    elif kind == "wegner":
-        if float(config.model["lambda"]) == 0.0:
-            out.append("model.lambda: the conditional check needs lambda != 0")
-        if p.get("z_grid") is None and (
-            not _is_int(p.get("z_count")) or p["z_count"] < 1
-        ):
-            out.append(
-                f"params.z_count must be a positive integer, got {p.get('z_count')!r}"
-            )
-        if p.get("z_grid") is None and not _is_num(p.get("z_im")):
-            out.append(f"params.z_im must be a finite number, got {p.get('z_im')!r}")
+
+def _check_probe(config, spec, out: list) -> None:
+    p = config.params
+    if not _is_int(p.get("max_points")) or p["max_points"] < 3:
+        out.append(
+            f"params.max_points must be an integer >= 3, got {p.get('max_points')!r}"
+        )
+    else:
         try:
-            x, y, u1, u2, zs = _resolve_wegner(config, spec)
-        except (ValueError, KeyError, TypeError, IndexError) as err:
-            out.append(f"params: {err}")
-        else:
-            if not zs:
-                out.append("params.z_grid must not be empty")
-            if occupation(x, u1) < 1:
-                out.append(f"params.u1: x has no particle at {u1}")
-            if occupation(y, u2) < 1:
-                out.append(f"params.u2: y has no particle at {u2}")
-        _budget_check(config, L, out)
-
-    elif kind == "b_monitor":
-        _monitor_side_ok(config, L, out)
-        _budget_check(config, L, out)
-
-    elif kind == "rescaling":
-        for name in ("a", "A", "nu", "p"):
-            if not _is_num(p.get(name)) or float(p[name]) < 0:
-                out.append(
-                    f"params.{name} must be a finite number >= 0, got {p.get(name)!r}"
-                )
-        if _is_num(p.get("a")) and float(p["a"]) == 0.0:
-            out.append("params.a must be positive")
-        _monitor_side_ok(config, L, out)
-        _budget_check(config, 2 * L, out)
-
-    elif kind == "region_scan":
-        lambdas = p.get("lambdas")
-        if lambdas is None:
-            lambdas = [float(config.model["lambda"])]
+            _resolve_pairs(config, spec)
+        except (ValueError, KeyError, TypeError) as err:
+            out.append(f"params.pairs: {err}")
+    iv = p.get("interval")
+    if iv is not None:
         if (
-            not isinstance(lambdas, list)
-            or not lambdas
-            or not all(_is_num(v) and float(v) >= 0 for v in lambdas)
+            not isinstance(iv, list)
+            or len(iv) != 2
+            or not all(_is_num(v) for v in iv)
         ):
+            out.append(f"params.interval must be null or [lo, hi], got {iv!r}")
+        elif not iv[1] - iv[0] >= 1.0 - 1e-12:
             out.append(
-                f"params.lambdas must be a nonempty list of numbers >= 0, "
-                f"got {p.get('lambdas')!r}"
+                f"params.interval must have length >= 1, got {iv[1] - iv[0]}"
             )
-        alphas = p.get("alphas")
-        if (
-            not isinstance(alphas, list)
-            or not alphas
-            or not all(_is_num(v) for v in alphas)
-        ):
-            out.append(
-                f"params.alphas must be a nonempty list of numbers, got {alphas!r}"
-            )
-        if not _is_num(p.get("r2_threshold")) or not 0 < p["r2_threshold"] <= 1:
-            out.append(
-                f"params.r2_threshold must lie in (0, 1], got {p.get('r2_threshold')!r}"
-            )
-        if p.get("xi_max") is not None and (
-            not _is_num(p["xi_max"]) or p["xi_max"] <= 0
-        ):
-            out.append(f"params.xi_max must be null or positive, got {p['xi_max']!r}")
-        if p.get("monitor_eta") is not None and (
-            not _is_num(p["monitor_eta"]) or p["monitor_eta"] <= 0
-        ):
-            out.append(
-                f"params.monitor_eta must be null or positive, "
-                f"got {p['monitor_eta']!r}"
-            )
-        if config.interaction_spec().label == "onsite":
-            out.append(
-                "model.interaction: region_scan sweeps pair couplings; "
-                "onsite is not supported here"
-            )
-        irange = config.model["interaction"].get("range", 1)
-        if (
-            isinstance(alphas, list)
-            and any(_is_num(a) and float(a) != 0 for a in alphas)
-            and _is_int(irange)
-            and irange >= L
-        ):
-            out.append(
-                f"model.interaction.range {irange} must be smaller than the "
-                f"monitor box side {L} when the scan sweeps nonzero couplings"
-            )
-        _monitor_side_ok(config, L, out)
-        if not out:
-            try:
-                probe_pairs(config.operator_spec(side=2 * L))
-            except ValueError as err:
-                out.append(f"model.L: {err}")
-        _budget_check(config, 2 * L, out)
 
-    elif kind in ("composite_check", "subadditivity"):
-        if not _is_int(p.get("instances")) or p["instances"] < 1:
+
+def _is_z(z) -> bool:
+    """A finite real energy or a [re, im] pair of finite numbers."""
+    if isinstance(z, (list, tuple)):
+        return len(z) == 2 and all(_is_num(v) for v in z)
+    return _is_num(z)
+
+
+def _check_wegner(config, spec, out: list) -> None:
+    p = config.params
+    if float(config.model["lambda"]) == 0.0:
+        out.append("model.lambda: the conditional check needs lambda != 0")
+    zg = p.get("z_grid")
+    if zg is None:
+        _positive_int(out, "params.z_count", p.get("z_count"))
+        if not _is_num(p.get("z_im")):
+            out.append(f"params.z_im must be a finite number, got {p.get('z_im')!r}")
+    elif not isinstance(zg, (list, tuple)) or not all(_is_z(z) for z in zg):
+        out.append(
+            "params.z_grid entries must be finite numbers or [re, im] pairs of "
+            f"finite numbers, got {zg!r}"
+        )
+        return
+    try:
+        x, y, u1, u2, zs = _resolve_wegner(config, spec)
+    except (ValueError, KeyError, TypeError, IndexError) as err:
+        out.append(f"params: {err}")
+        return
+    if not zs:
+        out.append("params.z_grid must not be empty")
+    if occupation(x, u1) < 1:
+        out.append(f"params.u1: x has no particle at {u1}")
+    if occupation(y, u2) < 1:
+        out.append(f"params.u2: y has no particle at {u2}")
+
+
+def _check_monitor_box(config, spec, out: list) -> None:
+    try:
+        check_monitor_box(spec)
+    except ValueError as err:
+        out.append(f"model.L: {err}")
+
+
+def _check_rescaling(config, spec, out: list) -> None:
+    p = config.params
+    for name in ("a", "A", "nu", "p"):
+        if not _is_num(p.get(name)) or float(p[name]) < 0:
             out.append(
-                f"params.instances must be a positive integer, "
-                f"got {p.get('instances')!r}"
+                f"params.{name} must be a finite number >= 0, got {p.get(name)!r}"
             )
-        cap = p.get("dim_cap")
-        if not _is_int(cap) or cap < 1:
-            out.append(f"params.dim_cap must be a positive integer, got {cap!r}")
-        else:
-            if not _block_candidates(config):
-                out.append(
-                    f"params.dim_cap {cap} admits no block on boxes up to side {L}"
-                )
-            if cap * cap > DENSE_DIAG_CAP:
-                out.append(
-                    f"budget: composite dimension up to {cap * cap} exceeds the "
-                    f"dense-diagonalization cap {DENSE_DIAG_CAP}"
-                )
-        if kind == "composite_check" and (
-            not _is_int(p.get("quadrature_points")) or p["quadrature_points"] < 8
-        ):
-            out.append(
-                f"params.quadrature_points must be an integer >= 8, "
-                f"got {p.get('quadrature_points')!r}"
-            )
+    if _is_num(p.get("a")) and float(p["a"]) == 0.0:
+        out.append("params.a must be positive")
+    _check_monitor_box(config, spec, out)
+
+
+def _check_region_scan(config, spec, out: list) -> None:
+    p = config.params
+    L = int(config.model["L"])
+    lambdas = p.get("lambdas")
+    if lambdas is None:
+        lambdas = [float(config.model["lambda"])]
+    if (
+        not isinstance(lambdas, list)
+        or not lambdas
+        or not all(_is_num(v) and float(v) >= 0 for v in lambdas)
+    ):
+        out.append(
+            f"params.lambdas must be a nonempty list of numbers >= 0, "
+            f"got {p.get('lambdas')!r}"
+        )
+    alphas = p.get("alphas")
+    if (
+        not isinstance(alphas, list)
+        or not alphas
+        or not all(_is_num(v) for v in alphas)
+    ):
+        out.append(
+            f"params.alphas must be a nonempty list of numbers, got {alphas!r}"
+        )
+    if not _is_num(p.get("r2_threshold")) or not 0 < p["r2_threshold"] <= 1:
+        out.append(
+            f"params.r2_threshold must lie in (0, 1], got {p.get('r2_threshold')!r}"
+        )
+    _null_or_positive(out, "params.xi_max", p.get("xi_max"))
+    _null_or_positive(out, "params.monitor_eta", p.get("monitor_eta"))
+    if config.interaction_spec().label == "onsite":
+        out.append(
+            "model.interaction: region_scan sweeps pair couplings; "
+            "onsite is not supported here"
+        )
+    irange = config.model["interaction"].get("range", 1)
+    if (
+        isinstance(alphas, list)
+        and any(_is_num(a) and float(a) != 0 for a in alphas)
+        and _is_int(irange)
+        and irange >= L
+    ):
+        out.append(
+            f"model.interaction.range {irange} must be smaller than the "
+            f"monitor box side {L} when the scan sweeps nonzero couplings"
+        )
+    _check_monitor_box(config, spec, out)
+    if not out:
+        try:
+            probe_pairs(config.operator_spec(side=2 * L))
+        except ValueError as err:
+            out.append(f"model.L: {err}")
+
+
+def _check_blocks(config, spec, out: list) -> None:
+    p = config.params
+    _positive_int(out, "params.instances", p.get("instances"))
+    cap = p.get("dim_cap")
+    if not _positive_int(out, "params.dim_cap", cap):
+        return
+    if not _block_candidates(config):
+        out.append(
+            f"params.dim_cap {cap} admits no block on boxes up to side "
+            f"{config.model['L']}"
+        )
+    if cap * cap > DENSE_DIAG_CAP:
+        out.append(
+            f"budget: composite dimension up to {cap * cap} exceeds the "
+            f"dense-diagonalization cap {DENSE_DIAG_CAP}"
+        )
+
+
+def _check_composite(config, spec, out: list) -> None:
+    _check_blocks(config, spec, out)
+    p = config.params
+    if not _is_int(p.get("quadrature_points")) or p["quadrature_points"] < 8:
+        out.append(
+            f"params.quadrature_points must be an integer >= 8, "
+            f"got {p.get('quadrature_points')!r}"
+        )
 
 
 # -------------------------------------------------------------- result table
@@ -985,10 +934,6 @@ def _try_fit(points):
         return None
 
 
-def _estimate_cols(est: Estimate):
-    return est.mean, est.stderr
-
-
 def _numerics(config: ExperimentConfig, eta_default, qp_default):
     """(s, eta, quad_points), with a kind's defaults for null entries."""
     num = config.numerics
@@ -1013,23 +958,10 @@ def _run_probe(config: ExperimentConfig, workers) -> ResultTable:
         (spec, seed, tuple(pairs), interval, s, eta, qp, density) for seed in seeds
     ]
     results = _chunked_map(_probe_unit, units, workers)
-    moments = np.stack([m for m, _ in results])
-    qvals = np.stack([q for _, q in results])
-    desc = seed_descriptor(seeds)
-    rows = []
-    for p, (px, py) in enumerate(pairs):
-        m_est = Estimate.from_samples(moments[:, p], seeds)
-        q_est = Estimate.from_samples(qvals[:, p], seeds)
-        rows.append(
-            (
-                int(hausdorff_dist(px, py, spec.norm)),
-                q_est.mean,
-                q_est.stderr,
-                m_est.mean,
-                m_est.stderr,
-                desc,
-            )
-        )
+    rows = [
+        (int(r.dist), r.q.mean, r.q.stderr, r.moment.mean, r.moment.stderr, r.q.seeds)
+        for r in probe_reduce(spec, pairs, seeds, results)
+    ]
     fit_q = _try_fit([(r[0], r[1]) for r in rows])
     fit_m = _try_fit([(r[0], r[3]) for r in rows])
     return ResultTable(
@@ -1123,11 +1055,9 @@ def _monitor_runs(config: ExperimentConfig, sides, workers):
 
 
 def _run_b_monitor(config: ExperimentConfig, workers) -> ResultTable:
-    seeds = config.seeds()
     (plan,), (res,) = _monitor_runs(config, [int(config.model["L"])], workers)
-    desc = seed_descriptor(seeds)
     rows = tuple(
-        (lo, lo + 1.0, mean, stderr, len(seeds), desc)
+        (lo, lo + 1.0, mean, stderr, res.full.count, res.full.seeds)
         for lo, mean, stderr in res.tiles
     )
     return ResultTable(
@@ -1152,7 +1082,6 @@ def _run_b_monitor(config: ExperimentConfig, workers) -> ResultTable:
 
 def _run_rescaling(config: ExperimentConfig, workers) -> ResultTable:
     L = int(config.model["L"])
-    seeds = config.seeds()
     s = float(config.numerics["s"])
     p = config.params
     _, (res_small, res_large) = _monitor_runs(config, [L, 2 * L], workers)
@@ -1167,12 +1096,9 @@ def _run_rescaling(config: ExperimentConfig, workers) -> ResultTable:
         nu=float(p["nu"]),
         p=float(p["p"]),
     )
-    desc = seed_descriptor(seeds)
-    rows = (
-        ("small", L, res_small.value, res_small.full.mean,
-         res_small.full.stderr, len(seeds), desc),
-        ("large", 2 * L, res_large.value, res_large.full.mean,
-         res_large.full.stderr, len(seeds), desc),
+    rows = tuple(
+        (scale, side, r.value, r.full.mean, r.full.stderr, r.full.count, r.full.seeds)
+        for scale, side, r in (("small", L, res_small), ("large", 2 * L, res_large))
     )
     return ResultTable(
         columns=("scale", "side", "value", "full_mean", "full_stderr", "count", "seeds"),
@@ -1219,27 +1145,23 @@ def _run_region_scan(config: ExperimentConfig, workers) -> ResultTable:
     verdicts = _chunked_map(
         _scan_unit, [(lam, alpha, proto) for lam, alpha in grid], workers
     )
-    desc = seed_descriptor(range(proto.base_seed, proto.base_seed + proto.count))
-    rows = []
-    for v in verdicts:
-        gap = v.b_small.value - v.b_large.value
-        noise = math.hypot(v.b_small.full.stderr, v.b_large.full.stderr)
-        rows.append(
-            (
-                v.lam,
-                v.alpha,
-                v.b_small.value,
-                v.b_small.full.stderr,
-                v.b_large.value,
-                v.b_large.full.stderr,
-                gap,
-                noise,
-                v.fit.xi,
-                v.fit.r2,
-                v.verdict,
-                desc,
-            )
+    rows = [
+        (
+            v.lam,
+            v.alpha,
+            v.b_small.value,
+            v.b_small.full.stderr,
+            v.b_large.value,
+            v.b_large.full.stderr,
+            v.gap,
+            v.noise,
+            v.fit.xi,
+            v.fit.r2,
+            v.verdict,
+            v.b_small.full.seeds,
         )
+        for v in verdicts
+    ]
     return ResultTable(
         columns=(
             "lambda", "alpha", "b_small", "b_small_stderr", "b_large",
@@ -1308,16 +1230,64 @@ def _run_subadditivity(config: ExperimentConfig, workers) -> ResultTable:
     )
 
 
-_RUNNERS = {
-    "decay_probe": _run_probe,
-    "equivalence": _run_probe,
-    "wegner": _run_wegner,
-    "b_monitor": _run_b_monitor,
-    "rescaling": _run_rescaling,
-    "region_scan": _run_region_scan,
-    "composite_check": _run_composite,
-    "subadditivity": _run_subadditivity,
+# ---------------------------------------------------------------- kind table
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything validate and run know about one experiment kind."""
+
+    params: dict  # params defaults; their keys are the allowed fields
+    min_count: int  # least ensemble.count
+    budget_sides: tuple  # box sides under the dense cap, as multiples of L
+    check: Callable  # check(config, spec, out) appends params violations
+    runner: Callable  # runner(config, workers) -> ResultTable
+
+
+_PROBE_KIND = _Kind(
+    params={"max_points": 6, "pairs": None, "interval": None},
+    min_count=2, budget_sides=(1,), check=_check_probe, runner=_run_probe,
+)
+
+# validate lists the kinds in this order
+_KINDS = {
+    "decay_probe": _PROBE_KIND,
+    "wegner": _Kind(
+        params={"x": None, "y": None, "u1": None, "u2": None, "z_grid": None,
+                "z_count": 8, "z_im": 0.0},
+        min_count=2, budget_sides=(1,), check=_check_wegner, runner=_run_wegner,
+    ),
+    "equivalence": _PROBE_KIND,
+    "b_monitor": _Kind(
+        params={"omega_samples": 0},
+        min_count=2, budget_sides=(1,), check=_check_monitor_box,
+        runner=_run_b_monitor,
+    ),
+    "rescaling": _Kind(
+        params={"a": 1.0, "A": 0.0, "nu": 0.0, "p": 0.0, "omega_samples": 0},
+        min_count=2, budget_sides=(2,), check=_check_rescaling,
+        runner=_run_rescaling,
+    ),
+    "region_scan": _Kind(
+        params={"lambdas": None, "alphas": [0.0], "r2_threshold": 0.9,
+                "xi_max": None, "monitor_eta": None, "omega_samples": 0},
+        min_count=2, budget_sides=(2,), check=_check_region_scan,
+        runner=_run_region_scan,
+    ),
+    "composite_check": _Kind(
+        params={"instances": 20, "dim_cap": 10, "quadrature_points": 512},
+        min_count=1, budget_sides=(), check=_check_composite,
+        runner=_run_composite,
+    ),
+    "subadditivity": _Kind(
+        params={"instances": 500, "dim_cap": 12},
+        min_count=1, budget_sides=(), check=_check_blocks,
+        runner=_run_subadditivity,
+    ),
 }
+KINDS = tuple(_KINDS)
+# run looks a runner up here at call time, so an entry can be rebound
+_RUNNERS = {kind: k.runner for kind, k in _KINDS.items()}
 
 
 def _config_sha256(config: ExperimentConfig) -> str:

@@ -126,6 +126,380 @@ def test_pair_particle_count_checked(tmp_path):
     assert any("particles" in v for v in validate(cfg))
 
 
+def _cfg(kind, model=None, ensemble=None, params=None, **sections):
+    raw = {
+        "kind": kind,
+        "model": {"L": 8, "lambda": 4.0, **(model or {})},
+        "ensemble": {"base_seed": 0, "count": 2, **(ensemble or {})},
+        "output": {"directory": "out"},
+    }
+    if params is not None:
+        raw["params"] = params
+    raw.update(sections)
+    return raw
+
+
+# Exact validate output, in order: every check of the section block and of
+# each kind's params check, plus one runnable config per kind. A set-valued
+# check (unknown fields) gets one unknown key per config so its order is fixed.
+_VALIDATE_CORPUS = [
+    # one runnable config per kind
+    pytest.param(
+        _cfg("decay_probe", {"L": 12, "lambda": 8.0}),
+        [],
+        id="valid_decay_probe",
+    ),
+    pytest.param(
+        _cfg(
+            "equivalence",
+            {"n": 2, "sector": "fermion", "interaction": {"builtin": "pair_nn", "coupling": 0.5}},
+            params={"max_points": 3},
+        ),
+        [],
+        id="valid_equivalence",
+    ),
+    pytest.param(
+        _cfg(
+            "wegner", {"L": 6, "d": 2, "interaction": {"builtin": "onsite", "coupling": 0.7}},
+            {"count": 3}, {"z_grid": [2.0, [2.5, 0.01]]},
+        ),
+        [],
+        id="valid_wegner",
+    ),
+    pytest.param(
+        _cfg("b_monitor", {"n": 2, "sector": "boson"}, params={"omega_samples": 1}),
+        [],
+        id="valid_b_monitor",
+    ),
+    pytest.param(
+        _cfg("rescaling", {"L": 4}, params={"a": 2.0, "A": 0.5}),
+        [],
+        id="valid_rescaling",
+    ),
+    pytest.param(
+        _cfg("region_scan", {"n": 1}, params={"lambdas": [15.0], "alphas": [0.0, 0.2]}),
+        [],
+        id="valid_region_scan",
+    ),
+    pytest.param(
+        _cfg(
+            "composite_check", {"L": 4, "n": 2}, {"count": 1},
+            {"instances": 1, "dim_cap": 8, "quadrature_points": 8},
+        ),
+        [],
+        id="valid_composite_check",
+    ),
+    pytest.param(
+        _cfg("subadditivity", {"L": 4, "n": 2}, {"count": 1}, {"dim_cap": 8}),
+        [],
+        id="valid_subadditivity",
+    ),
+    # section block
+    pytest.param(
+        _cfg("spectral"),
+        [
+            "kind must be one of decay_probe, wegner, equivalence, b_monitor, rescaling, region_scan, composite_check, subadditivity, got 'spectral'",
+        ],
+        id="bad_kind",
+    ),
+    pytest.param(
+        _cfg(
+            "decay_probe",
+            {"d": 4, "L": 0, "n": 0, "sector": "anyons", "lambda": -1.0, "norm": "l2",
+             "colour": "red", "interaction": "strong"},
+            mystery=1,
+        ),
+        [
+            "unknown config section 'mystery'",
+            "unknown model field 'colour'",
+            'model.d must be an integer in [1, 3], got 4',
+            'model.L must be a positive integer, got 0',
+            'model.n must be a positive integer, got 0',
+            "model.sector must be one of ('distinguishable', 'boson', 'fermion', 'hardcore'), got 'anyons'",
+            'model.lambda must be a finite number >= 0, got -1.0',
+            "model.norm must be 'l1' or 'linf', got 'l2'",
+            'model.interaction must be an object',
+        ],
+        id="model_fields",
+    ),
+    pytest.param(
+        _cfg(
+            "decay_probe",
+            {"interaction": {"builtin": "cubic", "coupling": "x", "range": 0, "alpha": 1}},
+        ),
+        [
+            "unknown model.interaction field 'alpha'",
+            "model.interaction.builtin must be one of ('none', 'pair_nn', 'onsite'), got 'cubic'",
+            "model.interaction.coupling must be a finite number, got 'x'",
+            'model.interaction.range must be a positive integer, got 0',
+        ],
+        id="interaction_fields",
+    ),
+    pytest.param(
+        _cfg(
+            "decay_probe",
+            {"density": {"kind": "uniform", "params": [1.0, -1.0]}},
+            {"base_seed": -1, "count": 1, "size": 3},
+        ),
+        [
+            'model.density: uniform needs a < b, got (1.0, -1.0)',
+            "unknown ensemble field 'size'",
+            'ensemble.base_seed must be a nonnegative integer, got -1',
+            'ensemble.count must be an integer >= 2 for kind decay_probe, got 1',
+        ],
+        id="density_and_ensemble",
+    ),
+    pytest.param(
+        _cfg("composite_check", {"L": 4}, {"count": 0}),
+        [
+            'ensemble.count must be an integer >= 1 for kind composite_check, got 0',
+        ],
+        id="block_kind_count",
+    ),
+    pytest.param(
+        _cfg(
+            "decay_probe",
+            numerics={"s": 1.0, "eta": -1, "quad_points": 0, "tol": 1e-8},
+        ),
+        [
+            "unknown numerics field 'tol'",
+            'numerics.s must lie in (0,1), got 1.0',
+            'numerics.eta must be null or positive, got -1',
+            'numerics.quad_points must be null or a positive integer, got 0',
+        ],
+        id="numerics_fields",
+    ),
+    pytest.param(
+        _cfg(
+            "decay_probe", output={"directory": "", "formats": ["xml"], "compress": True}
+        ),
+        [
+            "unknown output field 'compress'",
+            "output.directory must be a nonempty string, got ''",
+            "output.formats must be a nonempty subset of [csv, json], got ['xml']",
+        ],
+        id="output_fields",
+    ),
+    pytest.param(
+        _cfg(
+            "decay_probe", {"interaction": {"builtin": "pair_nn", "coupling": 0.5, "range": 8}}
+        ),
+        [
+            'model: interaction range 8 >= box side 8; patterns would wrap the whole box',
+        ],
+        id="model_spec_error",
+    ),
+    # decay_probe / equivalence params
+    pytest.param(
+        _cfg(
+            "decay_probe", params={"max_points": 2, "interval": [0.0, 0.5], "colour": 1}
+        ),
+        [
+            "unknown params field 'colour' for kind decay_probe",
+            'params.max_points must be an integer >= 3, got 2',
+            'params.interval must have length >= 1, got 0.5',
+        ],
+        id="probe_params",
+    ),
+    pytest.param(
+        _cfg(
+            "equivalence", params={"pairs": [[[[0]], [[0], [1]]]], "interval": "wide"}
+        ),
+        [
+            'params.pairs: configuration has 2 particles, model has 1',
+            "params.interval must be null or [lo, hi], got 'wide'",
+        ],
+        id="probe_pairs_and_interval",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"L": 40, "n": 3}),
+        [
+            'budget: configuration space dimension 64000 at box side 40 exceeds the dense-diagonalization cap 20000',
+        ],
+        id="probe_budget",
+    ),
+    # wegner params
+    pytest.param(
+        _cfg(
+            "wegner", {"lambda": 0.0}, params={"z_count": 0, "z_im": "x"}
+        ),
+        [
+            'model.lambda: the conditional check needs lambda != 0',
+            'params.z_count must be a positive integer, got 0',
+            "params.z_im must be a finite number, got 'x'",
+            'params.z_grid must not be empty',
+        ],
+        id="wegner_grid_knobs",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"x": [[0], [1]]}),
+        [
+            'params: configuration has 2 particles, model has 1',
+        ],
+        id="wegner_bad_x",
+    ),
+    pytest.param(
+        _cfg(
+            "wegner", params={"u1": [3], "u2": [2], "z_grid": []}
+        ),
+        [
+            'params.z_grid must not be empty',
+            'params.u1: x has no particle at (3,)',
+            'params.u2: y has no particle at (2,)',
+        ],
+        id="wegner_marks_and_empty_grid",
+    ),
+    pytest.param(
+        _cfg("wegner", {"L": 40, "n": 3}, params={"z_grid": [0.5]}),
+        [
+            'budget: configuration space dimension 64000 at box side 40 exceeds the dense-diagonalization cap 20000',
+        ],
+        id="wegner_budget",
+    ),
+    # monitor kinds
+    pytest.param(
+        _cfg("b_monitor", {"L": 6}, params={"omega_samples": -1}),
+        [
+            'params.omega_samples must be a nonnegative integer, got -1',
+            'model.L: monitor boxes need a side divisible by 4, got 6',
+        ],
+        id="b_monitor_side_and_omega",
+    ),
+    pytest.param(
+        _cfg("b_monitor", {"L": 4, "n": 2, "sector": "fermion"}),
+        [
+            'model.L: side 4 leaves no cluster of 2 distinct particles with diameter under 1.0',
+        ],
+        id="b_monitor_distinct_sites",
+    ),
+    pytest.param(
+        _cfg("b_monitor", {"L": 40, "n": 3}),
+        [
+            'budget: configuration space dimension 64000 at box side 40 exceeds the dense-diagonalization cap 20000',
+        ],
+        id="b_monitor_budget",
+    ),
+    pytest.param(
+        _cfg(
+            "rescaling", {"L": 6}, params={"a": 0.0, "A": -1.0, "nu": "x", "p": None}
+        ),
+        [
+            'params.A must be a finite number >= 0, got -1.0',
+            "params.nu must be a finite number >= 0, got 'x'",
+            'params.p must be a finite number >= 0, got None',
+            'params.a must be positive',
+            'model.L: monitor boxes need a side divisible by 4, got 6',
+        ],
+        id="rescaling_constants",
+    ),
+    pytest.param(
+        _cfg("rescaling", {"L": 16, "n": 3}),
+        [
+            'budget: configuration space dimension 32768 at box side 32 exceeds the dense-diagonalization cap 20000',
+        ],
+        id="rescaling_budget",
+    ),
+    pytest.param(
+        _cfg(
+            "region_scan",
+            {"L": 6, "interaction": {"builtin": "onsite", "coupling": 0.5}},
+            params={"lambdas": [], "alphas": "x", "r2_threshold": 0, "xi_max": -1.0,
+                    "monitor_eta": 0.0},
+        ),
+        [
+            'params.lambdas must be a nonempty list of numbers >= 0, got []',
+            "params.alphas must be a nonempty list of numbers, got 'x'",
+            'params.r2_threshold must lie in (0, 1], got 0',
+            'params.xi_max must be null or positive, got -1.0',
+            'params.monitor_eta must be null or positive, got 0.0',
+            'model.interaction: region_scan sweeps pair couplings; onsite is not supported here',
+            'model.L: monitor boxes need a side divisible by 4, got 6',
+        ],
+        id="region_scan_params",
+    ),
+    pytest.param(
+        _cfg(
+            "region_scan",
+            {"L": 12, "n": 1, "interaction": {"builtin": "pair_nn", "range": 12}},
+            params={"alphas": [0.5], "lambdas": [-1.0]},
+        ),
+        [
+            'params.lambdas must be a nonempty list of numbers >= 0, got [-1.0]',
+            'model.interaction.range 12 must be smaller than the monitor box side 12 when the scan sweeps nonzero couplings',
+        ],
+        id="region_scan_range",
+    ),
+    pytest.param(
+        _cfg("region_scan", {"L": 4, "n": 3}),
+        [
+            'model.L: box side 8 too small for a 3-particle decay probe',
+        ],
+        id="region_scan_probe_box",
+    ),
+    pytest.param(
+        _cfg("region_scan", {"L": 16, "n": 3}),
+        [
+            'budget: configuration space dimension 32768 at box side 32 exceeds the dense-diagonalization cap 20000',
+        ],
+        id="region_scan_budget",
+    ),
+    # block kinds
+    pytest.param(
+        _cfg(
+            "composite_check", {"L": 4}, {"count": 1},
+            {"instances": 0, "dim_cap": 200, "quadrature_points": 4},
+        ),
+        [
+            'params.instances must be a positive integer, got 0',
+            'budget: composite dimension up to 40000 exceeds the dense-diagonalization cap 20000',
+            'params.quadrature_points must be an integer >= 8, got 4',
+        ],
+        id="composite_params",
+    ),
+    pytest.param(
+        _cfg(
+            "subadditivity", {"L": 4}, {"count": 1}, {"instances": "x", "dim_cap": 0}
+        ),
+        [
+            "params.instances must be a positive integer, got 'x'",
+            'params.dim_cap must be a positive integer, got 0',
+        ],
+        id="subadditivity_params",
+    ),
+    pytest.param(
+        _cfg(
+            "subadditivity", {"L": 4, "n": 2}, {"count": 1}, {"dim_cap": 1}
+        ),
+        [
+            'params.dim_cap 1 admits no block on boxes up to side 4',
+        ],
+        id="subadditivity_no_block",
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, expected", _VALIDATE_CORPUS)
+def test_validate_output_pinned(cfg, expected):
+    assert validate(cfg) == expected
+
+
+# JSON text, as a config file would carry it; json reads NaN and Infinity
+@pytest.mark.parametrize(
+    "z_grid", ["[NaN]", "[[1.0, Infinity]]", '["1.5"]', "[true]", "[[1.0]]", '"0.5"']
+)
+def test_wegner_z_grid_entries_must_be_finite(z_grid):
+    cfg = _cfg("wegner", params={"z_grid": json.loads(z_grid)})
+    (violation,) = validate(cfg)
+    assert violation.startswith("params.z_grid entries must be finite numbers")
+
+
+@pytest.mark.parametrize("time_grid", [None, [0.0, 1.0]])
+def test_time_grid_is_not_a_numerics_field(time_grid):
+    cfg = _cfg("decay_probe", numerics={"time_grid": time_grid})
+    assert validate(cfg) == ["unknown numerics field 'time_grid'"]
+    assert "time_grid" not in ExperimentConfig.from_dict(_cfg("decay_probe")).numerics
+
+
 def test_run_raises_on_invalid():
     with pytest.raises(ConfigError):
         run({"kind": "decay_probe", "model": {"L": 0}}, workers=1)
