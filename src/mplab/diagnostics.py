@@ -241,6 +241,11 @@ def wegner_samples(
     return values
 
 
+def marked_sites(u1, u2) -> tuple:
+    """The sites a conditional check resamples: u1, and u2 if it differs."""
+    return (u1,) if u1 == u2 else (u1, u2)
+
+
 def wegner_check(
     spec: OperatorSpec,
     base_seed: int,
@@ -278,7 +283,7 @@ def wegner_check(
             count=spec.dim,
             limit=DENSE_DIAG_CAP,
         )
-    marked = (u1,) if u1 == u2 else (u1, u2)
+    marked = marked_sites(u1, u2)
     zs = np.asarray([complex(z) for z in z_grid])
     values = wegner_samples(
         spec, base_seed, x, y, marked, zs, s, range(subsamples), density

@@ -221,17 +221,21 @@ class DensitySpec:
     # ------------------------------------------------------ serialization
 
     def to_dict(self) -> dict:
+        """The `model.density` config object; piecewise params are
+        [breaks, densities]."""
         if self.kind == "piecewise":
-            breaks, dens = self.params
-            return {"kind": self.kind, "breaks": list(breaks), "densities": list(dens)}
+            return {"kind": self.kind, "params": [list(p) for p in self.params]}
         return {"kind": self.kind, "params": list(self.params)}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DensitySpec":
-        kind = obj["kind"]
-        if kind == "piecewise":
-            return cls(kind=kind, params=(tuple(obj["breaks"]), tuple(obj["densities"])))
-        return cls(kind=kind, params=tuple(obj["params"]))
+        """Inverse of to_dict; unknown keys are rejected."""
+        if not isinstance(obj, dict):
+            raise TypeError(f"a density is an object, got {obj!r}")
+        unknown = sorted(set(obj) - {"kind", "params"})
+        if unknown:
+            raise ValueError(f"unknown density field(s) {unknown}")
+        return cls(kind=obj["kind"], params=tuple(obj["params"]))
 
 
 UNIFORM_HALF = DensitySpec.uniform(-0.5, 0.5)

@@ -10,8 +10,15 @@ returning.
 
 Each kind is described once, by its record in the kind table `_KINDS`:
 params defaults (also the allowed params fields), least ensemble count,
-the box sides its budget covers, params check, and runner. `KINDS` and the
-runner dict `_RUNNERS`, through which `run` dispatches, derive from it.
+the box sides its budget covers, result columns with their dtypes, params
+check, and runner. `KINDS` and the runner dict `_RUNNERS`, through which
+`run` dispatches, derive from it.
+
+Every result table comes out of one path, units -> map -> fold -> table:
+a runner maps its units through `_chunked_map` (per seed with
+`_per_seed_map`, per block-pair instance with `_instance_map`), folds the
+results in order and returns `(rows, metadata)`; `run` builds the one
+`ResultTable` from the kind's columns and the run metadata, and emits it.
 
 Execution is deterministic by construction: work splits into units that
 depend only on their own seed (or instance index), workers share nothing
@@ -60,6 +67,7 @@ from .diagnostics import (
     corner_block,
     decay_fit,
     default_probe_interval,
+    marked_sites,
     monitor_plan,
     monitor_reduce,
     monitor_seed_rows,
@@ -90,19 +98,18 @@ from .spectral import (
     subadditivity_check,
 )
 
-_DEFAULT_MODEL = {
-    "d": 1,
-    "L": 8,
-    "n": 1,
-    "sector": "distinguishable",
-    "lambda": 1.0,
-    "interaction": {"builtin": "none", "coupling": 0.0, "range": 1},
-    "density": {"kind": "uniform", "params": [-0.5, 0.5]},
-    "norm": "l1",
-}
-
+# section defaults; their keys are the allowed fields of each section
 _DEFAULT_SECTIONS = {
-    "model": _DEFAULT_MODEL,
+    "model": {
+        "d": 1,
+        "L": 8,
+        "n": 1,
+        "sector": "distinguishable",
+        "lambda": 1.0,
+        "interaction": {"builtin": "none", "coupling": 0.0, "range": 1},
+        "density": {"kind": "uniform", "params": [-0.5, 0.5]},
+        "norm": "l1",
+    },
     "ensemble": {"base_seed": 0, "count": 8},
     "numerics": {"s": 0.5, "eta": None, "quad_points": None},
     "output": {"directory": "out", "formats": ["csv", "json"]},
@@ -155,32 +162,19 @@ class ExperimentConfig:
             name: _merge(_DEFAULT_SECTIONS[name], raw.get(name, {}))
             for name in _DEFAULT_SECTIONS
         }
-        defaults = _KINDS[kind].params if kind in _KINDS else {}
+        defaults = _KINDS[kind].params if kind in KINDS else {}
         params = _merge(defaults, raw.get("params", {}))
         extra = {
             k: raw[k]
             for k in raw
             if k not in ("kind", "params", *_DEFAULT_SECTIONS)
         }
-        return cls(
-            kind=kind,
-            model=sections["model"],
-            ensemble=sections["ensemble"],
-            numerics=sections["numerics"],
-            output=sections["output"],
-            params=params,
-            extra=extra,
-        )
+        return cls(kind=kind, params=params, extra=extra, **sections)
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "model": copy.deepcopy(self.model),
-            "ensemble": copy.deepcopy(self.ensemble),
-            "numerics": copy.deepcopy(self.numerics),
-            "output": copy.deepcopy(self.output),
-            "params": copy.deepcopy(self.params),
-        }
+        out = {"kind": self.kind}
+        for name in (*_DEFAULT_SECTIONS, "params"):
+            out[name] = copy.deepcopy(getattr(self, name))
         out.update(copy.deepcopy(self.extra))
         return out
 
@@ -190,8 +184,7 @@ class ExperimentConfig:
         return InteractionSpec.from_dict(self.model["interaction"])
 
     def density_spec(self) -> DensitySpec:
-        d = self.model["density"]
-        return DensitySpec(kind=d["kind"], params=tuple(d["params"]))
+        return DensitySpec.from_dict(self.model["density"])
 
     def operator_spec(self, side: int = None, n: int = None) -> OperatorSpec:
         """The model on the centered box; side and n default to model.L, model.n."""
@@ -249,6 +242,11 @@ def _positive_int(out: list, path: str, value) -> bool:
         return True
     out.append(f"{path} must be a positive integer, got {value!r}")
     return False
+
+
+def _unknown_fields(out: list, section: str, fields, known, suffix="") -> None:
+    for key in sorted(set(fields) - set(known)):
+        out.append(f"unknown {section} field {key!r}{suffix}")
 
 
 def _null_or_positive(out: list, path: str, value) -> None:
@@ -324,6 +322,12 @@ def _resolve_pairs(config: ExperimentConfig, spec: OperatorSpec):
     return probe_pairs(spec, int(p["max_points"]))
 
 
+def _scan_lambdas(config: ExperimentConfig):
+    """params.lambdas; null means [model.lambda]."""
+    lambdas = config.params["lambdas"]
+    return [float(config.model["lambda"])] if lambdas is None else lambdas
+
+
 def validate(config) -> list:
     """Every violation in the config, as human-readable strings.
 
@@ -340,11 +344,16 @@ def validate(config) -> list:
         return out
     for key in config.extra:
         out.append(f"unknown config section {key!r}")
+    malformed = [
+        f"{name} must be an object"
+        for name in (*_DEFAULT_SECTIONS, "params")
+        if not isinstance(getattr(config, name), dict)
+    ]
+    if malformed:
+        return out + malformed
 
     m = config.model
-    known_model = set(_DEFAULT_MODEL)
-    for key in set(m) - known_model:
-        out.append(f"unknown model field {key!r}")
+    _unknown_fields(out, "model", m, _DEFAULT_SECTIONS["model"])
     if not _is_int(m.get("d")) or not 1 <= m["d"] <= 3:
         out.append(f"model.d must be an integer in [1, 3], got {m.get('d')!r}")
     _positive_int(out, "model.L", m.get("L"))
@@ -361,8 +370,7 @@ def validate(config) -> list:
     if not isinstance(inter, dict):
         out.append("model.interaction must be an object")
         inter = {}
-    for key in set(inter) - set(INTERACTION_FIELDS):
-        out.append(f"unknown model.interaction field {key!r}")
+    _unknown_fields(out, "model.interaction", inter, INTERACTION_FIELDS)
     if inter.get("builtin", "none") not in BUILTIN_INTERACTIONS:
         out.append(
             f"model.interaction.builtin must be one of {BUILTIN_INTERACTIONS}, "
@@ -375,16 +383,13 @@ def validate(config) -> list:
         )
     if "range" in inter:
         _positive_int(out, "model.interaction.range", inter["range"])
-    density_ok = True
     try:
         config.density_spec()
     except (ValueError, KeyError, TypeError) as e:
-        density_ok = False
         out.append(f"model.density: {e}")
 
     e = config.ensemble
-    for key in set(e) - {"base_seed", "count"}:
-        out.append(f"unknown ensemble field {key!r}")
+    _unknown_fields(out, "ensemble", e, _DEFAULT_SECTIONS["ensemble"])
     if not _is_int(e.get("base_seed")) or e["base_seed"] < 0:
         out.append(
             f"ensemble.base_seed must be a nonnegative integer, "
@@ -398,8 +403,7 @@ def validate(config) -> list:
         )
 
     num = config.numerics
-    for key in set(num) - {"s", "eta", "quad_points"}:
-        out.append(f"unknown numerics field {key!r}")
+    _unknown_fields(out, "numerics", num, _DEFAULT_SECTIONS["numerics"])
     s = num.get("s")
     if not _is_num(s) or not 0.0 < float(s) < 1.0:
         out.append(f"numerics.s must lie in (0,1), got {s!r}")
@@ -411,15 +415,14 @@ def validate(config) -> list:
         )
 
     o = config.output
-    for key in set(o) - {"directory", "formats"}:
-        out.append(f"unknown output field {key!r}")
+    _unknown_fields(out, "output", o, _DEFAULT_SECTIONS["output"])
     if not isinstance(o.get("directory"), str) or not o["directory"]:
         out.append(f"output.directory must be a nonempty string, got {o.get('directory')!r}")
     fmts = o.get("formats")
     if not isinstance(fmts, list) or not set(fmts) <= {"csv", "json"} or not fmts:
         out.append(f"output.formats must be a nonempty subset of [csv, json], got {fmts!r}")
 
-    if out or not density_ok:
+    if out:
         # structural problems make the model unbuildable; stop here
         return out
 
@@ -432,8 +435,7 @@ def validate(config) -> list:
         return out
 
     kind = _KINDS[config.kind]
-    for key in set(config.params) - set(kind.params):
-        out.append(f"unknown params field {key!r} for kind {config.kind}")
+    _unknown_fields(out, "params", config.params, kind.params, f" for kind {config.kind}")
     p = config.params
     if "omega_samples" in kind.params and (
         not _is_int(p.get("omega_samples")) or p["omega_samples"] < 0
@@ -536,9 +538,7 @@ def _check_rescaling(config, spec, out: list) -> None:
 def _check_region_scan(config, spec, out: list) -> None:
     p = config.params
     L = int(config.model["L"])
-    lambdas = p.get("lambdas")
-    if lambdas is None:
-        lambdas = [float(config.model["lambda"])]
+    lambdas = _scan_lambdas(config)
     if (
         not isinstance(lambdas, list)
         or not lambdas
@@ -822,8 +822,24 @@ def _chunked_map(fn, units, workers):
         return list(ex.map(fn, units, chunksize=chunksize))
 
 
+def _per_seed_map(unit, items, seeds, workers) -> list:
+    """unit((item, seed)) for every item and seed in one map; the results
+    grouped per item, each group in seed order."""
+    k = len(seeds)
+    results = _chunked_map(unit, [(item, sd) for item in items for sd in seeds], workers)
+    return [results[j : j + k] for j in range(0, len(results), k)]
+
+
+def _instance_map(unit, config: ExperimentConfig, workers) -> list:
+    """unit((config, candidates, i)) for each block-pair instance i, in
+    instance order; candidates are the (side, n) blocks under dim_cap."""
+    candidates = _block_candidates(config)
+    n = int(config.params["instances"])
+    return _chunked_map(unit, [(config, candidates, i) for i in range(n)], workers)
+
+
 def _probe_unit(args):
-    spec, seed, pairs, interval, s, eta, quad_points, density = args
+    (spec, pairs, interval, s, eta, quad_points, density), seed = args
     return probe_samples(spec, seed, pairs, interval, s, eta, quad_points, density)
 
 
@@ -919,19 +935,15 @@ def _subadditivity_unit(args):
 # ------------------------------------------------------------------- runners
 
 
-def _fit_dict(fit) -> dict:
-    if fit is None:
+def _fit_dict(points) -> dict:
+    """The decay fit of (dist, value) points as a dict; None if it fails."""
+    try:
+        fit = decay_fit(points)
+    except ValueError:
         return None
     d = dataclasses.asdict(fit)
     d["pairs"] = [list(p) for p in fit.pairs]
     return d
-
-
-def _try_fit(points):
-    try:
-        return decay_fit(points)
-    except ValueError:
-        return None
 
 
 def _numerics(config: ExperimentConfig, eta_default, qp_default):
@@ -942,7 +954,7 @@ def _numerics(config: ExperimentConfig, eta_default, qp_default):
     return float(num["s"]), eta, qp
 
 
-def _run_probe(config: ExperimentConfig, workers) -> ResultTable:
+def _run_probe(config: ExperimentConfig, workers):
     spec = config.operator_spec()
     density = config.density_spec()
     seeds = config.seeds()
@@ -954,43 +966,34 @@ def _run_probe(config: ExperimentConfig, workers) -> ResultTable:
         if iv is None
         else EnergyInterval(float(iv[0]), float(iv[1]))
     )
-    units = [
-        (spec, seed, tuple(pairs), interval, s, eta, qp, density) for seed in seeds
-    ]
-    results = _chunked_map(_probe_unit, units, workers)
+    item = (spec, tuple(pairs), interval, s, eta, qp, density)
+    (results,) = _per_seed_map(_probe_unit, [item], seeds, workers)
     rows = [
         (int(r.dist), r.q.mean, r.q.stderr, r.moment.mean, r.moment.stderr, r.q.seeds)
         for r in probe_reduce(spec, pairs, seeds, results)
     ]
-    fit_q = _try_fit([(r[0], r[1]) for r in rows])
-    fit_m = _try_fit([(r[0], r[3]) for r in rows])
-    return ResultTable(
-        columns=("dist_H", "EQ_mean", "EQ_stderr", "moment_mean", "moment_stderr", "seeds"),
-        dtypes=("int", "float", "float", "float", "float", "str"),
-        rows=tuple(rows),
-        metadata={
-            "interval": [interval.lo, interval.hi],
-            "s": s,
-            "eta": eta,
-            "quad_points": qp,
-            "pairs": [
-                [[list(site) for site in px.sites], [list(site) for site in py.sites]]
-                for px, py in pairs
-            ],
-            "fit_q": _fit_dict(fit_q),
-            "fit_moment": _fit_dict(fit_m),
-        },
-    )
+    return rows, {
+        "interval": [interval.lo, interval.hi],
+        "s": s,
+        "eta": eta,
+        "quad_points": qp,
+        "pairs": [
+            [[list(site) for site in px.sites], [list(site) for site in py.sites]]
+            for px, py in pairs
+        ],
+        "fit_q": _fit_dict([(r[0], r[1]) for r in rows]),
+        "fit_moment": _fit_dict([(r[0], r[3]) for r in rows]),
+    }
 
 
-def _run_wegner(config: ExperimentConfig, workers) -> ResultTable:
+def _run_wegner(config: ExperimentConfig, workers):
     spec = config.operator_spec()
     density = config.density_spec()
     base_seed = int(config.ensemble["base_seed"])
     count = int(config.ensemble["count"])
     s = float(config.numerics["s"])
     x, y, u1, u2, zs = _resolve_wegner(config, spec)
-    marked = (u1,) if u1 == u2 else (u1, u2)
+    marked = marked_sites(u1, u2)
     zarr = np.asarray(zs)
     chunk = 32
     chunks = [
@@ -1002,32 +1005,27 @@ def _run_wegner(config: ExperimentConfig, workers) -> ResultTable:
     blocks = _chunked_map(_wegner_unit, units, workers)
     values = np.vstack(blocks)
     report = wegner_reduce(spec, zarr, values, marked, s, range(count))
-    rows = tuple(
+    rows = [
         (z.real, z.imag, est.mean, est.stderr, est.count, est.seeds)
         for z, est in zip(report.z_grid, report.estimates)
-    )
-    return ResultTable(
-        columns=("z_re", "z_im", "mean", "stderr", "count", "seeds"),
-        dtypes=("float", "float", "float", "float", "int", "str"),
-        rows=rows,
-        metadata={
-            "c_emp": report.c_emp,
-            "worst_mean": report.worst.mean,
-            "worst_stderr": report.worst.stderr,
-            "marked": [list(u) for u in report.marked],
-            "x": [list(site) for site in x.sites],
-            "y": [list(site) for site in y.sites],
-            "s": s,
-            "lambda": spec.lam,
-            "base_seed": base_seed,
-            "subsamples": count,
-        },
-    )
+    ]
+    return rows, {
+        "c_emp": report.c_emp,
+        "worst_mean": report.worst.mean,
+        "worst_stderr": report.worst.stderr,
+        "marked": [list(u) for u in report.marked],
+        "x": [list(site) for site in x.sites],
+        "y": [list(site) for site in y.sites],
+        "s": s,
+        "lambda": spec.lam,
+        "base_seed": base_seed,
+        "subsamples": count,
+    }
 
 
 def _monitor_runs(config: ExperimentConfig, sides, workers):
     """Monitor plans at each box side and their reduced results, from one
-    map over (plan, seed) units."""
+    per-seed map over the plans."""
     seeds = config.seeds()
     # eta None: monitor_plan matches it to the quadrature resolution
     s, eta, qp = _numerics(config, None, B_MONITOR_QUAD_POINTS)
@@ -1044,46 +1042,36 @@ def _monitor_runs(config: ExperimentConfig, sides, workers):
         )
         for side in sides
     ]
-    units = [(plan, sd) for plan in plans for sd in seeds]
-    rows = _chunked_map(_monitor_unit, units, workers)
-    k = len(seeds)
-    results = [
-        monitor_reduce(plan, seeds, rows[j * k : (j + 1) * k])
-        for j, plan in enumerate(plans)
-    ]
-    return plans, results
+    groups = _per_seed_map(_monitor_unit, plans, seeds, workers)
+    return plans, [monitor_reduce(p, seeds, g) for p, g in zip(plans, groups)]
 
 
-def _run_b_monitor(config: ExperimentConfig, workers) -> ResultTable:
+def _run_b_monitor(config: ExperimentConfig, workers):
     (plan,), (res,) = _monitor_runs(config, [int(config.model["L"])], workers)
-    rows = tuple(
+    rows = [
         (lo, lo + 1.0, mean, stderr, res.full.count, res.full.seeds)
         for lo, mean, stderr in res.tiles
-    )
-    return ResultTable(
-        columns=("tile_lo", "tile_hi", "mean", "stderr", "count", "seeds"),
-        dtypes=("float", "float", "float", "float", "int", "str"),
-        rows=rows,
-        metadata={
-            "value": res.value,
-            "full_mean": res.full.mean,
-            "full_stderr": res.full.stderr,
-            "full_interval": [res.full_interval.lo, res.full_interval.hi],
-            "subbox_values": list(res.subbox_values),
-            "pair_count": res.pair_count,
-            "boundary_count": res.boundary_count,
-            "note": res.note,
-            "s": plan.s,
-            "eta": plan.eta,
-            "quad_points": plan.quad_points,
-        },
-    )
+    ]
+    return rows, {
+        "value": res.value,
+        "full_mean": res.full.mean,
+        "full_stderr": res.full.stderr,
+        "full_interval": [res.full_interval.lo, res.full_interval.hi],
+        "subbox_values": list(res.subbox_values),
+        "pair_count": res.pair_count,
+        "boundary_count": res.boundary_count,
+        "note": res.note,
+        "s": plan.s,
+        "eta": plan.eta,
+        "quad_points": plan.quad_points,
+    }
 
 
-def _run_rescaling(config: ExperimentConfig, workers) -> ResultTable:
+def _run_rescaling(config: ExperimentConfig, workers):
     L = int(config.model["L"])
     s = float(config.numerics["s"])
     p = config.params
+    constants = {k: float(p[k]) for k in ("a", "A", "nu", "p")}
     _, (res_small, res_large) = _monitor_runs(config, [L, 2 * L], workers)
     report = rescaling_check(
         res_small,
@@ -1091,36 +1079,25 @@ def _run_rescaling(config: ExperimentConfig, workers) -> ResultTable:
         lam=float(config.model["lambda"]),
         s=s,
         L=L // 2,
-        a=float(p["a"]),
-        A=float(p["A"]),
-        nu=float(p["nu"]),
-        p=float(p["p"]),
+        **constants,
     )
-    rows = tuple(
+    rows = [
         (scale, side, r.value, r.full.mean, r.full.stderr, r.full.count, r.full.seeds)
         for scale, side, r in (("small", L, res_small), ("large", 2 * L, res_large))
-    )
-    return ResultTable(
-        columns=("scale", "side", "value", "full_mean", "full_stderr", "count", "seeds"),
-        dtypes=("str", "int", "float", "float", "float", "int", "str"),
-        rows=rows,
-        metadata={
-            "report": dataclasses.asdict(report),
-            "constants": {k: float(p[k]) for k in ("a", "A", "nu", "p")},
-            "lambda": float(config.model["lambda"]),
-            "s": s,
-            "length_parameter": L // 2,
-        },
-    )
+    ]
+    return rows, {
+        "report": dataclasses.asdict(report),
+        "constants": constants,
+        "lambda": float(config.model["lambda"]),
+        "s": s,
+        "length_parameter": L // 2,
+    }
 
 
-def _run_region_scan(config: ExperimentConfig, workers) -> ResultTable:
+def _run_region_scan(config: ExperimentConfig, workers):
     L = int(config.model["L"])
     p = config.params
     s, eta, qp = _numerics(config, DEFAULT_ETA, B_MONITOR_QUAD_POINTS)
-    lambdas = p["lambdas"]
-    if lambdas is None:
-        lambdas = [float(config.model["lambda"])]
     proto = ScanProtocol(
         d=int(config.model["d"]),
         L=L // 2,
@@ -1139,12 +1116,12 @@ def _run_region_scan(config: ExperimentConfig, workers) -> ResultTable:
         r2_threshold=float(p["r2_threshold"]),
         xi_max=None if p["xi_max"] is None else float(p["xi_max"]),
     )
-    grid = [
-        (float(lam), float(alpha)) for lam in lambdas for alpha in p["alphas"]
+    units = [
+        (float(lam), float(alpha), proto)
+        for lam in _scan_lambdas(config)
+        for alpha in p["alphas"]
     ]
-    verdicts = _chunked_map(
-        _scan_unit, [(lam, alpha, proto) for lam, alpha in grid], workers
-    )
+    verdicts = _chunked_map(_scan_unit, units, workers)
     rows = [
         (
             v.lam,
@@ -1162,72 +1139,31 @@ def _run_region_scan(config: ExperimentConfig, workers) -> ResultTable:
         )
         for v in verdicts
     ]
-    return ResultTable(
-        columns=(
-            "lambda", "alpha", "b_small", "b_small_stderr", "b_large",
-            "b_large_stderr", "gap", "noise", "xi", "r2", "verdict", "seeds",
-        ),
-        dtypes=(
-            "float", "float", "float", "float", "float", "float", "float",
-            "float", "float", "float", "str", "str",
-        ),
-        rows=tuple(rows),
-        metadata={
-            "sides": [2 * proto.L, 4 * proto.L],
-            "count": proto.count,
-            "base_seed": proto.base_seed,
-            "s": proto.s,
-            "r2_threshold": proto.r2_threshold,
-            "xi_max": proto.xi_max if proto.xi_max is not None else float(proto.L),
-        },
-    )
+    return rows, {
+        "sides": [2 * proto.L, 4 * proto.L],
+        "count": proto.count,
+        "base_seed": proto.base_seed,
+        "s": proto.s,
+        "r2_threshold": proto.r2_threshold,
+        "xi_max": proto.xi_max if proto.xi_max is not None else float(proto.L),
+    }
 
 
-def _run_composite(config: ExperimentConfig, workers) -> ResultTable:
-    candidates = _block_candidates(config)
-    n = int(config.params["instances"])
-    rows = _chunked_map(
-        _composite_unit, [(config, candidates, i) for i in range(n)], workers
-    )
-    return ResultTable(
-        columns=(
-            "instance", "seed_left", "seed_right", "dim_left", "dim_right",
-            "z_re", "z_im", "gap", "gap_2x", "seeds",
-        ),
-        dtypes=(
-            "int", "int", "int", "int", "int", "float", "float", "float",
-            "float", "str",
-        ),
-        rows=tuple(rows),
-        metadata={
-            "quadrature_points": int(config.params["quadrature_points"]),
-            "dim_cap": int(config.params["dim_cap"]),
-            "max_gap": max((r[7] for r in rows), default=0.0),
-        },
-    )
+def _run_composite(config: ExperimentConfig, workers):
+    rows = _instance_map(_composite_unit, config, workers)
+    return rows, {
+        "quadrature_points": int(config.params["quadrature_points"]),
+        "dim_cap": int(config.params["dim_cap"]),
+        "max_gap": max((r[7] for r in rows), default=0.0),
+    }
 
 
-def _run_subadditivity(config: ExperimentConfig, workers) -> ResultTable:
-    candidates = _block_candidates(config)
-    n = int(config.params["instances"])
-    rows = _chunked_map(
-        _subadditivity_unit, [(config, candidates, i) for i in range(n)], workers
-    )
-    return ResultTable(
-        columns=(
-            "instance", "seed_left", "seed_right", "lhs", "rhs", "q_left",
-            "q_right", "satisfied", "seeds",
-        ),
-        dtypes=(
-            "int", "int", "int", "float", "float", "float", "float", "bool",
-            "str",
-        ),
-        rows=tuple(rows),
-        metadata={
-            "dim_cap": int(config.params["dim_cap"]),
-            "violations": sum(1 for r in rows if not r[7]),
-        },
-    )
+def _run_subadditivity(config: ExperimentConfig, workers):
+    rows = _instance_map(_subadditivity_unit, config, workers)
+    return rows, {
+        "dim_cap": int(config.params["dim_cap"]),
+        "violations": sum(1 for r in rows if not r[7]),
+    }
 
 
 # ---------------------------------------------------------------- kind table
@@ -1240,13 +1176,17 @@ class _Kind:
     params: dict  # params defaults; their keys are the allowed fields
     min_count: int  # least ensemble.count
     budget_sides: tuple  # box sides under the dense cap, as multiples of L
+    columns: tuple  # (name, dtype) per result column, dtypes as in ResultTable
     check: Callable  # check(config, spec, out) appends params violations
-    runner: Callable  # runner(config, workers) -> ResultTable
+    runner: Callable  # runner(config, workers) -> (rows in column order, metadata)
 
 
 _PROBE_KIND = _Kind(
     params={"max_points": 6, "pairs": None, "interval": None},
-    min_count=2, budget_sides=(1,), check=_check_probe, runner=_run_probe,
+    min_count=2, budget_sides=(1,),
+    columns=(("dist_H", "int"), ("EQ_mean", "float"), ("EQ_stderr", "float"),
+             ("moment_mean", "float"), ("moment_stderr", "float"), ("seeds", "str")),
+    check=_check_probe, runner=_run_probe,
 )
 
 # validate lists the kinds in this order
@@ -1255,34 +1195,53 @@ _KINDS = {
     "wegner": _Kind(
         params={"x": None, "y": None, "u1": None, "u2": None, "z_grid": None,
                 "z_count": 8, "z_im": 0.0},
-        min_count=2, budget_sides=(1,), check=_check_wegner, runner=_run_wegner,
+        min_count=2, budget_sides=(1,),
+        columns=(("z_re", "float"), ("z_im", "float"), ("mean", "float"),
+                 ("stderr", "float"), ("count", "int"), ("seeds", "str")),
+        check=_check_wegner, runner=_run_wegner,
     ),
     "equivalence": _PROBE_KIND,
     "b_monitor": _Kind(
         params={"omega_samples": 0},
-        min_count=2, budget_sides=(1,), check=_check_monitor_box,
-        runner=_run_b_monitor,
+        min_count=2, budget_sides=(1,),
+        columns=(("tile_lo", "float"), ("tile_hi", "float"), ("mean", "float"),
+                 ("stderr", "float"), ("count", "int"), ("seeds", "str")),
+        check=_check_monitor_box, runner=_run_b_monitor,
     ),
     "rescaling": _Kind(
         params={"a": 1.0, "A": 0.0, "nu": 0.0, "p": 0.0, "omega_samples": 0},
-        min_count=2, budget_sides=(2,), check=_check_rescaling,
-        runner=_run_rescaling,
+        min_count=2, budget_sides=(2,),
+        columns=(("scale", "str"), ("side", "int"), ("value", "float"),
+                 ("full_mean", "float"), ("full_stderr", "float"), ("count", "int"),
+                 ("seeds", "str")),
+        check=_check_rescaling, runner=_run_rescaling,
     ),
     "region_scan": _Kind(
         params={"lambdas": None, "alphas": [0.0], "r2_threshold": 0.9,
                 "xi_max": None, "monitor_eta": None, "omega_samples": 0},
-        min_count=2, budget_sides=(2,), check=_check_region_scan,
-        runner=_run_region_scan,
+        min_count=2, budget_sides=(2,),
+        columns=(("lambda", "float"), ("alpha", "float"), ("b_small", "float"),
+                 ("b_small_stderr", "float"), ("b_large", "float"),
+                 ("b_large_stderr", "float"), ("gap", "float"), ("noise", "float"),
+                 ("xi", "float"), ("r2", "float"), ("verdict", "str"), ("seeds", "str")),
+        check=_check_region_scan, runner=_run_region_scan,
     ),
     "composite_check": _Kind(
         params={"instances": 20, "dim_cap": 10, "quadrature_points": 512},
-        min_count=1, budget_sides=(), check=_check_composite,
-        runner=_run_composite,
+        min_count=1, budget_sides=(),
+        columns=(("instance", "int"), ("seed_left", "int"), ("seed_right", "int"),
+                 ("dim_left", "int"), ("dim_right", "int"), ("z_re", "float"),
+                 ("z_im", "float"), ("gap", "float"), ("gap_2x", "float"),
+                 ("seeds", "str")),
+        check=_check_composite, runner=_run_composite,
     ),
     "subadditivity": _Kind(
         params={"instances": 500, "dim_cap": 12},
-        min_count=1, budget_sides=(), check=_check_blocks,
-        runner=_run_subadditivity,
+        min_count=1, budget_sides=(),
+        columns=(("instance", "int"), ("seed_left", "int"), ("seed_right", "int"),
+                 ("lhs", "float"), ("rhs", "float"), ("q_left", "float"),
+                 ("q_right", "float"), ("satisfied", "bool"), ("seeds", "str")),
+        check=_check_blocks, runner=_run_subadditivity,
     ),
 }
 KINDS = tuple(_KINDS)
@@ -1318,16 +1277,21 @@ def run(config, workers=None) -> ResultTable:
     if budget:
         raise BudgetError("; ".join(budget))
     start = time.monotonic()
-    table = _RUNNERS[config.kind](config, workers)
-    meta = {
-        "kind": config.kind,
-        "config": config.to_dict(),
-        "config_sha256": _config_sha256(config),
-        "version": _code_version(),
-        "wall_time_s": time.monotonic() - start,
-    }
-    meta.update(table.metadata)
-    table = dataclasses.replace(table, metadata=meta)
+    rows, metadata = _RUNNERS[config.kind](config, workers)
+    columns, dtypes = zip(*_KINDS[config.kind].columns)
+    table = ResultTable(
+        columns=columns,
+        dtypes=dtypes,
+        rows=tuple(rows),
+        metadata={
+            "kind": config.kind,
+            "config": config.to_dict(),
+            "config_sha256": _config_sha256(config),
+            "version": _code_version(),
+            "wall_time_s": time.monotonic() - start,
+            **metadata,
+        },
+    )
     emit(
         table,
         config.output["directory"],

@@ -10,6 +10,7 @@ with them these hashes.
 import csv
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -33,6 +34,45 @@ COMPOSITE_DRAWS = [
     ["1", "1184611395", "1698231420", "8", "4", "0.62627757148068319", "3.875"],
     ["2", "211226549", "366881919", "3", "5", "7.012371695399656", "3.875"],
 ]
+
+
+# sha256 of each kind's JSON mirror and of its meta.json without the
+# run-specific entries (wall time, config echo and its hash); for
+# composite_check the round-off gap columns and max_gap are left out too
+MIRROR_META_SHA256 = {
+    "b_monitor": (
+        "7213d155c4a6554b1cd201e5fab51ad65e1a4a405468563959cc97bb5e5bb8b2",
+        "094ba3daeff9667ff5fa67d371b16ee0fd5551d49ee70ea8e543efda102c0520",
+    ),
+    "composite_check": (
+        "a393c629eff620d0720ce556f3fc657f60fea5d649b19d7ed92feddaddb3df5d",
+        "cc5487cd715ac6f6fc5ea86227e86f26f437ee004ce9f58cdf279cde0441c5cf",
+    ),
+    "decay_probe": (
+        "a78b70e87c99f9afff7668a5ffd5ca972a06ec5662bf27d8fa5de9f734928ccc",
+        "1e019b67159c0c5b152107aa9f6ca632454d8f47df3303f41f91a0789251fd8a",
+    ),
+    "equivalence": (
+        "31bda2830a62e68bb9aaf9dda0f50f8e9d2ec03e5c9a59f248b5809a70e5e468",
+        "8246b4c7793822ee66439ee2ce553b6c9d2a8b220673ad59c1eace6a7648479b",
+    ),
+    "region_scan": (
+        "e2d917b17a975ff7c8214585f807b5e5edf49dce09f8c5258c38eedc51b4a2e8",
+        "d64016acd3ec32382deb4618ed7a5d07c487c8c22ec599117fef9eb25fe48770",
+    ),
+    "rescaling": (
+        "f19c6e1e2ccd4df4c1100c4b2d35b2f4f7856652ecc8e173720e1eae60062934",
+        "7955ae7390df7ad3860595910d84eedc007df93d90f67268847deab4ba18b08d",
+    ),
+    "subadditivity": (
+        "74592e366f6fac026f9e6751c2cb00e7fdf890574b66f3e851bff2206e386643",
+        "1f6ad5ee9db3d30105d0c47d0d138178e4fc301f98d0f8af2e3ff2de9dc5b761",
+    ),
+    "wegner": (
+        "236a952d5119859dd8ff1ea5f749e08675cb2f196de7d4ee8354152d3dfac8cd",
+        "6bd177fed1c1962c097eee2b42dda2c89642a464f822eb9ad57d6f2d967bba57",
+    ),
+}
 
 
 # one small config per kind; sectors and interactions vary so that every
@@ -106,3 +146,21 @@ def test_composite_draws_match_golden(tmp_path):
     rows = list(csv.reader(io.StringIO(text, newline="")))
     assert [row[:7] for row in rows] == COMPOSITE_DRAWS
     assert rows[0][7:9] == ["gap", "gap_2x"]
+
+
+def _sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(MIRROR_META_SHA256))
+def test_json_mirror_and_metadata_match_golden(tmp_path, kind):
+    out = {"directory": str(tmp_path), "formats": ["csv", "json"]}
+    run({"kind": kind, **_CONFIGS[kind], "output": out}, workers=1)
+    mirror = json.loads((tmp_path / f"{kind}.json").read_text(encoding="utf-8"))
+    meta = json.loads((tmp_path / f"{kind}.meta.json").read_text(encoding="utf-8"))
+    for key in ("wall_time_s", "config", "config_sha256"):
+        del meta["metadata"][key]
+    if kind == "composite_check":
+        mirror["rows"] = [row[:7] for row in mirror["rows"]]
+        del meta["metadata"]["max_gap"]
+    assert (_sha256_json(mirror), _sha256_json(meta)) == MIRROR_META_SHA256[kind]

@@ -3,15 +3,21 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mplab import cli
 from mplab.diagnostics import b_monitor, rescaling_check, scan_point, wegner_check
+from mplab.disorder import DensitySpec
 from mplab.errors import BudgetError
 from mplab.operator import InteractionSpec
 from mplab.harness import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
     ResultTable,
@@ -20,6 +26,8 @@ from mplab.harness import (
     run,
     validate,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def probe_config(tmp, **model):
@@ -500,6 +508,84 @@ def test_time_grid_is_not_a_numerics_field(time_grid):
     assert "time_grid" not in ExperimentConfig.from_dict(_cfg("decay_probe")).numerics
 
 
+@pytest.mark.parametrize(
+    "section, value, expected",
+    [
+        ("ensemble", [], "ensemble must be an object"),
+        ("params", 5, "params must be an object"),
+        ("model", None, "model must be an object"),
+        ("numerics", "fast", "numerics must be an object"),
+        ("output", ["csv"], "output must be an object"),
+        ("kind", ["decay_probe"], f"kind must be one of {', '.join(KINDS)}, "
+                                  "got ['decay_probe']"),
+    ],
+    ids=["ensemble", "params", "model", "numerics", "output", "kind"],
+)
+def test_malformed_sections_reported(tmp_path, capsys, section, value, expected):
+    cfg = _cfg("decay_probe")
+    cfg[section] = value
+    assert validate(cfg) == [expected]
+    assert cli.main(["validate", write_cfg(tmp_path, cfg)]) == 2
+    assert expected in capsys.readouterr().err
+
+
+_HASH_SEED_SCRIPT = """
+import json
+from mplab.harness import validate
+cfg = {"kind": "decay_probe", "model": {"L": 8, "colour": 1, "shape": 2, "spin": 3},
+       "ensemble": {"size": 1, "tries": 2, "rounds": 3},
+       "numerics": {"tol": 1, "maxiter": 2, "order": 3},
+       "output": {"compress": 1, "append": 2, "mode": 3}}
+print(json.dumps(validate(cfg)))
+"""
+
+
+def test_unknown_fields_do_not_depend_on_hash_seed():
+    outputs = set()
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.add(proc.stdout)
+    (only,) = outputs
+    assert json.loads(only)[:3] == [
+        "unknown model field 'colour'",
+        "unknown model field 'shape'",
+        "unknown model field 'spin'",
+    ]
+
+
+def test_density_to_dict_is_a_config_density(tmp_path):
+    table = DensitySpec.piecewise((-1.0, 0.0, 1.0), (0.3, 0.7))
+    as_dict = probe_config(tmp_path / "a", density=table.to_dict())
+    as_params = probe_config(
+        tmp_path / "b", density={"kind": "piecewise", "params": [[-1, 0, 1], [0.3, 0.7]]}
+    )
+    for cfg in (as_dict, as_params):
+        assert validate(cfg) == []
+        assert ExperimentConfig.from_dict(cfg).density_spec() == table
+    assert run(as_dict, workers=1).rows == run(as_params, workers=1).rows
+
+
+@pytest.mark.parametrize(
+    "density, expected",
+    [
+        (
+            {"kind": "uniform", "params": [-1.0, 1.0], "pramas": [0.0, 1.0]},
+            "model.density: unknown density field(s) ['pramas']",
+        ),
+        (
+            {"kind": "piecewise", "breaks": [-1.0, 1.0], "densities": [0.5]},
+            "model.density: unknown density field(s) ['breaks', 'densities']",
+        ),
+    ],
+)
+def test_unknown_density_fields_reported(tmp_path, density, expected):
+    assert validate(probe_config(tmp_path, density=density)) == [expected]
+
+
 def test_run_raises_on_invalid():
     with pytest.raises(ConfigError):
         run({"kind": "decay_probe", "model": {"L": 0}}, workers=1)
@@ -636,7 +722,9 @@ def test_same_config_same_bytes(tmp_path):
     assert csv_a == csv_b
 
 
-@pytest.mark.parametrize("kind", ["decay_probe", "b_monitor", "subadditivity"])
+@pytest.mark.parametrize(
+    "kind", ["decay_probe", "b_monitor", "rescaling", "composite_check", "subadditivity"]
+)
 def test_worker_count_irrelevant(tmp_path, kind):
     def cfg(tag):
         raw = {
@@ -648,6 +736,8 @@ def test_worker_count_irrelevant(tmp_path, kind):
         }
         if kind == "subadditivity":
             raw["params"] = {"instances": 4, "dim_cap": 8}
+        if kind == "composite_check":
+            raw["params"] = {"instances": 4, "quadrature_points": 16}
         return raw
 
     run(cfg("serial"), workers=1)
