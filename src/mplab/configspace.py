@@ -23,8 +23,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from scipy.optimize import linear_sum_assignment
-
 SECTORS = ("distinguishable", "boson", "fermion", "hardcore")
 
 # Beyond this particle count the n! assignment problem stops being a desk-side
@@ -230,6 +228,8 @@ def symmetrized_dist(x: Configuration, y: Configuration, norm: str = "l1") -> in
             f"symmetrized distance capped at n <= {SYMMETRIZED_MAX_PARTICLES}, "
             f"got n = {x.n}"
         )
+    from scipy.optimize import linear_sum_assignment  # slow to import, rarely used
+
     cost = [
         [site_dist(p, q, norm) for q in y.sites] for p in x.sites
     ]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .configspace import Box, Site
 
@@ -149,6 +148,8 @@ class DensitySpec:
         return max(dens)
 
     def _frozen(self):
+        from scipy import stats  # only the truncated Gaussian needs it
+
         sigma, cutoff = self.params
         return stats.truncnorm(-cutoff / sigma, cutoff / sigma, loc=0.0, scale=sigma)
 
@@ -261,13 +262,27 @@ class DisorderRealization:
         return float(self.values[self.box.encode(site)])
 
 
+def _draw(density: DensitySpec, seed: int, sites, tag: int) -> np.ndarray:
+    """One value per site, each from its own substream at counter tag.
+
+    The uniforms come from one Philox stream per site, as the (seed, site)
+    contract needs; the quantile map then runs once over the whole array.
+    """
+    u = np.array([_u01(seed, site_key(s), tag) for s in sites], dtype=float)
+    return density.ppf(u)
+
+
 def sample(box: Box, density: DensitySpec, seed: int) -> DisorderRealization:
-    """Draw the base field: one independent substream per site, tag 0."""
+    """Draw the base field: one independent substream per site, tag 0.
+
+    Site k takes density.ppf of the first uniform of the Philox stream keyed
+    by (seed, site_key(site k)); the quantile is evaluated for all sites in
+    one call, which gives the same values as one call per site.
+    """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    vals = np.empty(box.volume)
-    for k in range(box.volume):
-        vals[k] = density.ppf(_u01(seed, site_key(box.decode(k)), tag=0))
+    sites = [box.decode(k) for k in range(box.volume)]
+    vals = _draw(density, seed, sites, tag=0)
     return DisorderRealization(box=box, density=density, seed=seed, values=vals)
 
 
@@ -284,12 +299,9 @@ def resample_at(
     marked = tuple(tuple(s) for s in sites)
     if not marked:
         raise ValueError("no sites marked for resampling")
+    ranks = [real.box.encode(s) for s in marked]
     vals = np.array(real.values)
-    ranks = []
-    for s in marked:
-        k = real.box.encode(s)
-        ranks.append(k)
-        vals[k] = real.density.ppf(_u01(real.seed, site_key(s), tag=subseed + 1))
+    vals[ranks] = _draw(real.density, real.seed, marked, tag=subseed + 1)
     return DisorderRealization(
         box=real.box,
         density=real.density,

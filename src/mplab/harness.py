@@ -419,7 +419,10 @@ def validate(config) -> list:
     if not isinstance(o.get("directory"), str) or not o["directory"]:
         out.append(f"output.directory must be a nonempty string, got {o.get('directory')!r}")
     fmts = o.get("formats")
-    if not isinstance(fmts, list) or not set(fmts) <= {"csv", "json"} or not fmts:
+    # `in` on a tuple compares, so an unhashable entry is reported, not raised
+    if not isinstance(fmts, list) or not fmts or any(
+        f not in ("csv", "json") for f in fmts
+    ):
         out.append(f"output.formats must be a nonempty subset of [csv, json], got {fmts!r}")
 
     if out:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .configspace import (
@@ -384,6 +383,8 @@ class SparseHamiltonian:
 
     def to_matrix_market(self, path) -> None:
         """Write the matrix in MatrixMarket coordinate format."""
+        import scipy.io  # slow to import, used only here
+
         s = self.spec
         comment = (
             f"n={s.n} sector={s.sector} d={s.box.d} side={s.box.side} "

@@ -18,6 +18,7 @@ free to make inside (near-)degenerate eigenspaces, and it makes the bound
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,7 +71,11 @@ class EnergyInterval:
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Full eigendecomposition of a finite block, plus its basis index."""
+    """Full eigendecomposition of a finite block, plus its basis index.
+
+    The degenerate groups (`groups`) are found once per eigendecomposition
+    and shared by every group_weights call on it.
+    """
 
     energies: np.ndarray  # ascending
     vectors: np.ndarray  # columns matching energies
@@ -92,12 +97,17 @@ class SpectralData:
     def rank_of(self, config) -> int:
         return self.index.index_of(config)
 
-    def group_slices(self) -> tuple[slice, ...]:
-        """Maximal runs of eigenvalues with consecutive gaps under threshold."""
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, counts) of the maximal runs of eigenvalues whose
+        consecutive gaps are under the threshold, in ascending order."""
         tol = GROUPING_RTOL * max(self.hnorm, 1.0)
         cuts = np.nonzero(np.diff(self.energies) > tol)[0] + 1
-        edges = [0, *cuts.tolist(), self.dim]
-        return tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+        starts = np.concatenate(([0], cuts))
+        counts = np.diff(np.append(starts, self.dim))
+        for a in (starts, counts):
+            a.setflags(write=False)
+        return starts, counts
 
 
 def spectral_data(H: SparseHamiltonian, cap: int = DENSE_DIAG_CAP) -> SpectralData:
@@ -179,11 +189,23 @@ def eig_green(S: SpectralData, ix: int, iy: int, z: complex) -> complex:
 
 
 def group_weights(S: SpectralData, ix: int, iy: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-degenerate-group mean energies and matrix elements <x, P_g y>."""
+    """Per-degenerate-group mean energies and matrix elements <x, P_g y>.
+
+    Each group's value is its slice's .mean() of the energies and .sum() of
+    psi_k(x) psi_k(y). Groups of one or two eigenvalues are folded at once
+    by np.add.reduceat, which gives the same bits there once 0.0 is added
+    (ndarray.sum starts from +0.0, so a lone -0.0 sums to +0.0). For three
+    or more terms reduceat and ndarray.sum associate differently and the
+    last bit can move, so longer groups keep the slice fold.
+    """
     prod = S.vectors[ix, :] * S.vectors[iy, :]
-    slices = S.group_slices()
-    energies = np.array([S.energies[sl].mean() for sl in slices])
-    weights = np.array([prod[sl].sum() for sl in slices])
+    starts, counts = S.groups
+    energies = (np.add.reduceat(S.energies, starts) + 0.0) / counts
+    weights = np.add.reduceat(prod, starts) + 0.0
+    for g in np.flatnonzero(counts > 2):
+        sl = slice(starts[g], starts[g] + counts[g])
+        energies[g] = S.energies[sl].mean()
+        weights[g] = prod[sl].sum()
     return energies, weights
 
 

@@ -6,6 +6,7 @@ from mplab.configspace import Box
 from mplab.disorder import (
     UNIFORM_HALF,
     DensitySpec,
+    _u01,
     resample_at,
     sample,
     site_key,
@@ -223,3 +224,31 @@ def test_site_keys_injective_for_small_dims():
 def test_site_key_range_check():
     with pytest.raises(ValueError):
         site_key((1 << 40, 0))  # too wide for the 2d packing
+
+
+# ------------------------------------------- batched draw vs per-site path
+
+_DENSITY_KINDS = {
+    "uniform": DensitySpec.uniform(-1.0, 2.0),
+    "truncated_gaussian": DensitySpec.truncated_gaussian(0.5, 1.0),
+    "piecewise": DensitySpec.piecewise([-1.0, -0.5, 0.0, 0.5, 1.0], [1, 0, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DENSITY_KINDS))
+@pytest.mark.parametrize("d, side", [(1, 17), (2, 6)])
+def test_draws_equal_per_site_quantiles(kind, d, side):
+    """sample and resample_at give, bit for bit, one density.ppf call per
+    site on that site's own uniform."""
+    density = _DENSITY_KINDS[kind]
+    box = Box(d=d, side=side, origin=(-3,) * d)
+    real = sample(box, density, seed=11)
+    ref = [density.ppf(_u01(11, site_key(box.decode(k)), tag=0)) for k in range(box.volume)]
+    assert real.values.tobytes() == np.array(ref).tobytes()
+
+    marked = [box.decode(k) for k in (0, 5, box.volume - 1, 5)]
+    redrawn = resample_at(real, marked, subseed=3)
+    ref = np.array(real.values)
+    for s in marked:
+        ref[box.encode(s)] = density.ppf(_u01(11, site_key(s), tag=4))
+    assert redrawn.values.tobytes() == ref.tobytes()

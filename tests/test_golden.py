@@ -164,3 +164,72 @@ def test_json_mirror_and_metadata_match_golden(tmp_path, kind):
         mirror["rows"] = [row[:7] for row in mirror["rows"]]
         del meta["metadata"]["max_gap"]
     assert (_sha256_json(mirror), _sha256_json(meta)) == MIRROR_META_SHA256[kind]
+
+
+# configs that reach what the per-kind configs above do not: the two
+# non-uniform densities (the piecewise one through wegner's conditional
+# redraws) and degenerate eigenvalue groups of three or more (free fermions
+# on a d=2 box, whose composites have groups of up to 232 eigenvalues);
+# each pins the CSV, the JSON mirror and meta.json as above
+_EXTRA_CONFIGS = {
+    "decay_probe_truncated_gaussian": {
+        "kind": "decay_probe",
+        "model": {
+            "L": 12, "lambda": 8.0,
+            "density": {"kind": "truncated_gaussian", "params": [0.5, 1.0]},
+        },
+        "ensemble": {"base_seed": 0, "count": 4},
+    },
+    "wegner_piecewise": {
+        "kind": "wegner",
+        "model": {
+            "L": 6, "n": 2, "lambda": 4.0,
+            "interaction": {"builtin": "onsite", "coupling": 0.7},
+            "density": {
+                "kind": "piecewise",
+                "params": [[-1.0, -0.5, 0.0, 0.5, 1.0], [0.5, 0.0, 1.0, 0.5]],
+            },
+        },
+        "ensemble": {"base_seed": 3, "count": 4},
+        "params": {"z_count": 4, "z_im": 0.05},
+    },
+    "subadditivity_free_fermions_2d": {
+        "kind": "subadditivity",
+        "model": {"d": 2, "L": 6, "n": 2, "sector": "fermion", "lambda": 0.0},
+        "ensemble": {"base_seed": 0, "count": 1},
+        "params": {"instances": 4, "dim_cap": 40},
+    },
+}
+
+EXTRA_SHA256 = {
+    "decay_probe_truncated_gaussian": (
+        "90965b1d22c62845fcf0d13cc0e8eb18258f338e465f3ef09af13bb77dda4d7d",
+        "a2783414f501cc7c18924b76563b46219b665e975ee4b462fa2fbabed548b6b2",
+        "78936d841196a555d53d518196ba5564b64950b838beee5a81ad6fc8c851c090",
+    ),
+    "wegner_piecewise": (
+        "6349baa2b2af645bc137d5e6091a439eba41d2c07241d2a1756d3ad4d6f59588",
+        "f346f794ed605a71395e0d3c896f243fb76f330a6996643f3e0826203f1cc03a",
+        "5207b68c3f7832e4ae306719190b2b6eb14ce4f082c6afd79f4fdc6bcb98b0df",
+    ),
+    "subadditivity_free_fermions_2d": (
+        "e35f073e06b5e83b5836c02f9870a6e24ecb5240c8bd95322d2e92ecb0d56050",
+        "72e421ff2e601b77d582cc0b4dee1937b2970711cb26d80e0034191d081031d0",
+        "6832ad77725d8494a932545253b2265d3205e121607e871ee279a84f974c665f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_SHA256))
+def test_density_and_group_outputs_match_golden(tmp_path, name):
+    config = _EXTRA_CONFIGS[name]
+    out = {"directory": str(tmp_path), "formats": ["csv", "json"]}
+    run({**config, "output": out}, workers=1)
+    kind = config["kind"]
+    raw = (tmp_path / f"{kind}.csv").read_bytes()
+    mirror = json.loads((tmp_path / f"{kind}.json").read_text(encoding="utf-8"))
+    meta = json.loads((tmp_path / f"{kind}.meta.json").read_text(encoding="utf-8"))
+    for key in ("wall_time_s", "config", "config_sha256"):
+        del meta["metadata"][key]
+    hashes = (hashlib.sha256(raw).hexdigest(), _sha256_json(mirror), _sha256_json(meta))
+    assert hashes == EXTRA_SHA256[name]

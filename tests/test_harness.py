@@ -529,6 +529,15 @@ def test_malformed_sections_reported(tmp_path, capsys, section, value, expected)
     assert expected in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("formats", [[["csv"]], [{"csv": 1}, "json"]])
+def test_unhashable_output_formats_reported(tmp_path, capsys, formats):
+    cfg = _cfg("decay_probe", output={"directory": "out", "formats": formats})
+    expected = f"output.formats must be a nonempty subset of [csv, json], got {formats!r}"
+    assert validate(cfg) == [expected]
+    assert cli.main(["validate", write_cfg(tmp_path, cfg)]) == 2
+    assert expected in capsys.readouterr().err
+
+
 _HASH_SEED_SCRIPT = """
 import json
 from mplab.harness import validate
@@ -555,6 +564,24 @@ def test_unknown_fields_do_not_depend_on_hash_seed():
         "unknown model field 'shape'",
         "unknown model field 'spin'",
     ]
+
+
+_SLOW_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.io")
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    """scipy.stats, scipy.optimize and scipy.io load only where used (the
+    truncated Gaussian, the symmetrized distance, the MatrixMarket export)."""
+    script = (
+        "import json, sys, mplab, mplab.cli; "
+        f"print(json.dumps([m for m in {_SLOW_SCIPY!r} if m in sys.modules]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == []
 
 
 def test_density_to_dict_is_a_config_density(tmp_path):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from mplab.configspace import Box, Configuration
-from mplab.disorder import UNIFORM_HALF, sample
+from mplab.disorder import UNIFORM_HALF, DensitySpec, sample
 from mplab.errors import BudgetError, ContourGeometryError, SingularityError
 from mplab.operator import InteractionSpec, OperatorSpec, assemble
 from mplab.spectral import (
     DEFAULT_TIME_GRID,
+    GROUPING_RTOL,
     EnergyInterval,
     composite_green_check,
     composite_matrix,
@@ -17,6 +18,7 @@ from mplab.spectral import (
     eig_green,
     green,
     green_entries,
+    group_weights,
     spectral_data,
     subadditivity_check,
 )
@@ -205,6 +207,46 @@ def test_correlator_grouping_handles_exact_degeneracy():
                 ref += abs(float(block[ix, :] @ block[iy, :]))
             start = k
     assert correlator(S, x, y, interval) == pytest.approx(ref, abs=1e-9)
+
+
+def _group_weights_by_slices(S, ix, iy):
+    """The slice-loop definition group_weights must reproduce bit for bit."""
+    tol = GROUPING_RTOL * max(S.hnorm, 1.0)
+    cuts = np.nonzero(np.diff(S.energies) > tol)[0] + 1
+    edges = [0, *cuts.tolist(), S.dim]
+    slices = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    prod = S.vectors[ix, :] * S.vectors[iy, :]
+    energies = np.array([S.energies[sl].mean() for sl in slices])
+    weights = np.array([prod[sl].sum() for sl in slices])
+    return energies, weights
+
+
+# free bosons and free d=2 fermions have groups of three and more
+# eigenvalues; the probe model (lambda 15, truncated Gaussian) has none
+_GROUP_MODELS = {
+    "bosons_d1": (Box(d=1, side=12), 3, "boson", 0.0, InteractionSpec.none(),
+                  UNIFORM_HALF, 3),
+    "fermions_d2": (Box(d=2, side=6), 2, "fermion", 0.0, InteractionSpec.none(),
+                    UNIFORM_HALF, 3),
+    "probe": (Box(d=1, side=20), 2, "distinguishable", 15.0, InteractionSpec.pair_nn(0.2),
+              DensitySpec.truncated_gaussian(0.5, 1.0), 1),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_GROUP_MODELS))
+def test_group_weights_equal_slice_fold(model):
+    box, n, sector, lam, inter, density, least_largest = _GROUP_MODELS[model]
+    spec = OperatorSpec(box=box, n=n, sector=sector, lam=lam, interaction=inter)
+    S = spectral_data(assemble(spec, sample(box, density, 0)))
+    _, counts = S.groups
+    assert counts.max() >= least_largest and counts.sum() == S.dim
+    rng = np.random.default_rng(5)
+    pairs = [(k, k) for k in range(0, S.dim, 7)]
+    pairs += [tuple(p) for p in rng.integers(0, S.dim, size=(300, 2))]
+    for ix, iy in pairs:
+        got = group_weights(S, ix, iy)
+        ref = _group_weights_by_slices(S, ix, iy)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
 
 
 # ---------------------------------------------------------------- dynamics
