@@ -1,8 +1,10 @@
 """Command-line front end: run and validate experiment configs.
 
-Exit codes: 0 success, 2 validation failure, 3 budget overrun. The
-MPLAB_SEED environment variable overrides ensemble.base_seed (handy for CI
-smoke runs); explicit --set overrides are applied after it and win.
+Exit codes: 0 success, 2 validation failure, 3 budget overrun. Settings
+that validate but have no effect are printed as `warning:` lines on stderr
+and leave the exit code alone. The MPLAB_SEED environment variable
+overrides ensemble.base_seed (handy for CI smoke runs); explicit --set
+overrides are applied after it and win.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import sys
 
 from .errors import BudgetError
-from .harness import ExperimentConfig, apply_override, run, validate
+from .harness import ExperimentConfig, apply_override, config_warnings, run, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -107,6 +109,8 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     config = ExperimentConfig.from_dict(raw)
+    for warning in config_warnings(config):
+        print(f"warning: {warning}", file=sys.stderr)
     violations = validate(config)
 
     if args.command == "validate":

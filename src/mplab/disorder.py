@@ -53,6 +53,99 @@ def _u01(seed: int, key: int, tag: int) -> float:
     return np.random.Generator(bg).random()
 
 
+# The truncated Gaussian is scipy's truncnorm(-c/sigma, c/sigma, loc=0,
+# scale=sigma), written with scipy.special alone: importing scipy's stats
+# subpackage costs about a second and 33 MB per process. The code repeats
+# scipy 1.17's operations in the same order (rv_continuous.pdf/cdf/ppf,
+# truncnorm_gen, _log_gauss_mass), so every value agrees with scipy's bit
+# for bit. scipy.special is imported on first use, so `import mplab` stays
+# light.
+
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
+
+
+def _log_gauss_mass(a, b):
+    """log of the standard normal mass on [a, b], elementwise."""
+    import scipy.special as sc
+
+    a, b = np.broadcast_arrays(a, b)
+    left = b <= 0
+    right = a > 0
+    central = ~(left | right)
+    out = np.full_like(a, np.nan, dtype=np.complex128)
+    # log(Phi(hi) - Phi(lo)) in the left tail, as a complex log-difference;
+    # the right tail is its mirror image
+    for case, lo, hi in ((left, a, b), (right, -b, -a)):
+        if np.any(case):
+            out[case] = sc.logsumexp(
+                [sc.log_ndtr(hi[case]), sc.log_ndtr(lo[case]) + np.pi * 1j], axis=0
+            )
+    if np.any(central):
+        out[central] = sc.log1p(-sc.ndtr(a[central]) - sc.ndtr(-b[central]))
+    return np.real(out)
+
+
+class _TruncatedGaussian:
+    """Density, distribution and quantile of N(0, sigma^2) cut to
+    [-cutoff, cutoff]; a and b are the cut points in units of sigma."""
+
+    def __init__(self, sigma: float, cutoff: float):
+        self.sigma = sigma
+        self.a, self.b = -cutoff / sigma, cutoff / sigma
+        self.log_mass = _log_gauss_mass(np.array([self.a]), np.array([self.b]))[0]
+
+    def pdf(self, v: np.ndarray) -> np.ndarray:
+        x = np.asarray(v / self.sigma)
+        out = np.zeros(x.shape)
+        out[np.isnan(x)] = np.nan
+        inside = (self.a <= x) & (x <= self.b)
+        x = x[inside]
+        out[inside] = np.exp(-x**2 / 2.0 - _LOG_SQRT_2PI - self.log_mass) / self.sigma
+        return out
+
+    def cdf(self, v: np.ndarray) -> np.ndarray:
+        x = np.asarray(v / self.sigma)
+        out = np.zeros(x.shape)
+        out[np.isnan(x)] = np.nan
+        out[x >= self.b] = 1.0
+        inside = (self.a < x) & (x < self.b)
+        out[inside] = np.exp(self._logcdf(x[inside]))
+        return out
+
+    # Near 1 the log-cdf is taken from the log-survival and vice versa, to
+    # avoid cancellation (the branch point -0.1 is scipy's).
+    def _logcdf(self, x: np.ndarray) -> np.ndarray:
+        out = np.asarray(_log_gauss_mass(self.a, x) - self.log_mass)
+        near_one = out > -0.1
+        if np.any(near_one):
+            out[near_one] = np.log1p(-np.exp(self._logsf(x[near_one])))
+        return out
+
+    def _logsf(self, x: np.ndarray) -> np.ndarray:
+        out = np.asarray(_log_gauss_mass(x, self.b) - self.log_mass)
+        near_one = out > -0.1
+        if np.any(near_one):
+            out[near_one] = np.log1p(-np.exp(self._logcdf(x[near_one])))
+        return out
+
+    def ppf(self, u: np.ndarray) -> np.ndarray:
+        import scipy.special as sc
+
+        # `+ 0.0` as in scipy: a quantile of -0.0 comes out as +0.0
+        out = np.full(u.shape, np.nan)
+        out[u == 0] = self.a * self.sigma + 0.0
+        out[u == 1] = self.b * self.sigma + 0.0
+        inside = (0 < u) & (u < 1)
+        q = u[inside]
+        if q.size:
+            log_phi = sc.logsumexp(
+                [sc.log_ndtr(np.full_like(q, self.a)), np.log(q) + self.log_mass],
+                axis=0,
+            )
+            out[inside] = sc.ndtri_exp(log_phi) * self.sigma + 0.0
+        return out
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """Bounded compactly supported single-site density.
@@ -77,6 +170,7 @@ class DensitySpec:
                 raise ValueError(
                     f"truncated gaussian needs sigma, cutoff > 0, got {self.params}"
                 )
+            object.__setattr__(self, "_gauss", _TruncatedGaussian(sigma, cutoff))
         elif self.kind == "piecewise":
             breaks, dens = self.params
             breaks = tuple(float(x) for x in breaks)
@@ -98,7 +192,7 @@ class DensitySpec:
         if self.kind == "uniform":
             return 1.0
         if self.kind == "truncated_gaussian":
-            return float(self._frozen().cdf(self.support[1]))
+            return float(self.cdf(self.support[1]))
         breaks, dens = self.params
         return sum(v * (hi - lo) for v, lo, hi in zip(dens, breaks, breaks[1:]))
 
@@ -143,15 +237,9 @@ class DensitySpec:
             a, b = self.params
             return 1.0 / (b - a)
         if self.kind == "truncated_gaussian":
-            return float(self._frozen().pdf(0.0))
+            return float(self.pdf(0.0))
         _, dens = self.params
         return max(dens)
-
-    def _frozen(self):
-        from scipy import stats  # only the truncated Gaussian needs it
-
-        sigma, cutoff = self.params
-        return stats.truncnorm(-cutoff / sigma, cutoff / sigma, loc=0.0, scale=sigma)
 
     @staticmethod
     def _as_result(x, scalar: bool):
@@ -165,7 +253,7 @@ class DensitySpec:
             a, b = self.params
             out = np.where((v >= a) & (v <= b), 1.0 / (b - a), 0.0)
         elif self.kind == "truncated_gaussian":
-            out = self._frozen().pdf(v)
+            out = self._gauss.pdf(v)
         else:
             breaks, dens = self.params
             table = np.asarray(dens + (0.0,))
@@ -183,7 +271,7 @@ class DensitySpec:
             a, b = self.params
             out = np.clip((v - a) / (b - a), 0.0, 1.0)
         elif self.kind == "truncated_gaussian":
-            out = self._frozen().cdf(v)
+            out = self._gauss.cdf(v)
         else:
             breaks, dens = self.params
             lo = np.asarray(breaks[:-1])
@@ -204,7 +292,7 @@ class DensitySpec:
             a, b = self.params
             out = a + u * (b - a)
         elif self.kind == "truncated_gaussian":
-            out = self._frozen().ppf(u)
+            out = self._gauss.ppf(u)
         else:
             breaks, dens = self.params
             lo = np.asarray(breaks[:-1])

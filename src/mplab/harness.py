@@ -459,6 +459,22 @@ def validate(config) -> list:
     return out
 
 
+def config_warnings(config) -> list:
+    """Settings that validate but have no effect, as human-readable strings.
+
+    They do not make a config invalid: `validate` does not list them.
+    """
+    if isinstance(config, dict):
+        config = ExperimentConfig.from_dict(config)
+    inter = config.model.get("interaction") if isinstance(config.model, dict) else None
+    if not isinstance(inter, dict):
+        return []
+    coupling = inter.get("coupling", 0.0)
+    if inter.get("builtin", "none") == "none" and _is_num(coupling) and coupling != 0:
+        return [f"model.interaction.coupling {coupling} is ignored with builtin 'none'"]
+    return []
+
+
 def _check_probe(config, spec, out: list) -> None:
     p = config.params
     if not _is_int(p.get("max_points")) or p["max_points"] < 3:
@@ -812,13 +828,16 @@ def _chunked_map(fn, units, workers):
 
     Results are identical for any worker count: units carry everything
     they need, nothing mutable is shared, and the output order is the
-    input order.
+    input order. The pool never has more processes than units or than
+    CPUs this process may run on.
     """
     units = list(units)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, int(workers))
-    if workers == 1 or len(units) <= 1:
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus if workers is None else int(workers), len(units), cpus)
+    if workers <= 1:
         return [fn(u) for u in units]
     chunksize = max(1, math.ceil(len(units) / (workers * 4)))
     with ProcessPoolExecutor(max_workers=workers) as ex:

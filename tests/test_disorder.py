@@ -252,3 +252,50 @@ def test_draws_equal_per_site_quantiles(kind, d, side):
     for s in marked:
         ref[box.encode(s)] = density.ppf(_u01(11, site_key(s), tag=4))
     assert redrawn.values.tobytes() == ref.tobytes()
+
+
+# ------------------------------------- truncated Gaussian against scipy.stats
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "sigma, cutoff", [(0.5, 1.0), (1.0, 3.0), (0.3, 0.1), (1.0, 8.0), (2.0, 0.7)]
+)
+def test_truncated_gaussian_matches_scipy_stats(sigma, cutoff):
+    """pdf, cdf, ppf and bound equal scipy.stats.truncnorm bit for bit, on
+    random points, in both tails, at the support edges and at inf and NaN."""
+    d = DensitySpec.truncated_gaussian(sigma, cutoff)
+    ref = stats.truncnorm(-cutoff / sigma, cutoff / sigma, loc=0.0, scale=sigma)
+    rng = np.random.default_rng(17)
+
+    tails = 10.0 ** -np.arange(1.0, 300.0, 7.0)
+    u = np.concatenate([
+        rng.random(20_000),
+        tails,
+        1.0 - tails,
+        [0.0, 1.0, 1e-300, 1.0 - 2.0**-53, 0.5, 2.0**-1074, np.nan],
+    ])
+    np.testing.assert_array_equal(_bits(d.ppf(u)), _bits(ref.ppf(u)))
+
+    edges = []
+    for c in (-cutoff, cutoff):
+        edges += [c, np.nextafter(c, 0.0), np.nextafter(c, 2.0 * c)]
+    x = np.concatenate([
+        rng.uniform(-1.2 * cutoff, 1.2 * cutoff, 20_000),
+        rng.uniform(-cutoff, cutoff, 20_000) * 1e-6,
+        edges,
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324],
+    ])
+    np.testing.assert_array_equal(_bits(d.pdf(x)), _bits(ref.pdf(x)))
+    np.testing.assert_array_equal(_bits(d.cdf(x)), _bits(ref.cdf(x)))
+
+    # scalar calls take the same path
+    for v in np.concatenate([edges, [0.0, np.inf, -np.inf, np.nan]]):
+        assert _bits(d.pdf(float(v))) == _bits(ref.pdf(v))
+        assert _bits(d.cdf(float(v))) == _bits(ref.cdf(v))
+    for q in (0.0, 1.0, 1e-300, 1.0 - 2.0**-53, 0.25, np.nan):
+        assert _bits(d.ppf(q)) == _bits(ref.ppf(q))
+    assert _bits(d.bound) == _bits(ref.pdf(0.0))

@@ -584,6 +584,28 @@ def test_import_leaves_slow_scipy_modules_unloaded():
     assert json.loads(proc.stdout) == []
 
 
+def test_truncated_gaussian_run_loads_no_scipy_stats(tmp_path):
+    """`import mplab` leaves scipy.special unloaded; validating and running a
+    truncated-Gaussian decay_probe loads it, but never scipy.stats."""
+    cfg = probe_config(tmp_path, density={"kind": "truncated_gaussian", "params": [0.5, 1.0]})
+    cfg["ensemble"]["count"] = 2
+    script = (
+        "import json, sys, mplab, mplab.cli\n"
+        "loaded = ['scipy.special' in sys.modules]\n"
+        f"cfg = json.loads({json.dumps(cfg)!r})\n"
+        "assert mplab.validate(cfg) == []\n"
+        "mplab.run(cfg, workers=1)\n"
+        "loaded += ['scipy.special' in sys.modules, 'scipy.stats' in sys.modules]\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == [False, True, False]
+
+
 def test_density_to_dict_is_a_config_density(tmp_path):
     table = DensitySpec.piecewise((-1.0, 0.0, 1.0), (0.3, 0.7))
     as_dict = probe_config(tmp_path / "a", density=table.to_dict())
@@ -774,6 +796,45 @@ def test_worker_count_irrelevant(tmp_path, kind):
     assert a == b
 
 
+def _recording_pool(monkeypatch) -> list:
+    """Replace the harness pool by one that records its max_workers."""
+    import mplab.harness as harness
+
+    opened = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return opened
+
+
+def test_pool_is_clamped_to_the_units(tmp_path, monkeypatch):
+    opened = _recording_pool(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    for tag, workers in (("serial", 1), ("pool", 8)):
+        cfg = probe_config(tmp_path / tag)
+        cfg["ensemble"]["count"] = 2
+        run(cfg, workers=workers)
+    assert opened == [2]
+    a = (tmp_path / "serial" / "decay_probe.csv").read_bytes()
+    b = (tmp_path / "pool" / "decay_probe.csv").read_bytes()
+    assert a == b
+
+
+def test_pool_is_clamped_to_the_cpus(monkeypatch):
+    import mplab.harness as harness
+
+    opened = _recording_pool(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert harness._chunked_map(abs, [-1, -2, -3, -4, -5], 8) == [1, 2, 3, 4, 5]
+    assert harness._chunked_map(abs, [-1, -2], None) == [1, 2]
+    assert opened == [3, 2]
+
+
 def test_monitor_kind_matches_library(tmp_path):
     raw = {
         "kind": "b_monitor",
@@ -952,6 +1013,23 @@ def test_cli_bad_override_syntax(tmp_path, capsys):
     path = write_cfg(tmp_path, probe_config(tmp_path))
     assert cli.main(["validate", path, "--set", "nonsense"]) == 2
     assert "KEY=VALUE" in capsys.readouterr().err
+
+
+def test_cli_warns_when_coupling_is_ignored(tmp_path, capsys):
+    cfg = probe_config(tmp_path / "out", interaction={"builtin": "none", "coupling": 0.5})
+    cfg["ensemble"]["count"] = 2
+    path = write_cfg(tmp_path, cfg)
+    assert validate(cfg) == []
+    line = "warning: model.interaction.coupling 0.5 is ignored with builtin 'none'"
+    assert cli.main(["validate", path]) == 0
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert cli.main(["run", path, "--workers", "1"]) == 0
+    assert capsys.readouterr().err.splitlines() == [line]
+    # a coupling of zero, or one a built-in uses, draws no warning
+    for interaction in ({"builtin": "none", "coupling": 0}, {"builtin": "onsite", "coupling": 0.5}):
+        cfg["model"]["interaction"] = interaction
+        assert cli.main(["validate", write_cfg(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------- fuzz
