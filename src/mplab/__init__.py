@@ -70,6 +70,7 @@ from .spectral import (
     dynamical_kernel,
     eig_green,
     green,
+    green_block,
     green_entries,
     spectral_data,
     subadditivity_check,

@@ -22,6 +22,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 SECTORS = ("distinguishable", "boson", "fermion", "hardcore")
 
@@ -101,6 +104,12 @@ class Box:
             coords.append(k % self.side)
             k //= self.side
         return tuple(o + c for o, c in zip(self.origin, reversed(coords)))
+
+    def coords(self, ranks) -> np.ndarray:
+        """Sites of an integer array of ranks, shape ranks.shape + (d,);
+        decode applied elementwise."""
+        offsets = np.unravel_index(np.asarray(ranks), (self.side,) * self.d)
+        return np.stack(offsets, axis=-1) + np.asarray(self.origin)
 
     def sites(self):
         """All sites in encoding order."""
@@ -239,15 +248,12 @@ def symmetrized_dist(x: Configuration, y: Configuration, norm: str = "l1") -> in
 
 def _comb_rank(combo: tuple[int, ...], universe: int) -> int:
     # Lexicographic rank of a strictly increasing tuple within all
-    # len(combo)-subsets of range(universe).
+    # len(combo)-subsets of range(universe): the combinatorial number system
+    # read from the top, C(U, n) - 1 - sum_j C(U - 1 - c_j, n - j).
     n = len(combo)
-    rank = 0
-    prev = -1
-    for j, c in enumerate(combo):
-        for v in range(prev + 1, c):
-            rank += math.comb(universe - 1 - v, n - 1 - j)
-        prev = c
-    return rank
+    return math.comb(universe, n) - 1 - sum(
+        math.comb(universe - 1 - c, n - j) for j, c in enumerate(combo)
+    )
 
 
 def _comb_unrank(rank: int, n: int, universe: int) -> tuple[int, ...]:
@@ -302,6 +308,54 @@ class ConfigIndex:
 
     def __len__(self) -> int:
         return self.size
+
+    @cached_property
+    def site_ranks(self) -> np.ndarray:
+        """(size, n) read-only array: row k holds the site ranks of
+        config_at(k), in its site order."""
+        V, n = self.box.volume, self.n
+        if self.sector == "distinguishable":
+            rows = itertools.product(range(V), repeat=n)
+        elif self.sector == "boson":
+            rows = itertools.combinations_with_replacement(range(V), n)
+        else:
+            rows = itertools.combinations(range(V), n)
+        out = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype=np.intp, count=self.size * n
+        ).reshape(self.size, n)
+        out.setflags(write=False)
+        return out
+
+    def index_of_ranks(self, ranks) -> np.ndarray:
+        """index_of for every row of an (m, n) array of site ranks.
+
+        Rows of the exchange sectors may come in any order; they are sorted
+        here. Rows are not validated: a fermion row with a repeated site
+        gets a meaningless rank.
+        """
+        ranks = np.asarray(ranks, dtype=np.intp)
+        V, n = self.box.volume, self.n
+        if self.sector == "distinguishable":
+            return ranks @ V ** np.arange(n - 1, -1, -1, dtype=np.intp)
+        combos = np.sort(ranks, axis=1)
+        universe = V
+        if self.sector == "boson":
+            combos = combos + np.arange(n)
+            universe = V + n - 1
+        # table[j, c] = C(U - 1 - c, n - j); entries with c < j are never
+        # read by an increasing tuple and stay 0 (they can overflow int64)
+        table = np.array(
+            [
+                [
+                    math.comb(universe - 1 - c, n - j) if c >= j else 0
+                    for c in range(universe)
+                ]
+                for j in range(n)
+            ],
+            dtype=np.intp,
+        )
+        terms = table[np.arange(n), combos].sum(axis=1)
+        return math.comb(universe, n) - 1 - terms
 
     def _site_ranks(self, config: Configuration) -> tuple[int, ...]:
         return tuple(self.box.encode(s) for s in config.sites)

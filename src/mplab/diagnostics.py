@@ -31,7 +31,6 @@ from .configspace import (
     Box,
     ConfigIndex,
     Configuration,
-    diameter,
     hausdorff_dist,
     occupation,
 )
@@ -48,6 +47,7 @@ from .spectral import (
     EnergyInterval,
     _green_column,
     correlator,
+    green_block,
     green_entries,
     spectral_data,
 )
@@ -562,13 +562,18 @@ class BMonitorResult:
 def _clustered_ranks(
     index: ConfigIndex, anchor, max_diam: float, norm: str
 ) -> np.ndarray:
+    """Ranks of the configurations with a particle on `anchor` and diameter
+    under max_diam, ascending."""
     anchor = tuple(anchor)
-    ranks = [
-        k
-        for k, cfg in enumerate(index.enumerate())
-        if anchor in cfg.sites and diameter(cfg, norm) < max_diam
-    ]
-    return np.asarray(ranks, dtype=int)
+    if not index.box.contains(anchor):
+        return np.zeros(0, dtype=int)
+    ranks = index.site_ranks
+    coords = index.box.coords(ranks)
+    steps = np.abs(coords[:, :, None, :] - coords[:, None, :, :])
+    dists = steps.sum(axis=-1) if norm == "l1" else steps.max(axis=-1)
+    diams = dists.reshape(len(ranks), -1).max(axis=1)
+    on_anchor = (ranks == index.box.encode(anchor)).any(axis=1)
+    return np.flatnonzero(on_anchor & (diams < max_diam))
 
 
 @dataclass(frozen=True)
@@ -707,31 +712,41 @@ def monitor_plan(
 def monitor_seed_rows(plan: MonitorPlan, seed: int) -> tuple:
     """Tile-resolved boundary sums of one realization, one row per region.
 
-    Rows depend only on this seed and the plan, so an ensemble may be split
-    across workers and the rows reassembled in seed order with results
-    identical to a serial sweep.
+    Each tile evaluates the Green entries of all anchors in one green_block
+    product, then adds every anchor's sum of |G|^s into the row in anchor
+    order. Rows depend only on this seed and the plan, so an ensemble may
+    be split across workers and the rows reassembled in seed order with
+    results identical to a serial sweep.
     """
     tile_edges = np.asarray(plan.tile_edges)
-    n_tiles = tile_edges.size - 1
     # tiles have width 1
     offsets = (np.arange(plan.quad_points) + 0.5) / plan.quad_points
     prefactor = float(plan.boundary_count)
     rows = []
     for task in plan.regions:
         rspec = dataclasses.replace(plan.spec, box=task.box)
-        x_ranks = np.asarray(task.x_ranks, dtype=int)
-        row = np.zeros(n_tiles)
         _, S = next(ensemble_spectra(rspec, [int(seed)], plan.density))
-        Wx = S.vectors[x_ranks, :]
-        for y_ranks in task.anchors:
-            WyT = S.vectors[np.asarray(y_ranks, dtype=int), :].T
-            for t in range(n_tiles):
-                nodes = tile_edges[t] + offsets
-                D = 1.0 / (S.energies[None, :] - (nodes[:, None] + 1j * plan.eta))
-                G = (Wx[None, :, :] * D[:, None, :]) @ WyT
-                row[t] += (
-                    prefactor * float(np.sum(np.abs(G) ** plan.s)) / plan.quad_points
-                )
+        # green_block evaluates a one-configuration cluster per z (dot/gemv);
+        # stacked beside wider anchors it would go through gemm and round
+        # differently, so such regions evaluate one anchor per product
+        stack = len(task.x_ranks) > 1 and min(map(len, task.anchors)) > 1
+        groups = [task.anchors] if stack else [[a] for a in task.anchors]
+        x_ranks = np.asarray(task.x_ranks)
+        y_ranks = [np.concatenate(group) for group in groups]
+        row = np.zeros(tile_edges.size - 1)
+        for t in range(row.size):
+            zs = tile_edges[t] + offsets + 1j * plan.eta
+            for group, iy in zip(groups, y_ranks):
+                G = green_block(S, x_ranks, iy, zs)
+                lo = 0
+                for anchor in group:
+                    block = np.ascontiguousarray(G[:, :, lo : lo + len(anchor)])
+                    lo += len(anchor)
+                    row[t] += (
+                        prefactor
+                        * float(np.sum(np.abs(block) ** plan.s))
+                        / plan.quad_points
+                    )
         rows.append(row)
     return tuple(rows)
 

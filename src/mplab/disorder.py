@@ -170,7 +170,13 @@ class DensitySpec:
                 raise ValueError(
                     f"truncated gaussian needs sigma, cutoff > 0, got {self.params}"
                 )
-            object.__setattr__(self, "_gauss", _TruncatedGaussian(sigma, cutoff))
+            gauss = _TruncatedGaussian(sigma, cutoff)
+            if not np.isfinite(gauss.log_mass):
+                raise ValueError(
+                    f"truncated gaussian {self.params} cannot be normalized: "
+                    f"the mass within +-cutoff has log {gauss.log_mass}"
+                )
+            object.__setattr__(self, "_gauss", gauss)
         elif self.kind == "piecewise":
             breaks, dens = self.params
             breaks = tuple(float(x) for x in breaks)

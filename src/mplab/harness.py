@@ -914,8 +914,7 @@ def _composite_unit(args):
     im = max(1.25 * (hi_k - lo_k) / 2.0, 1.0) + 0.75
     z = complex(re, im)
     quad = int(config.params["quadrature_points"])
-    chk = composite_green_check(H_j, H_k, x, y, z, quad)
-    chk2 = composite_green_check(H_j, H_k, x, y, z, 2 * quad)
+    chk, chk2 = composite_green_check(H_j, H_k, x, y, z, (quad, 2 * quad))
     return (
         i,
         seed_j,
@@ -1288,7 +1287,8 @@ def run(config, workers=None) -> ResultTable:
     Raises ConfigError when validation fails (BudgetError when the only
     failures are budget overruns). Writes the output files before
     returning; the table's metadata records the config, its hash, the
-    package version, and the wall time.
+    package version, the wall time, and under "warnings" the
+    config_warnings, when there are any.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
@@ -1300,6 +1300,9 @@ def run(config, workers=None) -> ResultTable:
         raise BudgetError("; ".join(budget))
     start = time.monotonic()
     rows, metadata = _RUNNERS[config.kind](config, workers)
+    warnings = config_warnings(config)
+    if warnings:
+        metadata = {**metadata, "warnings": warnings}
     columns, dtypes = zip(*_KINDS[config.kind].columns)
     table = ResultTable(
         columns=columns,

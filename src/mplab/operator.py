@@ -21,7 +21,6 @@ symmetrization isometries applied to the distinguishable operator.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -243,48 +242,51 @@ class OperatorSpec:
         return self.config_index.size
 
 
-def _sector_hops(sites: tuple[Site, ...], sector: str, box: Box):
-    """Yield (target_sites_canonical, amplitude) for one kinetic application.
+def _kinetic_hops(index: ConfigIndex):
+    """(rows, cols, amplitudes) of the off-diagonal kinetic entries.
 
-    `sites` is the canonical site tuple of the source configuration.
+    Every source configuration moves one particle, read from one column of
+    index.site_ranks, by one lattice step; all configurations take each
+    (column, axis, direction) move in one array pass. Distinguishable
+    particles all move. In the exchange sectors (rows sorted by site rank)
+    only the first column of each occupied site moves, so that a site hops
+    once with its occupation m_u.
     """
-    d = box.d
-    unit = [tuple(1 if a == ax else 0 for a in range(d)) for ax in range(d)]
-    if sector == "distinguishable":
-        for j, u in enumerate(sites):
-            for e in unit:
-                for sgn in (1, -1):
-                    t = tuple(c + sgn * o for c, o in zip(u, e))
-                    if box.contains(t):
-                        yield sites[:j] + (t,) + sites[j + 1 :], -1.0
-        return
-    occ = Counter(sites)
-    ordered = sorted(occ)
-    for u in ordered:
-        m_u = occ[u]
-        for e in unit:
+    box, sector = index.box, index.sector
+    ranks = index.site_ranks
+    dim, n = ranks.shape
+    coords = box.coords(ranks)
+    source = np.arange(dim)
+    rows, cols, vals = [], [], []
+    for j in range(n):
+        u = ranks[:, j]
+        moves = np.ones(dim, dtype=bool)
+        if sector != "distinguishable" and j > 0:
+            moves = u != ranks[:, j - 1]
+        m_u = (ranks == u[:, None]).sum(axis=1)
+        for axis in range(box.d):
+            stride = box.side ** (box.d - 1 - axis)
+            offset = coords[:, j, axis] - box.origin[axis]
             for sgn in (1, -1):
-                t = tuple(c + sgn * o for c, o in zip(u, e))
-                if not box.contains(t):
-                    continue
-                m_t = occ.get(t, 0)
+                ok = moves & (0 <= offset + sgn) & (offset + sgn < box.side)
+                t = u + sgn * stride
+                m_t = (ranks == t[:, None]).sum(axis=1)
                 if sector == "boson":
-                    amp = -math.sqrt(m_u * (m_t + 1))
+                    amp = -np.sqrt(m_u * (m_t + 1.0))
                 elif sector == "fermion":
-                    if m_t:
-                        continue
-                    lo, hi = min(u, t), max(u, t)
-                    crossings = sum(1 for w in occ if lo < w < hi)
-                    amp = -1.0 * (1 if crossings % 2 == 0 else -1)
-                else:  # hardcore
-                    if m_t:
-                        continue
-                    amp = -1.0
-                target = list(sites)
-                target.remove(u)
-                target.append(t)
-                target.sort()
-                yield tuple(target), amp
+                    lo, hi = np.minimum(u, t)[:, None], np.maximum(u, t)[:, None]
+                    crossings = ((ranks > lo) & (ranks < hi)).sum(axis=1)
+                    amp = np.where(crossings % 2 == 0, -1.0, 1.0)
+                else:
+                    amp = np.full(dim, -1.0)
+                if sector in ("fermion", "hardcore"):
+                    ok &= m_t == 0
+                target = ranks[ok].copy()
+                target[:, j] = t[ok]
+                rows.append(source[ok])
+                cols.append(index.index_of_ranks(target))
+                vals.append(amp[ok])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 class OperatorTemplate:
@@ -301,35 +303,35 @@ class OperatorTemplate:
         self.index = spec.config_index
         box = spec.box
         dim = self.index.size
-        V = box.volume
+        ranks = self.index.site_ranks
 
-        rows, cols, vals = [], [], []
-        occ_rows, occ_cols, occ_vals = [], [], []
-        inter_diag = np.zeros(dim)
-        trivial = spec.interaction.is_trivial
-        for k, cfg in enumerate(self.index.enumerate()):
-            for site, m in Counter(cfg.sites).items():
-                occ_rows.append(k)
-                occ_cols.append(box.encode(site))
-                occ_vals.append(float(m))
-            if not trivial:
-                inter_diag[k] = interaction_energy(cfg, spec.interaction, spec.norm)
-            for target, amp in _sector_hops(cfg.sites, spec.sector, box):
-                cfg_t = Configuration(sites=target, sector=spec.sector)
-                rows.append(k)
-                cols.append(self.index.index_of(cfg_t))
-                vals.append(amp)
-
+        self.occupation = sp.csr_matrix(
+            (np.ones(ranks.size), (np.repeat(np.arange(dim), spec.n), ranks.ravel())),
+            shape=(dim, box.volume),
+            dtype=float,
+        )
+        rows, cols, vals = _kinetic_hops(self.index)
         self.kinetic = sp.csr_matrix(
             (vals, (rows, cols)), shape=(dim, dim), dtype=float
         )
         self.kinetic += sp.diags(
             np.full(dim, 2.0 * box.d * spec.n), format="csr", dtype=float
         )
-        self.occupation = sp.csr_matrix(
-            (occ_vals, (occ_rows, occ_cols)), shape=(dim, V), dtype=float
-        )
-        self.interaction_diag = inter_diag
+        self.interaction_diag = np.zeros(dim)
+        if not spec.interaction.is_trivial:
+            # the energy depends on the occupation multiset only
+            multisets, which = np.unique(
+                np.sort(ranks, axis=1), axis=0, return_inverse=True
+            )
+            energies = [
+                interaction_energy(
+                    Configuration(sites=tuple(map(tuple, box.coords(row)))),
+                    spec.interaction,
+                    spec.norm,
+                )
+                for row in multisets
+            ]
+            self.interaction_diag = np.array(energies)[which.ravel()]
 
     @property
     def dim(self) -> int:

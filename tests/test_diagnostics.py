@@ -1,11 +1,23 @@
+import dataclasses
+import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mplab import diagnostics as diag
-from mplab.configspace import Box, Configuration, hausdorff_dist, symmetrized_dist
+from mplab.configspace import (
+    Box,
+    Configuration,
+    diameter,
+    hausdorff_dist,
+    symmetrized_dist,
+)
 from mplab.disorder import UNIFORM_HALF, resample_at, sample
 from mplab.errors import BudgetError
 from mplab.operator import InteractionSpec, OperatorSpec, OperatorTemplate, assemble
@@ -409,6 +421,109 @@ def monitor_runs():
         (20.0, 16): b_monitor(spec1d(16, lam=20.0), seeds),
         (8.0, 8): b_monitor(spec1d(8, lam=8.0), seeds),
     }
+
+
+@pytest.mark.parametrize(
+    "d,side,n,norm",
+    [(1, 8, 1, "l1"), (1, 8, 2, "l1"), (1, 8, 3, "linf"), (2, 4, 2, "l1"),
+     (2, 4, 2, "linf"), (2, 4, 3, "l1")],
+)
+@pytest.mark.parametrize("sector", ["distinguishable", "boson", "fermion", "hardcore"])
+def test_clustered_ranks_match_per_configuration_loop(sector, d, side, n, norm):
+    box = Box.centered(d, side)
+    index = OperatorSpec(box=box, n=n, sector=sector).config_index
+    cfgs = list(index.enumerate())
+    diams = [diameter(cfg, norm) for cfg in cfgs]
+    outside = tuple(c - 1 for c in box.origin)
+    for anchor in ((0,) * d, *box.boundary_sites(), outside):
+        for max_diam in (side / 4.0, 1.5, 0.5):
+            want = [
+                k
+                for k, cfg in enumerate(cfgs)
+                if anchor in cfg.sites and diams[k] < max_diam
+            ]
+            got = diag._clustered_ranks(index, anchor, max_diam, norm)
+            assert got.tolist() == want, (anchor, max_diam)
+
+
+def _per_anchor_rows(plan, seed):
+    """monitor_seed_rows by one product per anchor and tile, the definition
+    the stacked green_block product must reproduce byte for byte."""
+    tile_edges = np.asarray(plan.tile_edges)
+    offsets = (np.arange(plan.quad_points) + 0.5) / plan.quad_points
+    rows = []
+    for task in plan.regions:
+        rspec = dataclasses.replace(plan.spec, box=task.box)
+        _, S = next(diag.ensemble_spectra(rspec, [seed], plan.density))
+        Wx = S.vectors[np.asarray(task.x_ranks), :]
+        row = np.zeros(tile_edges.size - 1)
+        for y_ranks in task.anchors:
+            WyT = S.vectors[np.asarray(y_ranks), :].T
+            for t in range(row.size):
+                nodes = tile_edges[t] + offsets
+                D = 1.0 / (S.energies[None, :] - (nodes[:, None] + 1j * plan.eta))
+                G = (Wx[None, :, :] * D[:, None, :]) @ WyT
+                row[t] += (
+                    float(plan.boundary_count)
+                    * float(np.sum(np.abs(G) ** plan.s))
+                    / plan.quad_points
+                )
+        rows.append(row)
+    return rows
+
+
+_FOLD_CASES = [
+    # (d, side, n, sector, omega_samples, s)
+    (1, 16, 2, "distinguishable", 2, 0.5),
+    (1, 12, 2, "boson", 2, 0.3),
+    (1, 12, 2, "fermion", 0, 0.5),
+    (1, 8, 2, "fermion", 2, 0.7),
+    (1, 20, 2, "hardcore", 3, 0.4),
+    (1, 8, 1, "distinguishable", 2, 0.6),
+    (1, 8, 3, "boson", 0, 0.25),
+    (2, 4, 2, "boson", 0, 0.3),
+    (2, 8, 2, "fermion", 0, 0.5),
+]
+
+
+def _fold_matches(d, side, n, sector, omega, s) -> bool:
+    spec = OperatorSpec(
+        box=Box.centered(d, side), n=n, sector=sector, lam=6.0,
+        interaction=InteractionSpec.pair_nn(0.3) if n > 1 else InteractionSpec.none(),
+    )
+    plan = diag.monitor_plan(spec, [4, 5], s=s, omega_samples=omega)
+    got = diag.monitor_seed_rows(plan, 5)
+    want = _per_anchor_rows(plan, 5)
+    return [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+
+_FOLD_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_diagnostics as t
+print(json.dumps([t._fold_matches(*case) for case in t._FOLD_CASES]))
+"""
+
+
+def test_monitor_rows_match_per_anchor_products():
+    # a gemm entry is independent of the shape of its call only while the
+    # call runs on one BLAS thread (OpenBLAS blocks the eigen-axis sum by
+    # its thread split), so the comparison runs with one OpenBLAS thread;
+    # the cases cover one-configuration clusters (n = 1, the d=2 box of
+    # side 4, the d=1 fermions of side 8) and the stacked gemm
+    tests = Path(__file__).resolve().parent
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=str(tests.parent / "src"),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOLD_SCRIPT, str(tests)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    matches = json.loads(proc.stdout.splitlines()[-1])
+    assert [c for c, ok in zip(_FOLD_CASES, matches) if not ok] == []
 
 
 def test_b_monitor_n1_matches_direct_sum():

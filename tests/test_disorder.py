@@ -11,6 +11,7 @@ from mplab.disorder import (
     sample,
     site_key,
 )
+from mplab.harness import validate
 
 
 # ---------------------------------------------------------------- densities
@@ -63,6 +64,22 @@ def test_piecewise_table():
 def test_bad_densities_rejected(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_truncated_gaussian_without_mass_rejected():
+    # cutoff/sigma = 1e-17: the mass inside underflows to 0, so the log mass
+    # is -inf and every quantile would be 0.0
+    with pytest.raises(ValueError, match="cannot be normalized"):
+        DensitySpec.truncated_gaussian(sigma=1.0, cutoff=1e-17)
+    cfg = {
+        "kind": "decay_probe",
+        "model": {"density": {"kind": "truncated_gaussian", "params": [1.0, 1e-17]}},
+    }
+    violations = validate(cfg)
+    assert len(violations) == 1
+    assert violations[0].startswith("model.density: truncated gaussian")
+    # a small but representable mass still validates
+    assert DensitySpec.truncated_gaussian(sigma=1.0, cutoff=1e-8).bound > 0
 
 
 def test_unnormalized_table_rejected_by_raw_constructor():

@@ -168,9 +168,11 @@ def test_json_mirror_and_metadata_match_golden(tmp_path, kind):
 
 # configs that reach what the per-kind configs above do not: the two
 # non-uniform densities (the piecewise one through wegner's conditional
-# redraws) and degenerate eigenvalue groups of three or more (free fermions
-# on a d=2 box, whose composites have groups of up to 232 eigenvalues);
-# each pins the CSV, the JSON mirror and meta.json as above
+# redraws), degenerate eigenvalue groups of three or more (free fermions
+# on a d=2 box, whose composites have groups of up to 232 eigenvalues), and
+# a monitor at dim 1024, above OpenBLAS's blocking sizes, where the tile
+# products take the blocked BLAS paths; each pins the CSV, the JSON mirror
+# and meta.json as above
 _EXTRA_CONFIGS = {
     "decay_probe_truncated_gaussian": {
         "kind": "decay_probe",
@@ -199,6 +201,14 @@ _EXTRA_CONFIGS = {
         "ensemble": {"base_seed": 0, "count": 1},
         "params": {"instances": 4, "dim_cap": 40},
     },
+    "rescaling_dim1024": {
+        "kind": "rescaling",
+        "model": {
+            "d": 1, "L": 16, "n": 2, "lambda": 15.0,
+            "interaction": {"builtin": "pair_nn", "coupling": 0.2, "range": 1},
+        },
+        "ensemble": {"base_seed": 0, "count": 2},
+    },
 }
 
 EXTRA_SHA256 = {
@@ -216,6 +226,11 @@ EXTRA_SHA256 = {
         "e35f073e06b5e83b5836c02f9870a6e24ecb5240c8bd95322d2e92ecb0d56050",
         "72e421ff2e601b77d582cc0b4dee1937b2970711cb26d80e0034191d081031d0",
         "6832ad77725d8494a932545253b2265d3205e121607e871ee279a84f974c665f",
+    ),
+    "rescaling_dim1024": (
+        "a7fe08f29fc1730330ccf54643a728704f56ce12413a32519dc975cb6cbfe5f4",
+        "573fa31e7165a35422e8a02b7dd21748207333d5b09cc5a40f43ee6b38fc2545",
+        "b6132ce725edec8d6c06fb9379010bca3e21daf0e09e25ac2c19b7bf1145e284",
     ),
 }
 

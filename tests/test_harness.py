@@ -1032,6 +1032,21 @@ def test_cli_warns_when_coupling_is_ignored(tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
+def test_run_records_config_warnings_in_metadata(tmp_path):
+    cfg = probe_config(tmp_path / "warn", interaction={"builtin": "none", "coupling": 0.5})
+    cfg["ensemble"]["count"] = 2
+    table = run(cfg, workers=1)
+    line = "model.interaction.coupling 0.5 is ignored with builtin 'none'"
+    assert table.metadata["warnings"] == [line]
+    meta = json.loads((tmp_path / "warn" / "decay_probe.meta.json").read_text())
+    assert meta["metadata"]["warnings"] == [line]
+    # no warning, no key: the metadata of other configs is unchanged
+    cfg["model"]["interaction"] = {"builtin": "none", "coupling": 0.0}
+    assert "warnings" not in run(cfg, workers=1).metadata
+    meta = json.loads((tmp_path / "warn" / "decay_probe.meta.json").read_text())
+    assert "warnings" not in meta["metadata"]
+
+
 # ---------------------------------------------------------------------- fuzz
 
 

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -284,6 +285,105 @@ def test_template_matches_oneshot_assembly():
             abs(tmpl.hamiltonian(real).matrix - assemble(spec, real).matrix).max()
             == 0.0
         )
+
+
+def _reference_hops(sites, sector, box):
+    # the per-configuration hop enumeration, kept here as the definition the
+    # template's rank arithmetic must reproduce
+    unit = [tuple(1 if a == ax else 0 for a in range(box.d)) for ax in range(box.d)]
+    if sector == "distinguishable":
+        for j, u in enumerate(sites):
+            for e in unit:
+                for sgn in (1, -1):
+                    t = tuple(c + sgn * o for c, o in zip(u, e))
+                    if box.contains(t):
+                        yield sites[:j] + (t,) + sites[j + 1 :], -1.0
+        return
+    occ = Counter(sites)
+    for u in sorted(occ):
+        for e in unit:
+            for sgn in (1, -1):
+                t = tuple(c + sgn * o for c, o in zip(u, e))
+                if not box.contains(t):
+                    continue
+                m_t = occ.get(t, 0)
+                if sector == "boson":
+                    amp = -math.sqrt(occ[u] * (m_t + 1))
+                elif m_t:
+                    continue
+                elif sector == "fermion":
+                    lo, hi = min(u, t), max(u, t)
+                    crossings = sum(1 for w in occ if lo < w < hi)
+                    amp = -1.0 * (1 if crossings % 2 == 0 else -1)
+                else:
+                    amp = -1.0
+                target = list(sites)
+                target.remove(u)
+                target.append(t)
+                yield tuple(sorted(target)), amp
+
+
+def _reference_template(spec):
+    """(kinetic, occupation, interaction diagonal) by one loop over the
+    configurations, one index_of per hop."""
+    index, box = spec.config_index, spec.box
+    rows, cols, vals, occ_rows, occ_cols, occ_vals = [], [], [], [], [], []
+    inter = np.zeros(index.size)
+    for k, cfg in enumerate(index.enumerate()):
+        for site, m in Counter(cfg.sites).items():
+            occ_rows.append(k)
+            occ_cols.append(box.encode(site))
+            occ_vals.append(float(m))
+        if not spec.interaction.is_trivial:
+            inter[k] = interaction_energy(cfg, spec.interaction, spec.norm)
+        for target, amp in _reference_hops(cfg.sites, spec.sector, box):
+            rows.append(k)
+            cols.append(index.index_of(Configuration(sites=target, sector=spec.sector)))
+            vals.append(amp)
+    dim = index.size
+    kinetic = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=float)
+    kinetic += sp.diags(np.full(dim, 2.0 * box.d * spec.n), format="csr", dtype=float)
+    occupation = sp.csr_matrix(
+        (occ_vals, (occ_rows, occ_cols)), shape=(dim, box.volume), dtype=float
+    )
+    return kinetic, occupation, inter
+
+
+def _range2_pair_term(pattern, occs):
+    # a custom pair term that reads the distance, so it needs range 2
+    return occs[0] * occs[1] / (1.0 + sum(abs(a - b) for a, b in zip(*pattern)))
+
+
+_TEMPLATE_INTERACTIONS = {
+    "none": InteractionSpec.none(),
+    "pair_nn": InteractionSpec.pair_nn(0.3),
+    "onsite": InteractionSpec.onsite(0.7),
+    "custom": InteractionSpec(
+        p=2, alpha=(0.0, 0.45), range=2, terms={2: _range2_pair_term}
+    ),
+}
+
+
+@pytest.mark.parametrize("inter", sorted(_TEMPLATE_INTERACTIONS))
+@pytest.mark.parametrize(
+    "d,side,n,norm",
+    [(1, 5, 1, "l1"), (1, 5, 2, "l1"), (1, 5, 3, "linf"), (2, 3, 2, "linf"),
+     (2, 3, 3, "l1")],
+)
+@pytest.mark.parametrize("sector", ["distinguishable", "boson", "fermion", "hardcore"])
+def test_template_arrays_match_per_configuration_loop(sector, d, side, n, norm, inter):
+    spec = OperatorSpec(
+        box=Box.centered(d, side), n=n, sector=sector, lam=1.5,
+        interaction=_TEMPLATE_INTERACTIONS[inter], norm=norm,
+    )
+    tmpl = OperatorTemplate(spec)
+    kinetic, occupation, inter_diag = _reference_template(spec)
+    for got, want in ((tmpl.kinetic, kinetic), (tmpl.occupation, occupation)):
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    assert tmpl.interaction_diag.tobytes() == inter_diag.tobytes()
 
 
 def test_template_rejects_foreign_box():

@@ -4,6 +4,7 @@ import pytest
 from mplab.configspace import Box, Configuration
 from mplab.disorder import UNIFORM_HALF, DensitySpec, sample
 from mplab.errors import BudgetError, ContourGeometryError, SingularityError
+from mplab import spectral
 from mplab.operator import InteractionSpec, OperatorSpec, assemble
 from mplab.spectral import (
     DEFAULT_TIME_GRID,
@@ -17,6 +18,7 @@ from mplab.spectral import (
     _green_column,
     eig_green,
     green,
+    green_block,
     green_entries,
     group_weights,
     spectral_data,
@@ -122,6 +124,23 @@ def test_green_entries_matches_sparse_solve(d, side, n, sector):
         assert got.shape == zs.shape and got.dtype == complex
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 4), (1, 5), (4, 1), (1, 1)])
+def test_green_block_matches_green_entries(nx, ny):
+    H = build(d=2, side=4, n=2, lam=3.0, seed=5, sector="boson", alpha=0.4)
+    S = spectral_data(H)
+    rng = np.random.default_rng(8)
+    ix, iy = rng.choice(S.dim, nx, replace=False), rng.choice(S.dim, ny, replace=False)
+    zs = rng.uniform(S.energies[0], S.energies[-1], 6) + 1j * np.array(
+        [1e-3, 0.06, 0.5, 1e-3, 0.06, 0.5]
+    )
+    block = green_block(S, ix, iy, zs)
+    assert block.shape == (zs.size, nx, ny) and block.dtype == complex
+    want = np.array(
+        [[green_entries(S, x, y, zs) for y in iy] for x in ix]
+    ).transpose(2, 0, 1)
+    assert np.allclose(block, want, rtol=1e-10, atol=1e-13 * np.abs(want).max())
 
 
 def test_eig_green_is_green_entries_at_one_point():
@@ -333,6 +352,28 @@ def test_composite_gap_small_and_quadrature_monotone():
     r512 = composite_green_check(HJ, HK, x, y, z, quadrature_points=512)
     assert r512.gap <= 1e-8
     assert r512.gap < r256.gap
+
+
+def test_composite_check_shares_work_across_node_counts(monkeypatch):
+    HJ = build(side=4, lam=2.0, seed=6)
+    HK = build(side=3, lam=2.0, seed=7)
+    x = Configuration(sites=((0,), (2,)))
+    y = Configuration(sites=((3,), (1,)))
+    z = complex(4.0, 6.0)
+    one = [composite_green_check(HJ, HK, x, y, z, n) for n in (16, 32)]
+    calls = {"spectral_data": 0, "_green_column": 0}
+    for name in calls:
+        fn = getattr(spectral, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(spectral, name, counted)
+    both = composite_green_check(HJ, HK, x, y, z, (16, 32))
+    # one eigendecomposition per block and one direct solve for both counts
+    assert calls == {"spectral_data": 2, "_green_column": 1}
+    assert both == tuple(one)
 
 
 def test_composite_direct_matches_eigensum_reference():

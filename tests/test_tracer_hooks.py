@@ -52,7 +52,8 @@ def test_tracer_installs_and_records_every_layer(tmp_path):
     assert result["units"] == 7
     # one template per probe spec and per monitor side, none rebuilt
     assert m["operator.template.redundant"] == 0
-    assert m["spectral.composite_check.calls"] == 2
+    # one call per composite instance evaluates both quadrature counts
+    assert m["spectral.composite_check.calls"] == 1
     for name in (
         "configspace.index_of.calls",
         "disorder.sample.calls",
