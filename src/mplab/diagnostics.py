@@ -58,6 +58,8 @@ DEFAULT_ETA = 1e-6
 DEFAULT_QUAD_POINTS = 16
 B_MONITOR_QUAD_POINTS = 8
 B_PAIR_BUDGET = 1_000_000
+# largest pair factor or Green block one monitor product may hold
+_BLOCK_BYTES = 32 * 2**20
 
 _NUDGE = 1e-10
 
@@ -712,41 +714,32 @@ def monitor_plan(
 def monitor_seed_rows(plan: MonitorPlan, seed: int) -> tuple:
     """Tile-resolved boundary sums of one realization, one row per region.
 
-    Each tile evaluates the Green entries of all anchors in one green_block
-    product, then adds every anchor's sum of |G|^s into the row in anchor
-    order. Rows depend only on this seed and the plan, so an ensemble may
-    be split across workers and the rows reassembled in seed order with
-    results identical to a serial sweep.
+    A region evaluates the Green entries of its center clusters against all
+    anchor configurations at the nodes of all tiles in green_block products
+    over chunks of the center ranks, sized by dim, the node count and the
+    anchor count so that no product exceeds _BLOCK_BYTES, and folds the sum
+    of |G|^s per tile. Rows depend only on this seed and the plan, so an
+    ensemble may be split across workers and the rows reassembled in seed
+    order with results identical to a serial sweep.
     """
     tile_edges = np.asarray(plan.tile_edges)
+    tiles, q = tile_edges.size - 1, plan.quad_points
     # tiles have width 1
-    offsets = (np.arange(plan.quad_points) + 0.5) / plan.quad_points
+    offsets = (np.arange(q) + 0.5) / q
+    zs = (tile_edges[:-1, None] + offsets).ravel() + 1j * plan.eta
     prefactor = float(plan.boundary_count)
     rows = []
     for task in plan.regions:
         rspec = dataclasses.replace(plan.spec, box=task.box)
         _, S = next(ensemble_spectra(rspec, [int(seed)], plan.density))
-        # green_block evaluates a one-configuration cluster per z (dot/gemv);
-        # stacked beside wider anchors it would go through gemm and round
-        # differently, so such regions evaluate one anchor per product
-        stack = len(task.x_ranks) > 1 and min(map(len, task.anchors)) > 1
-        groups = [task.anchors] if stack else [[a] for a in task.anchors]
         x_ranks = np.asarray(task.x_ranks)
-        y_ranks = [np.concatenate(group) for group in groups]
-        row = np.zeros(tile_edges.size - 1)
-        for t in range(row.size):
-            zs = tile_edges[t] + offsets + 1j * plan.eta
-            for group, iy in zip(groups, y_ranks):
-                G = green_block(S, x_ranks, iy, zs)
-                lo = 0
-                for anchor in group:
-                    block = np.ascontiguousarray(G[:, :, lo : lo + len(anchor)])
-                    lo += len(anchor)
-                    row[t] += (
-                        prefactor
-                        * float(np.sum(np.abs(block) ** plan.s))
-                        / plan.quad_points
-                    )
+        y_ranks = np.concatenate(task.anchors)
+        step = max(1, _BLOCK_BYTES // (8 * y_ranks.size * max(S.dim, 2 * zs.size)))
+        row = np.zeros(tiles)
+        for lo in range(0, x_ranks.size, step):
+            G = green_block(S, x_ranks[lo : lo + step], y_ranks, zs)
+            terms = (np.abs(G) ** plan.s).reshape(tiles, q, -1)
+            row += prefactor * np.sum(terms, axis=(1, 2)) / q
         rows.append(row)
     return tuple(rows)
 

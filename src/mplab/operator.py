@@ -319,17 +319,20 @@ class OperatorTemplate:
         )
         self.interaction_diag = np.zeros(dim)
         if not spec.interaction.is_trivial:
-            # the energy depends on the occupation multiset only
-            multisets, which = np.unique(
-                np.sort(ranks, axis=1), axis=0, return_inverse=True
+            # the energy depends on the occupation multiset up to translation,
+            # which keeps the lexicographic pattern order and so the sums
+            sites = box.coords(np.sort(ranks, axis=1))
+            shapes = (sites - sites.min(axis=1, keepdims=True)).reshape(dim, -1)
+            _, first, which = np.unique(
+                shapes, axis=0, return_index=True, return_inverse=True
             )
             energies = [
                 interaction_energy(
-                    Configuration(sites=tuple(map(tuple, box.coords(row)))),
+                    Configuration(sites=tuple(map(tuple, sites[k]))),
                     spec.interaction,
                     spec.norm,
                 )
-                for row in multisets
+                for k in first
             ]
             self.interaction_diag = np.array(energies)[which.ravel()]
 

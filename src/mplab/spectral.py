@@ -184,22 +184,16 @@ def green_block(S: SpectralData, ix, iy, zs: np.ndarray) -> np.ndarray:
     """G(x, y; z) for every z in zs, x in ix and y in iy through the
     eigendecomposition, shape (zs.size, len(ix), len(iy)).
 
-    Evaluated as (psi_x D) psi_y with D = 1/(E - z): the left factor of all
-    z is stacked into one (zs.size * len(ix), dim) matrix and multiplied by
-    the iy columns, cast to complex once, in one BLAS gemm. A gemm entry
-    does not depend on the other rows and columns of the call as long as
-    the call runs on one BLAS thread, so a column block equals the product
-    of its own columns. A product with one x or one y is evaluated per z
-    instead, as numpy's dot/gemv, because gemm rounds those differently.
+    Evaluated as P D: the real pair factor P = psi_x * psi_y (one row per
+    (x, y) pair, x major) times D = 1/(E - z) (dim by zs.size, complex)
+    read as a real matrix of twice the columns, in one real BLAS gemm.
     """
     zs = np.asarray(zs, dtype=complex)
-    d = 1.0 / (S.energies[None, :] - zs[:, None])
-    left = S.vectors[ix, :].astype(complex)[None, :, :] * d[:, None, :]
-    right = S.vectors[iy, :].T.astype(complex)
-    if left.shape[1] == 1 or right.shape[1] == 1:
-        return left @ right
-    out = left.reshape(-1, S.dim) @ right
-    return out.reshape(zs.size, left.shape[1], right.shape[1])
+    wx, wy = S.vectors[np.asarray(ix), :], S.vectors[np.asarray(iy), :]
+    pairs = (wx[:, None, :] * wy[None, :, :]).reshape(-1, S.dim)
+    d = 1.0 / (S.energies[:, None] - zs[None, :])
+    out = (pairs @ d.view(float)).view(complex)
+    return out.reshape(len(wx), len(wy), zs.size).transpose(2, 0, 1)
 
 
 def eig_green(S: SpectralData, ix: int, iy: int, z: complex) -> complex:
