@@ -18,11 +18,11 @@ from mplab.harness import run
 
 GOLDEN_SHA256 = {
     "decay_probe": "78ce224a37f87827b9b42c6fae4eea890ab07bcb3f2e6857e383f85b5113b8b0",
-    "rescaling": "fbcbfda591e0eca8a0f9c220fe44b773f590e68067c2e00217647fc2432998ea",
+    "rescaling": "9e4b1e0fb80fcc971c0d142c9c97a96e0cbf2f60f1f19669813f97e0de6e5cd7",
     "equivalence": "46aac196f85df537692ceca605560b85533391c0fe057a55b969d92a02df32b8",
     "wegner": "45b649b1e910e54239db0a2134107b783735ff2afd060e5c01a8374601c7ac2c",
-    "b_monitor": "3bad8bf16dab3e6b486d520689282a8b1987d249428f32a626a528c898c24e95",
-    "region_scan": "b0888a0614d82f4c8a156399e3fd74836c67117bb072bb7c0509faf2a8dc0268",
+    "b_monitor": "6f06348a63f6ccbb169dd856eb3f036fe145cef2b9e81800400168e8b4d45311",
+    "region_scan": "7cb88df257129253875918561f88310586bdf2c23d69d55944b0bd2ad352ef4c",
     "subadditivity": "be0b666a0a8ce33cb3deff02da20de0003f3de39f73aa11b6e4044181f8769c4",
 }
 
@@ -41,8 +41,8 @@ COMPOSITE_DRAWS = [
 # composite_check the round-off gap columns and max_gap are left out too
 MIRROR_META_SHA256 = {
     "b_monitor": (
-        "7213d155c4a6554b1cd201e5fab51ad65e1a4a405468563959cc97bb5e5bb8b2",
-        "094ba3daeff9667ff5fa67d371b16ee0fd5551d49ee70ea8e543efda102c0520",
+        "ca0dda0785e2e8ff9d01588a1ec2b219ff0a2c788ed713244f365b2054cef735",
+        "fb1a1a6f81e8e7caffc08ba0238179474647c5f68a4468a437420b9c40515716",
     ),
     "composite_check": (
         "a393c629eff620d0720ce556f3fc657f60fea5d649b19d7ed92feddaddb3df5d",
@@ -57,11 +57,11 @@ MIRROR_META_SHA256 = {
         "8246b4c7793822ee66439ee2ce553b6c9d2a8b220673ad59c1eace6a7648479b",
     ),
     "region_scan": (
-        "e2d917b17a975ff7c8214585f807b5e5edf49dce09f8c5258c38eedc51b4a2e8",
+        "592c6b45ab8da428db2da64a3759cdd7fe2395efa28fd05124f5449068df41e6",
         "d64016acd3ec32382deb4618ed7a5d07c487c8c22ec599117fef9eb25fe48770",
     ),
     "rescaling": (
-        "f19c6e1e2ccd4df4c1100c4b2d35b2f4f7856652ecc8e173720e1eae60062934",
+        "ee071c94be28d6d3f03a64f5609663aa4edda9069b58d8db7b645e62e0cee068",
         "7955ae7390df7ad3860595910d84eedc007df93d90f67268847deab4ba18b08d",
     ),
     "subadditivity": (
@@ -228,9 +228,9 @@ EXTRA_SHA256 = {
         "6832ad77725d8494a932545253b2265d3205e121607e871ee279a84f974c665f",
     ),
     "rescaling_dim1024": (
-        "a7fe08f29fc1730330ccf54643a728704f56ce12413a32519dc975cb6cbfe5f4",
-        "573fa31e7165a35422e8a02b7dd21748207333d5b09cc5a40f43ee6b38fc2545",
-        "b6132ce725edec8d6c06fb9379010bca3e21daf0e09e25ac2c19b7bf1145e284",
+        "6aba384c7836d794a218e2fa554a1109567d4dbff8c7a17df6f1fed7043bc360",
+        "15968af831bd4bb0e0af0b7a2b5efcda891b0fb1332666c31a62eb68a20cd266",
+        "9b18eda47d98dd934e28d160dbf1fbe1d6c240445e6bc86bb1a417e24543d45c",
     ),
 }
 
