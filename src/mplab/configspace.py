@@ -18,11 +18,13 @@ distance zero, while no particle relabeling maps one to the other).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import neg
 
 import numpy as np
 
@@ -99,11 +101,7 @@ class Box:
     def decode(self, k: int) -> Site:
         if not 0 <= k < self.volume:
             raise ValueError(f"site rank {k} out of range for volume {self.volume}")
-        coords = []
-        for _ in range(self.d):
-            coords.append(k % self.side)
-            k //= self.side
-        return tuple(o + c for o, c in zip(self.origin, reversed(coords)))
+        return tuple(self.coords(k).tolist())
 
     def coords(self, ranks) -> np.ndarray:
         """Sites of an integer array of ranks, shape ranks.shape + (d,);
@@ -113,18 +111,14 @@ class Box:
 
     def sites(self):
         """All sites in encoding order."""
-        for k in range(self.volume):
-            yield self.decode(k)
+        return map(tuple, self.coords(np.arange(self.volume)).tolist())
 
     def boundary_sites(self) -> tuple[Site, ...]:
         """Sites with at least one coordinate on a face of the box."""
-        out = []
-        for s in self.sites():
-            if any(
-                c == o or c == o + self.side - 1 for c, o in zip(s, self.origin)
-            ):
-                out.append(s)
-        return tuple(out)
+        sites = self.coords(np.arange(self.volume))
+        lo = np.asarray(self.origin)
+        on_face = ((sites == lo) | (sites == lo + self.side - 1)).any(axis=1)
+        return tuple(map(tuple, sites[on_face].tolist()))
 
     def is_subbox_of(self, other: "Box") -> bool:
         return self.d == other.d and all(
@@ -246,32 +240,6 @@ def symmetrized_dist(x: Configuration, y: Configuration, norm: str = "l1") -> in
     return int(sum(cost[r][c] for r, c in zip(rows, cols)))
 
 
-def _comb_rank(combo: tuple[int, ...], universe: int) -> int:
-    # Lexicographic rank of a strictly increasing tuple within all
-    # len(combo)-subsets of range(universe): the combinatorial number system
-    # read from the top, C(U, n) - 1 - sum_j C(U - 1 - c_j, n - j).
-    n = len(combo)
-    return math.comb(universe, n) - 1 - sum(
-        math.comb(universe - 1 - c, n - j) for j, c in enumerate(combo)
-    )
-
-
-def _comb_unrank(rank: int, n: int, universe: int) -> tuple[int, ...]:
-    combo = []
-    prev = -1
-    for j in range(n):
-        v = prev + 1
-        while True:
-            block = math.comb(universe - 1 - v, n - 1 - j)
-            if rank < block:
-                break
-            rank -= block
-            v += 1
-        combo.append(v)
-        prev = v
-    return tuple(combo)
-
-
 @dataclass(frozen=True)
 class ConfigIndex:
     """Ranking bijection between a sector's configurations and 0..size-1.
@@ -280,6 +248,7 @@ class ConfigIndex:
     lexicographic combination rank of the strictly increasing site ranks
     (hardcore inputs are canonicalized by sorting). Boson: non-decreasing
     tuples mapped to combinations by the staircase shift b_j -> b_j + j.
+    index_of_ranks, index_of and config_at all read one cached weight table.
     """
 
     box: Box
@@ -326,6 +295,29 @@ class ConfigIndex:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def _rank_table(self) -> np.ndarray:
+        # The weights every rank operation reads. Distinguishable: the place
+        # values V^(n-1-j), so a rank is ranks @ table. Exchange sectors:
+        # table[j, c] = C(U-1-c, n-j) over the universe U (V, or V+n-1 for
+        # the staircase-shifted bosons), so a rank is the combinatorial
+        # number system read from the top, C(U, n) - 1 - sum_j table[j, c_j].
+        # Entries with c < j are never read by an increasing tuple and stay
+        # 0; every entry read is at most size, so intp is exact while size
+        # fits, and Python ints keep ranks exact beyond that.
+        V, n = self.box.volume, self.n
+        dtype = np.intp if self.size <= np.iinfo(np.intp).max else object
+        if self.sector == "distinguishable":
+            return np.array([V ** (n - 1 - j) for j in range(n)], dtype=dtype)
+        U = V + n - 1 if self.sector == "boson" else V
+        return np.array(
+            [
+                [math.comb(U - 1 - c, n - j) if c >= j else 0 for c in range(U)]
+                for j in range(n)
+            ],
+            dtype=dtype,
+        )
+
     def index_of_ranks(self, ranks) -> np.ndarray:
         """index_of for every row of an (m, n) array of site ranks.
 
@@ -334,31 +326,13 @@ class ConfigIndex:
         gets a meaningless rank.
         """
         ranks = np.asarray(ranks, dtype=np.intp)
-        V, n = self.box.volume, self.n
+        table = self._rank_table
         if self.sector == "distinguishable":
-            return ranks @ V ** np.arange(n - 1, -1, -1, dtype=np.intp)
+            return ranks @ table
         combos = np.sort(ranks, axis=1)
-        universe = V
         if self.sector == "boson":
-            combos = combos + np.arange(n)
-            universe = V + n - 1
-        # table[j, c] = C(U - 1 - c, n - j); entries with c < j are never
-        # read by an increasing tuple and stay 0 (they can overflow int64)
-        table = np.array(
-            [
-                [
-                    math.comb(universe - 1 - c, n - j) if c >= j else 0
-                    for c in range(universe)
-                ]
-                for j in range(n)
-            ],
-            dtype=np.intp,
-        )
-        terms = table[np.arange(n), combos].sum(axis=1)
-        return math.comb(universe, n) - 1 - terms
-
-    def _site_ranks(self, config: Configuration) -> tuple[int, ...]:
-        return tuple(self.box.encode(s) for s in config.sites)
+            combos = combos + np.arange(self.n)
+        return self.size - 1 - table[np.arange(self.n), combos].sum(axis=1)
 
     def index_of(self, config: Configuration) -> int:
         """Rank of a configuration. Hardcore accepts any site order."""
@@ -369,39 +343,31 @@ class ConfigIndex:
             )
         if config.n != self.n:
             raise ValueError(f"particle number mismatch: {config.n} vs {self.n}")
-        ranks = self._site_ranks(config)
-        V = self.box.volume
-        if self.sector == "distinguishable":
-            k = 0
-            for r in ranks:
-                k = k * V + r
-            return k
-        if self.sector == "boson":
-            # lexicographic site order on tuples == numeric order on ranks
-            shifted = tuple(r + j for j, r in enumerate(sorted(ranks)))
-            return _comb_rank(shifted, V + self.n - 1)
-        ranks = tuple(sorted(ranks)) if self.sector == "hardcore" else ranks
-        return _comb_rank(ranks, V)
+        ranks = [self.box.encode(s) for s in config.sites]
+        return int(self.index_of_ranks([ranks])[0])
 
     def config_at(self, k: int) -> Configuration:
+        """Configuration of rank k: the greedy inverse of index_of_ranks."""
         if not 0 <= k < self.size:
             raise ValueError(f"index {k} out of range for size {self.size}")
-        V = self.box.volume
+        table = self._rank_table
+        ranks = []
         if self.sector == "distinguishable":
-            ranks = []
-            for _ in range(self.n):
-                ranks.append(k % V)
-                k //= V
-            ranks.reverse()
-        elif self.sector == "boson":
-            shifted = _comb_unrank(k, self.n, V + self.n - 1)
-            ranks = [r - j for j, r in enumerate(shifted)]
+            for place in table:
+                r, k = divmod(k, place)
+                ranks.append(r)
         else:
-            ranks = list(_comb_unrank(k, self.n, V))
-        sites = tuple(self.box.decode(r) for r in ranks)
-        return Configuration(sites=sites, sector=self.sector)
+            # c_j is the first c past c_(j-1) whose weight fits what is left;
+            # each row is non-increasing from there on
+            rest, c = self.size - 1 - k, 0
+            for j, row in enumerate(table):
+                c = bisect.bisect_left(row, -rest, lo=c, key=neg)
+                rest -= row[c]
+                ranks.append(c - j if self.sector == "boson" else c)
+                c += 1
+        return Configuration(sites=self.box.coords(ranks).tolist(), sector=self.sector)
 
     def enumerate(self):
         """All configurations in rank order."""
-        for k in range(self.size):
-            yield self.config_at(k)
+        for sites in self.box.coords(self.site_ranks).tolist():
+            yield Configuration(sites=sites, sector=self.sector)

@@ -152,7 +152,8 @@ class DensitySpec:
 
     Kinds: "uniform" on [a, b]; "truncated_gaussian" with scale sigma cut at
     +-cutoff; "piecewise" constant on a break table. Construction validates
-    that the density integrates to 1 within 1e-10.
+    that a piecewise table integrates to 1 within 1e-10 and that a truncated
+    Gaussian keeps a representable mass within its cutoff.
     """
 
     kind: str
@@ -188,19 +189,13 @@ class DensitySpec:
                 raise ValueError(f"piecewise breaks must increase: {breaks}")
             if any(v < 0 for v in dens):
                 raise ValueError(f"piecewise densities must be nonnegative: {dens}")
+            total = sum(v * (hi - lo) for v, lo, hi in zip(dens, breaks, breaks[1:]))
+            if abs(total - 1.0) > 1e-10:
+                raise ValueError(
+                    f"density integrates to {total!r}, expected 1 +- 1e-10"
+                )
         else:
             raise ValueError(f"unknown density kind {self.kind!r}")
-        total = self._total_mass()
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"density integrates to {total!r}, expected 1 +- 1e-10")
-
-    def _total_mass(self) -> float:
-        if self.kind == "uniform":
-            return 1.0
-        if self.kind == "truncated_gaussian":
-            return float(self.cdf(self.support[1]))
-        breaks, dens = self.params
-        return sum(v * (hi - lo) for v, lo, hi in zip(dens, breaks, breaks[1:]))
 
     # ---------------------------------------------------------- factories
 
@@ -375,8 +370,7 @@ def sample(box: Box, density: DensitySpec, seed: int) -> DisorderRealization:
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    sites = [box.decode(k) for k in range(box.volume)]
-    vals = _draw(density, seed, sites, tag=0)
+    vals = _draw(density, seed, box.sites(), tag=0)
     return DisorderRealization(box=box, density=density, seed=seed, values=vals)
 
 

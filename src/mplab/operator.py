@@ -212,15 +212,9 @@ class OperatorSpec:
     sector: str = "distinguishable"
     lam: float = 1.0
     interaction: InteractionSpec = field(default_factory=InteractionSpec.none)
-    boundary: str = "dirichlet_restriction"
     norm: str = "l1"
 
     def __post_init__(self):
-        if self.boundary != "dirichlet_restriction":
-            raise ValueError(
-                f"unsupported boundary condition {self.boundary!r}; only "
-                "'dirichlet_restriction' is implemented"
-            )
         if self.norm not in ("l1", "linf"):
             raise ValueError(f"unknown norm {self.norm!r}")
         if self.lam < 0:
@@ -420,12 +414,12 @@ def assemble(spec: OperatorSpec, real: DisorderRealization) -> SparseHamiltonian
 
 
 def number_operator(index: ConfigIndex, u: Site) -> sp.csr_matrix:
-    """Diagonal operator counting the particles on site u."""
+    """Diagonal operator counting the particles on site u; zero for a site
+    outside the box."""
     u = tuple(u)
-    diag = np.array(
-        [sum(1 for s in cfg.sites if s == u) for cfg in index.enumerate()],
-        dtype=float,
-    )
+    diag = np.zeros(index.size)
+    if index.box.contains(u):
+        diag += (index.site_ranks == index.box.encode(u)).sum(axis=1)
     return sp.diags(diag, format="csr")
 
 

@@ -110,13 +110,14 @@ class SpectralData:
         return starts, counts
 
 
-def spectral_data(H: SparseHamiltonian, cap: int = DENSE_DIAG_CAP) -> SpectralData:
+def spectral_data(H: SparseHamiltonian) -> SpectralData:
     """Dense eigendecomposition of an assembled operator."""
-    if H.dim > cap:
+    if H.dim > DENSE_DIAG_CAP:
         raise BudgetError(
-            f"dense eigendecomposition of dimension {H.dim} exceeds cap {cap}",
+            f"dense eigendecomposition of dimension {H.dim} exceeds cap "
+            f"{DENSE_DIAG_CAP}",
             count=H.dim,
-            limit=cap,
+            limit=DENSE_DIAG_CAP,
         )
     energies, vectors = np.linalg.eigh(H.matrix.toarray())
     return SpectralData(energies=energies, vectors=vectors, index=H.index)
@@ -335,16 +336,16 @@ def composite_matrix(
 
 
 def composite_spectral_data(
-    H_J: SparseHamiltonian, H_K: SparseHamiltonian, cap: int = DENSE_DIAG_CAP
+    H_J: SparseHamiltonian, H_K: SparseHamiltonian
 ) -> SpectralData:
     """Eigendecomposition of the assembled composite (no structure shortcuts,
     so it can serve as an independent reference for the block identities)."""
     matrix, basis = composite_matrix(H_J, H_K)
-    if matrix.shape[0] > cap:
+    if matrix.shape[0] > DENSE_DIAG_CAP:
         raise BudgetError(
-            f"composite dimension {matrix.shape[0]} exceeds cap {cap}",
+            f"composite dimension {matrix.shape[0]} exceeds cap {DENSE_DIAG_CAP}",
             count=matrix.shape[0],
-            limit=cap,
+            limit=DENSE_DIAG_CAP,
         )
     energies, vectors = np.linalg.eigh(matrix.toarray())
     return SpectralData(energies=energies, vectors=vectors, index=basis)

@@ -251,6 +251,37 @@ def test_index_bijection_exhaustive(sector, d, side, n):
     assert len(seen) == ix.size
 
 
+@pytest.mark.parametrize("sector", ["distinguishable", "boson", "fermion", "hardcore"])
+@pytest.mark.parametrize(
+    "box,n",
+    [(Box(d=1, side=6, origin=(-3,)), 3), (Box(d=2, side=3, origin=(2, -5)), 2)],
+)
+def test_rank_forms_agree_on_shifted_boxes(sector, box, n):
+    ix = ConfigIndex(box, n=n, sector=sector)
+    assert ix.index_of_ranks(ix.site_ranks).tolist() == list(range(ix.size))
+    assert list(ix.enumerate()) == [ix.config_at(k) for k in range(ix.size)]
+
+
+@pytest.mark.parametrize(
+    "sector,last,second_last",
+    [
+        ("fermion", [96, 97, 98, 99], [95, 97, 98, 99]),
+        ("boson", [99, 99, 99, 99], [98, 99, 99, 99]),
+        ("distinguishable", [99, 99, 99, 99], [99, 99, 99, 98]),
+    ],
+)
+def test_rank_roundtrip_exact_beyond_int64(sector, last, second_last):
+    # d=3, side 100, n=4: sizes 4.2e22 (fermion, boson) and 1e24 exceed int64
+    ix = ConfigIndex(Box(d=3, side=100), n=4, sector=sector)
+    assert ix.size > 2**63
+    for k, tail in ((ix.size - 1, last), (ix.size - 2, second_last)):
+        cfg = ix.config_at(k)
+        assert cfg.sites == tuple((99, 99, z) for z in tail)
+        assert ix.index_of(cfg) == k
+    for k in (ix.size - 3, ix.size // 3, 2**63 + 12345, 0):
+        assert ix.index_of(ix.config_at(k)) == k
+
+
 def test_fermion_exhaustive_against_combinations():
     box = Box(d=1, side=6)
     ix = ConfigIndex(box, n=3, sector="fermion")

@@ -476,10 +476,21 @@ def test_number_operator_single_particle_projection():
     assert np.array_equal(Nu, expect)
 
 
+@pytest.mark.parametrize("sector", ["distinguishable", "boson", "fermion", "hardcore"])
+def test_number_operator_counts_occupation_and_vanishes_off_box(sector):
+    ix = ConfigIndex(Box(d=2, side=3, origin=(1, -1)), n=2, sector=sector)
+    cfgs = list(ix.enumerate())
+    for u in ((1, -1), (2, 0), (3, 1)):
+        expect = [sum(s == u for s in c.sites) for c in cfgs]
+        assert number_operator(ix, u).diagonal().tolist() == expect
+    for u in ((0, 0), (4, 0), (1, 2), (2, -2)):
+        Nu = number_operator(ix, u)
+        assert Nu.shape == (ix.size, ix.size)
+        assert abs(Nu).max() == 0.0
+
+
 def test_operator_spec_validation():
     box = Box(d=1, side=3)
-    with pytest.raises(ValueError, match="boundary"):
-        OperatorSpec(box=box, n=1, boundary="periodic")
     with pytest.raises(ValueError):
         OperatorSpec(box=box, n=1, lam=-1.0)
     with pytest.raises(ValueError, match="range"):

@@ -492,10 +492,11 @@ def test_subadditivity_requires_composite_data():
 # ------------------------------------------------------------------ budget
 
 
-def test_dense_cap_budget_error():
+def test_dense_cap_budget_error(monkeypatch):
     H = build(side=30, lam=1.0, seed=0)
+    monkeypatch.setattr(spectral, "DENSE_DIAG_CAP", 10)
     with pytest.raises(BudgetError) as exc:
-        spectral_data(H, cap=10)
+        spectral_data(H)
     assert exc.value.count == 30
     assert exc.value.limit == 10
 
