@@ -72,6 +72,7 @@ from .spectral import (
     green,
     green_block,
     green_entries,
+    resolvent_weights,
     spectral_data,
     subadditivity_check,
 )

@@ -49,6 +49,7 @@ from .spectral import (
     correlator,
     green_block,
     green_entries,
+    resolvent_weights,
     spectral_data,
 )
 
@@ -714,13 +715,14 @@ def monitor_plan(
 def monitor_seed_rows(plan: MonitorPlan, seed: int) -> tuple:
     """Tile-resolved boundary sums of one realization, one row per region.
 
-    A region evaluates the Green entries of its center clusters against all
-    anchor configurations at the nodes of all tiles in green_block products
-    over chunks of the center ranks, sized by dim, the node count and the
-    anchor count so that no product exceeds _BLOCK_BYTES, and folds the sum
-    of |G|^s per tile. Rows depend only on this seed and the plan, so an
-    ensemble may be split across workers and the rows reassembled in seed
-    order with results identical to a serial sweep.
+    A region forms D = 1/(E - z) at the nodes of all tiles once and
+    evaluates the Green entries of its center clusters against all anchor
+    configurations in green_block products with it, over chunks of the
+    center ranks sized by dim, the node count and the anchor count so that
+    no product exceeds _BLOCK_BYTES, and folds the sum of |G|^s per tile.
+    Rows depend only on this seed and the plan, so an ensemble may be split
+    across workers and the rows reassembled in seed order with results
+    identical to a serial sweep.
     """
     tile_edges = np.asarray(plan.tile_edges)
     tiles, q = tile_edges.size - 1, plan.quad_points
@@ -735,9 +737,10 @@ def monitor_seed_rows(plan: MonitorPlan, seed: int) -> tuple:
         x_ranks = np.asarray(task.x_ranks)
         y_ranks = np.concatenate(task.anchors)
         step = max(1, _BLOCK_BYTES // (8 * y_ranks.size * max(S.dim, 2 * zs.size)))
+        d = resolvent_weights(S, zs)
         row = np.zeros(tiles)
         for lo in range(0, x_ranks.size, step):
-            G = green_block(S, x_ranks[lo : lo + step], y_ranks, zs)
+            G = green_block(S, x_ranks[lo : lo + step], y_ranks, zs, d)
             terms = (np.abs(G) ** plan.s).reshape(tiles, q, -1)
             row += prefactor * np.sum(terms, axis=(1, 2)) / q
         rows.append(row)

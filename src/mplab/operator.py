@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .configspace import (
     Box,
@@ -286,10 +285,14 @@ def _kinetic_hops(index: ConfigIndex):
 class OperatorTemplate:
     """Realization-independent parts of the Hamiltonian, assembled once.
 
-    Holds the kinetic matrix (with its constant 2*d*n diagonal), the
-    interaction diagonal, and the configuration-by-site occupation matrix M,
-    so a realization v enters only through lam * diag(M @ v). Ensembles
-    reuse one template across every seed.
+    Holds, as numpy arrays, the off-diagonal kinetic hops (rows, cols,
+    amplitudes) sorted by (row, col), the constant 2*d*n kinetic diagonal,
+    the interaction diagonal, and the occupations: each configuration's
+    site ranks in ascending order, with the multiplicity of a site on its
+    first column and 0 on its repeats. A realization v enters only through
+    lam * (occupation @ v), summed from zero in ascending site order, which
+    is the order of a CSR occupation matrix. Ensembles reuse one template
+    across every seed.
     """
 
     def __init__(self, spec: OperatorSpec):
@@ -299,23 +302,20 @@ class OperatorTemplate:
         dim = self.index.size
         ranks = self.index.site_ranks
 
-        self.occupation = sp.csr_matrix(
-            (np.ones(ranks.size), (np.repeat(np.arange(dim), spec.n), ranks.ravel())),
-            shape=(dim, box.volume),
-            dtype=float,
-        )
+        occ = self.occ_ranks = np.sort(ranks, axis=1)
+        leading = np.ones(occ.shape, dtype=bool)
+        leading[:, 1:] = occ[:, 1:] != occ[:, :-1]
+        counts = (occ[:, :, None] == occ[:, None, :]).sum(axis=2)
+        self.occ_mult = np.where(leading, counts, 0).astype(float)
         rows, cols, vals = _kinetic_hops(self.index)
-        self.kinetic = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(dim, dim), dtype=float
-        )
-        self.kinetic += sp.diags(
-            np.full(dim, 2.0 * box.d * spec.n), format="csr", dtype=float
-        )
+        order = np.lexsort((cols, rows))
+        self.hops = (rows[order], cols[order], vals[order])
+        self.kinetic_diag = 2.0 * box.d * spec.n
         self.interaction_diag = np.zeros(dim)
         if not spec.interaction.is_trivial:
             # the energy depends on the occupation multiset up to translation,
             # which keeps the lexicographic pattern order and so the sums
-            sites = box.coords(np.sort(ranks, axis=1))
+            sites = box.coords(occ)
             shapes = (sites - sites.min(axis=1, keepdims=True)).reshape(dim, -1)
             _, first, which = np.unique(
                 shapes, axis=0, return_index=True, return_inverse=True
@@ -339,12 +339,17 @@ class OperatorTemplate:
             raise ValueError(
                 f"realization drawn on {real.box}, template expects {self.spec.box}"
             )
-        diag = self.interaction_diag + self.spec.lam * (
-            self.occupation @ real.values
-        )
-        matrix = (self.kinetic + sp.diags(diag, format="csr")).tocsr()
+        # occupation @ v: m_u * v_u summed from zero in ascending site order
+        pot = np.zeros(self.dim)
+        for j in range(self.spec.n):
+            pot += self.occ_mult[:, j] * real.values[self.occ_ranks[:, j]]
+        diag = self.interaction_diag + self.spec.lam * pot
         return SparseHamiltonian(
-            matrix=matrix, spec=self.spec, index=self.index, realization=real
+            hops=self.hops,
+            diagonal=self.kinetic_diag + diag,
+            spec=self.spec,
+            index=self.index,
+            realization=real,
         )
 
     def gershgorin_interval(self, density: DensitySpec) -> tuple[float, float]:
@@ -356,26 +361,58 @@ class OperatorTemplate:
         lam, n = self.spec.lam, self.spec.n
         v_lo, v_hi = density.support
         pot = (lam * n * v_lo, lam * n * v_hi)
-        kin_diag = 2.0 * self.spec.box.d * n
-        offdiag = np.abs(self.kinetic - sp.diags(self.kinetic.diagonal())).sum(axis=1)
-        r = float(offdiag.max()) if offdiag.size else 0.0
-        lo = kin_diag + self.interaction_diag.min() + min(pot) - r
-        hi = kin_diag + self.interaction_diag.max() + max(pot) + r
+        rows, _, vals = self.hops
+        # row sums of |hops| in column order, as np.add.reduceat over each row
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        r = float(np.add.reduceat(np.abs(vals), starts).max()) if rows.size else 0.0
+        lo = self.kinetic_diag + self.interaction_diag.min() + min(pot) - r
+        hi = self.kinetic_diag + self.interaction_diag.max() + max(pot) + r
         return (float(lo), float(hi))
 
 
 @dataclass(frozen=True, eq=False)
 class SparseHamiltonian:
-    """Assembled sparse operator together with its provenance."""
+    """Assembled operator together with its provenance.
 
-    matrix: sp.csr_matrix
+    The operator is held as numpy arrays: the off-diagonal hops (shared with
+    its template, sorted by (row, col)) and the full diagonal. dense() fills
+    the dense matrix from them; `matrix`, the scipy CSR form that sparse
+    solves need, is built from the same arrays on first use.
+    """
+
+    hops: tuple  # (rows, cols, amplitudes), off-diagonal
+    diagonal: np.ndarray
     spec: OperatorSpec
     index: ConfigIndex
     realization: DisorderRealization
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonal.size
+
+    def dense(self) -> np.ndarray:
+        """The matrix as a C-ordered float array, entry for entry the CSR
+        form's toarray()."""
+        rows, cols, vals = self.hops
+        out = np.zeros((self.dim, self.dim))
+        out[rows, cols] = vals
+        out.flat[:: self.dim + 1] = self.diagonal
+        return out
+
+    @cached_property
+    def matrix(self):
+        """The matrix in scipy CSR form (imports scipy.sparse)."""
+        import scipy.sparse as sp
+
+        rows, cols, vals = self.hops
+        diag = np.arange(self.dim)
+        return sp.csr_matrix(
+            (
+                np.concatenate((vals, self.diagonal)),
+                (np.concatenate((rows, diag)), np.concatenate((cols, diag))),
+            ),
+            shape=(self.dim, self.dim),
+        )
 
     def rank_of(self, config: Configuration) -> int:
         return self.index.index_of(config)
@@ -413,9 +450,11 @@ def assemble(spec: OperatorSpec, real: DisorderRealization) -> SparseHamiltonian
     return _template_for(spec).hamiltonian(real)
 
 
-def number_operator(index: ConfigIndex, u: Site) -> sp.csr_matrix:
-    """Diagonal operator counting the particles on site u; zero for a site
-    outside the box."""
+def number_operator(index: ConfigIndex, u: Site):
+    """Diagonal operator counting the particles on site u, as a scipy CSR
+    matrix; zero for a site outside the box."""
+    import scipy.sparse as sp
+
     u = tuple(u)
     diag = np.zeros(index.size)
     if index.box.contains(u):

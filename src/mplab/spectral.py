@@ -1,8 +1,9 @@
 """Exact spectral quantities of assembled operators.
 
-Green functions G(x, y; z) = <delta_x, (H - z)^(-1) delta_y> via sparse
-shifted solves or, for whole arrays of z at once, via a dense
-eigendecomposition (green_entries); eigenfunction correlators and
+Green functions G(x, y; z) = <delta_x, (H - z)^(-1) delta_y> via shifted
+LU solves (sparse SuperLU on a scipy matrix, LAPACK on a dense array) or,
+for whole arrays of z at once, via a dense eigendecomposition
+(green_entries); eigenfunction correlators and
 dynamical kernels via the same eigendecomposition; a contour-convolution
 identity for non-interacting composites, and the correlator subadditivity
 check that rests on it.
@@ -17,12 +18,11 @@ free to make inside (near-)degenerate eigenspaces, and it makes the bound
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .configspace import ConfigIndex, Configuration
 from .errors import BudgetError, ContourGeometryError, SingularityError
@@ -40,6 +40,17 @@ DEFAULT_TIME_GRID = np.geomspace(0.1, 1.0e4, 256)
 
 _RESIDUAL_RTOL = 1e-10
 _SINGULARITY_FACTOR = 1e3
+
+
+def __getattr__(name):
+    # scipy.sparse.linalg (`spla`) loads on first use: only sparse solves
+    # need it, and importing it costs a quarter of a second
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+
+        globals()["spla"] = spla
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -119,29 +130,41 @@ def spectral_data(H: SparseHamiltonian) -> SpectralData:
             count=H.dim,
             limit=DENSE_DIAG_CAP,
         )
-    energies, vectors = np.linalg.eigh(H.matrix.toarray())
+    energies, vectors = np.linalg.eigh(H.dense())
     return SpectralData(energies=energies, vectors=vectors, index=H.index)
 
 
 # ------------------------------------------------------------------ green
 
 
-def _green_column(matrix: sp.spmatrix, iy: int, z: complex) -> np.ndarray:
+def _green_column(matrix, iy: int, z: complex) -> np.ndarray:
     """Solve (H - z) w = delta_y with an LU factorization, all rows at once.
 
-    Residual acceptance is the mixed backward-error criterion
+    A dense array is factored by LAPACK (numpy.linalg.solve), a scipy
+    sparse matrix by SuperLU (`spla.splu`, looked up on this module at call
+    time). Residual acceptance is the mixed backward-error criterion
     ||r|| <= rtol * (||b|| + ||H - z|| * ||w||), which keeps legitimately
     near-singular solves (where ||w|| is honestly huge) while still
     rejecting a broken factorization.
     """
     dim = matrix.shape[0]
-    shifted = (matrix - z * sp.identity(dim, format="csr", dtype=complex)).tocsc()
-    scale = spla.norm(shifted, 1) if dim > 1 else abs(shifted[0, 0])
     b = np.zeros(dim, dtype=complex)
     b[iy] = 1.0
+    if isinstance(matrix, np.ndarray):
+        shifted = matrix.astype(complex)
+        shifted.flat[:: dim + 1] -= z
+        scale = float(np.abs(shifted).sum(axis=0).max())
+        solve, singular = np.linalg.solve, np.linalg.LinAlgError
+    else:
+        import scipy.sparse as sp
+
+        spla = sys.modules[__name__].spla
+        shifted = (matrix - z * sp.identity(dim, format="csr", dtype=complex)).tocsc()
+        scale = spla.norm(shifted, 1) if dim > 1 else abs(shifted[0, 0])
+        solve, singular = (lambda a, rhs: spla.splu(a).solve(rhs)), RuntimeError
     try:
-        w = spla.splu(shifted).solve(b)
-    except RuntimeError as exc:  # exactly singular factorization
+        w = solve(shifted, b)
+    except singular as exc:  # exactly singular factorization
         raise SingularityError(
             f"resolvent at z = {z} hit an eigenvalue exactly: {exc}",
             distance=0.0,
@@ -158,7 +181,7 @@ def _green_column(matrix: sp.spmatrix, iy: int, z: complex) -> np.ndarray:
     resid = float(np.linalg.norm(shifted @ w - b))
     if resid > _RESIDUAL_RTOL * (1.0 + scale * wnorm):
         raise ArithmeticError(
-            f"sparse solve residual {resid:.3e} fails the backward-error "
+            f"LU solve residual {resid:.3e} fails the backward-error "
             f"criterion at z = {z}"
         )
     return w
@@ -181,20 +204,28 @@ def green_entries(S: SpectralData, ix: int, iy: int, zs: np.ndarray) -> np.ndarr
     return np.sum(w[None, :] / (S.energies[None, :] - zs[:, None]), axis=1)
 
 
-def green_block(S: SpectralData, ix, iy, zs: np.ndarray) -> np.ndarray:
+def resolvent_weights(S: SpectralData, zs: np.ndarray) -> np.ndarray:
+    """D = 1/(E - z), dim by zs.size complex: the factor green_block
+    multiplies by, which callers may form once and pass to many blocks."""
+    zs = np.asarray(zs, dtype=complex)
+    return 1.0 / (S.energies[:, None] - zs[None, :])
+
+
+def green_block(S: SpectralData, ix, iy, zs: np.ndarray, d=None) -> np.ndarray:
     """G(x, y; z) for every z in zs, x in ix and y in iy through the
     eigendecomposition, shape (zs.size, len(ix), len(iy)).
 
     Evaluated as P D: the real pair factor P = psi_x * psi_y (one row per
-    (x, y) pair, x major) times D = 1/(E - z) (dim by zs.size, complex)
-    read as a real matrix of twice the columns, in one real BLAS gemm.
+    (x, y) pair, x major) times D = resolvent_weights(S, zs) (dim by
+    zs.size, complex; formed here unless given as d) read as a real matrix
+    of twice the columns, in one real BLAS gemm.
     """
-    zs = np.asarray(zs, dtype=complex)
+    if d is None:
+        d = resolvent_weights(S, zs)
     wx, wy = S.vectors[np.asarray(ix), :], S.vectors[np.asarray(iy), :]
     pairs = (wx[:, None, :] * wy[None, :, :]).reshape(-1, S.dim)
-    d = 1.0 / (S.energies[:, None] - zs[None, :])
     out = (pairs @ d.view(float)).view(complex)
-    return out.reshape(len(wx), len(wy), zs.size).transpose(2, 0, 1)
+    return out.reshape(len(wx), len(wy), d.shape[1]).transpose(2, 0, 1)
 
 
 def eig_green(S: SpectralData, ix: int, iy: int, z: complex) -> complex:
@@ -324,15 +355,22 @@ class ProductBasis:
 
 def composite_matrix(
     H_J: SparseHamiltonian, H_K: SparseHamiltonian
-) -> tuple[sp.csr_matrix, ProductBasis]:
-    """Non-interacting composite H_J (x) 1 + 1 (x) H_K on the product basis."""
-    eye_j = sp.identity(H_J.dim, format="csr")
-    eye_k = sp.identity(H_K.dim, format="csr")
-    matrix = (
-        sp.kron(H_J.matrix, eye_k, format="csr")
-        + sp.kron(eye_j, H_K.matrix, format="csr")
-    )
-    return matrix, ProductBasis(left=H_J.index, right=H_K.index)
+) -> tuple[np.ndarray, ProductBasis]:
+    """Non-interacting composite H_J (x) 1 + 1 (x) H_K on the product basis,
+    as a dense array.
+
+    Entries are written, not multiplied out, so every entry is the same
+    double as in the sparse Kronecker sum: A[i, j] where a == b, B[a, b]
+    where i == j, and A[i, i] + B[a, a] on the diagonal. (np.kron would
+    turn a negative entry times an identity zero into -0.0.)
+    """
+    A, B = H_J.dense(), H_K.dense()
+    nj, nk = H_J.dim, H_K.dim
+    out = np.zeros((nj, nk, nj, nk))
+    out[:, np.arange(nk), :, np.arange(nk)] = A
+    out[np.arange(nj), :, np.arange(nj), :] += B
+    basis = ProductBasis(left=H_J.index, right=H_K.index)
+    return out.reshape(nj * nk, nj * nk), basis
 
 
 def composite_spectral_data(
@@ -340,14 +378,15 @@ def composite_spectral_data(
 ) -> SpectralData:
     """Eigendecomposition of the assembled composite (no structure shortcuts,
     so it can serve as an independent reference for the block identities)."""
-    matrix, basis = composite_matrix(H_J, H_K)
-    if matrix.shape[0] > DENSE_DIAG_CAP:
+    dim = H_J.dim * H_K.dim
+    if dim > DENSE_DIAG_CAP:
         raise BudgetError(
-            f"composite dimension {matrix.shape[0]} exceeds cap {DENSE_DIAG_CAP}",
-            count=matrix.shape[0],
+            f"composite dimension {dim} exceeds cap {DENSE_DIAG_CAP}",
+            count=dim,
             limit=DENSE_DIAG_CAP,
         )
-    energies, vectors = np.linalg.eigh(matrix.toarray())
+    matrix, basis = composite_matrix(H_J, H_K)
+    energies, vectors = np.linalg.eigh(matrix)
     return SpectralData(energies=energies, vectors=vectors, index=basis)
 
 
@@ -377,8 +416,8 @@ def composite_green_check(
     a violation raises ContourGeometryError instead of returning garbage.
     The contour side evaluates G_J and G_K at all nodes in one pass each
     through the block eigendecompositions (green_entries). The direct side
-    is an independent sparse solve on the assembled composite, so the
-    returned gap measures the identity, not a shared code path.
+    is an independent LU solve (LAPACK) on the assembled dense composite,
+    so the returned gap measures the identity, not a shared code path.
 
     quadrature_points may also be a sequence of node counts: then one
     CompositeCheck per count comes back, in order, and the block

@@ -1,11 +1,30 @@
 """Report header: the library and BLAS settings that produced this run's
-bytes. The golden pins hold for one BLAS build and thread count, so a pin
-that fails on another host can be read against these lines."""
+bytes, and the scipy subpackages that `import mplab` loads. The golden pins
+hold for one BLAS build and thread count, so a pin that fails on another
+host can be read against these lines."""
 
 import os
+import sys
+
+
+def _scipy_loaded_by_mplab() -> list:
+    """scipy subpackages (two dotted levels) that importing mplab and its
+    CLI added to sys.modules."""
+    before = set(sys.modules)
+    import mplab  # noqa: F401
+    import mplab.cli  # noqa: F401
+
+    return sorted(
+        {
+            ".".join(name.split(".")[:2])
+            for name in set(sys.modules) - before
+            if name == "scipy" or name.startswith("scipy.")
+        }
+    )
 
 
 def pytest_report_header(config):
+    loaded = _scipy_loaded_by_mplab()
     import numpy
     import scipy
 
@@ -23,4 +42,5 @@ def pytest_report_header(config):
         f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
         f"blas {blas.get('name')} {blas.get('version')}",
         f"{threads}, cpu affinity {affinity}",
+        f"scipy modules loaded by import mplab: {', '.join(loaded) or 'none'}",
     ]

@@ -606,6 +606,74 @@ def test_truncated_gaussian_run_loads_no_scipy_stats(tmp_path):
     assert json.loads(proc.stdout) == [False, True, False]
 
 
+def _loaded_scipy(script: str) -> dict:
+    """Run a script in a fresh interpreter; it prints one JSON object."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_and_dense_runs_load_no_scipy(tmp_path):
+    """`import mplab, mplab.cli` loads no scipy module, and neither does
+    validating and running a uniform-density rescaling and a
+    composite_check: Hamiltonians are numpy arrays, and the composite's
+    direct solve is a dense LU."""
+    rescaling = {
+        "kind": "rescaling", "model": {"L": 4, "lambda": 5.0},
+        "ensemble": {"count": 2}, "output": {"directory": str(tmp_path / "r")},
+    }
+    composite = {
+        "kind": "composite_check", "model": {"L": 4, "lambda": 1.0},
+        "params": {"instances": 1, "quadrature_points": 16},
+        "output": {"directory": str(tmp_path / "c")},
+    }
+    script = (
+        "import json, sys, mplab, mplab.cli\n"
+        f"out = {{'import': {_SCIPY_LOADED}}}\n"
+        f"for cfg in json.loads({json.dumps([rescaling, composite])!r}):\n"
+        "    assert mplab.validate(cfg) == []\n"
+        "    mplab.run(cfg, workers=1)\n"
+        f"out['runs'] = {_SCIPY_LOADED}\n"
+        "print(json.dumps(out))\n"
+    )
+    assert _loaded_scipy(script) == {"import": [], "runs": []}
+
+
+def test_scipy_loads_only_for_special_functions_and_sparse_solves(tmp_path):
+    """A truncated-Gaussian decay_probe loads scipy.special but not
+    scipy.sparse; a sparse Green solve loads scipy.sparse.linalg, with the
+    value it gave when scipy.sparse was imported with mplab."""
+    cfg = probe_config(tmp_path, density={"kind": "truncated_gaussian", "params": [0.5, 1.0]})
+    cfg["ensemble"]["count"] = 2
+    script = (
+        "import json, sys, mplab\n"
+        "from mplab import Box, Configuration, InteractionSpec, OperatorSpec\n"
+        f"cfg = json.loads({json.dumps(cfg)!r})\n"
+        "assert mplab.validate(cfg) == []\n"
+        "mplab.run(cfg, workers=1)\n"
+        "out = {'probe': [m in sys.modules for m in ('scipy.special', 'scipy.sparse')]}\n"
+        "spec = OperatorSpec(box=Box(d=1, side=6), n=2, sector='boson', lam=3.0,\n"
+        "                    interaction=InteractionSpec.pair_nn(0.3))\n"
+        "H = mplab.assemble(spec, mplab.sample(spec.box, mplab.UNIFORM_HALF, 4))\n"
+        "x = Configuration(sites=((0,), (1,)), sector='boson')\n"
+        "y = Configuration(sites=((2,), (4,)), sector='boson')\n"
+        "g = mplab.green(H, x, y, 0.7 + 0.05j)\n"
+        "out['green'] = ['scipy.sparse.linalg' in sys.modules, g.real.hex(), g.imag.hex()]\n"
+        "print(json.dumps(out))\n"
+    )
+    got = _loaded_scipy(script)
+    assert got["probe"] == [True, False]
+    assert got["green"] == [
+        True, (0.009631568287593251).hex(), (0.0012096828892811248).hex()
+    ]
+
+
 def test_density_to_dict_is_a_config_density(tmp_path):
     table = DensitySpec.piecewise((-1.0, 0.0, 1.0), (0.3, 0.7))
     as_dict = probe_config(tmp_path / "a", density=table.to_dict())

@@ -378,12 +378,72 @@ def test_template_arrays_match_per_configuration_loop(sector, d, side, n, norm, 
     )
     tmpl = OperatorTemplate(spec)
     kinetic, occupation, inter_diag = _reference_template(spec)
-    for got, want in ((tmpl.kinetic, kinetic), (tmpl.occupation, occupation)):
-        assert got.shape == want.shape
-        for attr in ("indptr", "indices", "data"):
-            a, b = getattr(got, attr), getattr(want, attr)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    # the hops are the loop's off-diagonal kinetic entries in (row, col) order
+    ref = kinetic.tocoo()
+    off = ref.row != ref.col
+    rows, cols, vals = tmpl.hops
+    assert rows.tolist() == ref.row[off].tolist()
+    assert cols.tolist() == ref.col[off].tolist()
+    assert vals.tobytes() == ref.data[off].tobytes()
+    assert (kinetic.diagonal() == tmpl.kinetic_diag).all()
+    # the occupations, as a CSR matrix of the first-column multiplicities
+    first = tmpl.occ_mult > 0
+    got = sp.csr_matrix(
+        (tmpl.occ_mult[first], (np.nonzero(first)[0], tmpl.occ_ranks[first])),
+        shape=occupation.shape,
+    )
+    assert (tmpl.occ_mult[~first] == 0).all()
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(occupation, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
     assert tmpl.interaction_diag.tobytes() == inter_diag.tobytes()
+
+
+def _reference_gershgorin(kinetic, inter_diag, spec, density):
+    # the sparse Gershgorin bound, kept as the definition the hop arrays
+    # must reproduce float for float
+    lam, n = spec.lam, spec.n
+    v_lo, v_hi = density.support
+    pot = (lam * n * v_lo, lam * n * v_hi)
+    kin_diag = 2.0 * spec.box.d * n
+    offdiag = np.abs(kinetic - sp.diags(kinetic.diagonal())).sum(axis=1)
+    r = float(offdiag.max()) if offdiag.size else 0.0
+    lo = kin_diag + inter_diag.min() + min(pot) - r
+    hi = kin_diag + inter_diag.max() + max(pot) + r
+    return (float(lo), float(hi))
+
+
+@pytest.mark.parametrize("inter", sorted(_TEMPLATE_INTERACTIONS))
+@pytest.mark.parametrize(
+    "d,side,n,norm",
+    [(1, 5, 1, "l1"), (1, 5, 2, "l1"), (1, 5, 3, "linf"), (2, 3, 2, "linf"),
+     (2, 3, 3, "l1")],
+)
+@pytest.mark.parametrize("sector", ["distinguishable", "boson", "fermion", "hardcore"])
+def test_dense_matches_per_configuration_loop(sector, d, side, n, norm, inter):
+    """dense() equals, byte for byte, the sparse sum kinetic + diag(interaction
+    + lam * occupation @ v) of the loop's matrices; the lazy CSR form equals
+    dense(); the Gershgorin interval is the sparse formula's."""
+    spec = OperatorSpec(
+        box=Box.centered(d, side), n=n, sector=sector, lam=1.5,
+        interaction=_TEMPLATE_INTERACTIONS[inter], norm=norm,
+    )
+    tmpl = OperatorTemplate(spec)
+    kinetic, occupation, inter_diag = _reference_template(spec)
+    for seed in (0, 5):
+        real = sample(spec.box, UNIFORM_HALF, seed)
+        H = tmpl.hamiltonian(real)
+        diag = inter_diag + spec.lam * (occupation @ real.values)
+        want = (kinetic + sp.diags(diag, format="csr")).tocsr().toarray()
+        got = H.dense()
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert H.matrix.toarray().tobytes() == got.tobytes()
+    gauss = DensitySpec.truncated_gaussian(0.5, 1.0)
+    for density in (UNIFORM_HALF, gauss):
+        assert tmpl.gershgorin_interval(density) == _reference_gershgorin(
+            kinetic, inter_diag, spec, density
+        )
 
 
 def test_template_rejects_foreign_box():

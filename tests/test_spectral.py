@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mplab.configspace import Box, Configuration
 from mplab.disorder import UNIFORM_HALF, DensitySpec, sample
@@ -79,6 +80,24 @@ def test_green_singularity_raises():
     H = build(side=3, lam=0.0)
     with pytest.raises(SingularityError):
         green(H, c1(0), c1(0), 2.0)
+
+
+@pytest.mark.parametrize(
+    "side,n,sector,alpha", [(1, 1, "distinguishable", 0.0), (7, 2, "boson", 0.3)]
+)
+def test_green_column_dense_and_sparse_agree(side, n, sector, alpha):
+    """The LAPACK (dense array) and SuperLU (scipy matrix) branches of the
+    solve primitive agree, and both reject an exact eigenvalue."""
+    H = build(side=side, n=n, sector=sector, lam=3.0, seed=2, alpha=alpha)
+    for z in (0.4 + 0.05j, 2.5 + 1e-6j):
+        for iy in (0, H.dim - 1):
+            dense = _green_column(H.dense(), iy, z)
+            sparse = _green_column(H.matrix, iy, z)
+            assert np.allclose(dense, sparse, rtol=1e-10, atol=1e-14)
+    free = build(side=3, lam=0.0)
+    for matrix in (free.dense(), free.matrix):
+        with pytest.raises(SingularityError):
+            _green_column(matrix, 0, 2.0)
 
 
 def test_green_far_field_decay():
@@ -429,11 +448,14 @@ def test_composite_matrix_is_kron_sum():
     HJ = build(side=3, lam=1.0, seed=0)
     HK = build(side=2, lam=1.0, seed=1)
     M, basis = composite_matrix(HJ, HK)
-    A = HJ.matrix.toarray()
-    B = HK.matrix.toarray()
+    A = HJ.dense()
+    B = HK.dense()
     expect = np.kron(A, np.eye(2)) + np.kron(np.eye(3), B)
-    assert np.allclose(M.toarray(), expect, atol=0.0)
+    assert np.allclose(M, expect, atol=0.0)
     assert basis.size == 6
+    # entry for entry, signs of zeros included, the sparse Kronecker sum
+    kron_sum = sp.kron(HJ.matrix, sp.identity(2)) + sp.kron(sp.identity(3), HK.matrix)
+    assert M.tobytes() == kron_sum.toarray().tobytes()
 
 
 def test_product_basis_split_rejects_bad_parts():

@@ -2,8 +2,8 @@
 
 A refactor that renames or drops one of them breaks the traced benchmark
 run without failing any library test; this test installs the tracer in a
-fresh interpreter, runs three small experiments through it, and checks
-that every layer recorded its spans.
+fresh interpreter, runs three small experiments and one sparse solve
+through it, and checks that every layer recorded its spans.
 """
 
 import json
@@ -30,6 +30,11 @@ harness.run({"kind": "rescaling", "model": {"L": 4, "lambda": 5.0},
 harness.run({"kind": "composite_check", "model": {"L": 4, "lambda": 1.0},
              "params": {"instances": 1, "quadrature_points": 16},
              "output": out}, workers=1)
+# composite_check solves densely, so one sparse (SuperLU) solve feeds spectral.lu
+from mplab import UNIFORM_HALF, Box, Configuration, OperatorSpec, assemble, green, sample
+spec = OperatorSpec(box=Box(d=1, side=4), n=1)
+H = assemble(spec, sample(spec.box, UNIFORM_HALF, 0))
+green(H, Configuration(sites=((0,),)), Configuration(sites=((2,),)), 0.3 + 0.1j)
 metrics, accounting = spans.layer_metrics([rec.dump()])
 print(json.dumps({"metrics": metrics, "units": accounting["units"]}))
 """
