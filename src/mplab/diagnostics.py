@@ -740,7 +740,7 @@ def monitor_seed_rows(plan: MonitorPlan, seed: int) -> tuple:
         d = resolvent_weights(S, zs)
         row = np.zeros(tiles)
         for lo in range(0, x_ranks.size, step):
-            G = green_block(S, x_ranks[lo : lo + step], y_ranks, zs, d)
+            G = green_block(S, x_ranks[lo : lo + step], y_ranks, d)
             terms = (np.abs(G) ** plan.s).reshape(tiles, q, -1)
             row += prefactor * np.sum(terms, axis=(1, 2)) / q
         rows.append(row)

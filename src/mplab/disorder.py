@@ -64,48 +64,6 @@ def _u01(seed: int, key: int, tag: int) -> float:
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
-def _logsumexp(a) -> np.ndarray:
-    """log(sum(exp(a), axis=0)) of a stacked (terms, k) array, real or
-    complex: scipy.special.logsumexp(a, axis=0) of scipy 1.17 (no weights,
-    no sign) as its numpy operations in the same order, without its
-    array-API dispatch, which costs most of a short call."""
-    a = np.asarray(a)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out_inf = np.log(np.sum(np.exp(a), axis=0, keepdims=True))
-        # the term with the largest real part (the last one on ties) is
-        # taken out of the sum for precision
-        if np.iscomplexobj(a):
-            real_a = np.real(a)
-            mask = real_a == np.max(real_a, axis=0, keepdims=True)
-            i = np.arange(a.size).reshape(a.shape)
-            i[~mask] = -1
-            mask = i == np.max(i, axis=0, keepdims=True)
-            a_max = np.sum(np.where(mask, a, 0.0), axis=0, dtype=a.dtype, keepdims=True)
-        else:
-            a_max = np.max(a, axis=0, keepdims=True)
-            mask = a == a_max
-        rest = a.copy()
-        rest[mask] = -np.inf
-        m = np.sum(mask.astype(a.dtype), axis=0, keepdims=True, dtype=a.dtype)
-        s = np.sum(np.exp(rest - a_max), axis=0, keepdims=True, dtype=a.dtype)
-        s = np.where(s == 0, s, s / m)
-        if np.iscomplexobj(a):
-            out = np.log1p(s) + np.log(m) + a_max
-        else:
-            negative = np.sign(s + 1) * np.sign(m) < 0
-            s = np.where(s < -1, -s - 2, s)
-            out = np.log1p(s) + np.log(np.abs(m)) + a_max
-            out[negative] = np.nan
-    out = np.where(np.isfinite(out), out, out_inf)
-    if np.iscomplexobj(out):
-        # the imaginary part wrapped to (-pi, pi]
-        imag = np.imag(out)
-        wrapped = -((-imag + np.pi) % (2 * np.pi) - np.pi)
-        imag = np.where(np.abs(imag) < np.pi, imag, wrapped).astype(complex)
-        out = np.real(out) + imag * 1j
-    return np.squeeze(out, axis=0)
-
-
 def _log_gauss_mass(a, b):
     """log of the standard normal mass on [a, b], elementwise."""
     import scipy.special as sc
@@ -119,8 +77,8 @@ def _log_gauss_mass(a, b):
     # the right tail is its mirror image
     for case, lo, hi in ((left, a, b), (right, -b, -a)):
         if np.any(case):
-            out[case] = _logsumexp(
-                [sc.log_ndtr(hi[case]), sc.log_ndtr(lo[case]) + np.pi * 1j]
+            out[case] = sc.logsumexp(
+                [sc.log_ndtr(hi[case]), sc.log_ndtr(lo[case]) + np.pi * 1j], axis=0
             )
     if np.any(central):
         out[central] = sc.log1p(-sc.ndtr(a[central]) - sc.ndtr(-b[central]))
@@ -180,8 +138,9 @@ class _TruncatedGaussian:
         inside = (0 < u) & (u < 1)
         q = u[inside]
         if q.size:
-            log_phi = _logsumexp(
-                [sc.log_ndtr(np.full_like(q, self.a)), np.log(q) + self.log_mass]
+            log_phi = sc.logsumexp(
+                [sc.log_ndtr(np.full_like(q, self.a)), np.log(q) + self.log_mass],
+                axis=0,
             )
             out[inside] = sc.ndtri_exp(log_phi) * self.sigma + 0.0
         return out

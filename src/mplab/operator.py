@@ -401,18 +401,22 @@ class SparseHamiltonian:
 
     @cached_property
     def matrix(self):
-        """The matrix in scipy CSR form (imports scipy.sparse)."""
+        """The matrix in scipy CSR form (imports scipy.sparse). A diagonal
+        entry that is exactly 0.0 is not stored, as in the CSR sum kinetic
+        + diag that SuperLU's ordering and the MatrixMarket export see."""
         import scipy.sparse as sp
 
         rows, cols, vals = self.hops
         diag = np.arange(self.dim)
-        return sp.csr_matrix(
+        out = sp.csr_matrix(
             (
                 np.concatenate((vals, self.diagonal)),
                 (np.concatenate((rows, diag)), np.concatenate((cols, diag))),
             ),
             shape=(self.dim, self.dim),
         )
+        out.eliminate_zeros()
+        return out
 
     def rank_of(self, config: Configuration) -> int:
         return self.index.index_of(config)

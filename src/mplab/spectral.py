@@ -41,6 +41,12 @@ DEFAULT_TIME_GRID = np.geomspace(0.1, 1.0e4, 256)
 _RESIDUAL_RTOL = 1e-10
 _SINGULARITY_FACTOR = 1e3
 
+# composite_green_check's direct solve is dense (LAPACK) up to this
+# composite dimension and sparse (SuperLU) above it: the two cost the same
+# near 256 on Kronecker sums of 1-d and 2-d blocks, and a dense complex
+# matrix grows as 16 N^2 bytes (5 GB at N = 18496, dim_cap 136).
+_DENSE_SOLVE_CAP = 256
+
 
 def __getattr__(name):
     # scipy.sparse.linalg (`spla`) loads on first use: only sparse solves
@@ -206,22 +212,25 @@ def green_entries(S: SpectralData, ix: int, iy: int, zs: np.ndarray) -> np.ndarr
 
 def resolvent_weights(S: SpectralData, zs: np.ndarray) -> np.ndarray:
     """D = 1/(E - z), dim by zs.size complex: the factor green_block
-    multiplies by, which callers may form once and pass to many blocks."""
+    multiplies by, formed once for any number of blocks at the same nodes."""
     zs = np.asarray(zs, dtype=complex)
     return 1.0 / (S.energies[:, None] - zs[None, :])
 
 
-def green_block(S: SpectralData, ix, iy, zs: np.ndarray, d=None) -> np.ndarray:
-    """G(x, y; z) for every z in zs, x in ix and y in iy through the
-    eigendecomposition, shape (zs.size, len(ix), len(iy)).
+def green_block(S: SpectralData, ix, iy, d: np.ndarray) -> np.ndarray:
+    """G(x, y; z) for every node z, x in ix and y in iy through the
+    eigendecomposition, given d = resolvent_weights(S, zs); shape
+    (zs.size, len(ix), len(iy)).
 
     Evaluated as P D: the real pair factor P = psi_x * psi_y (one row per
-    (x, y) pair, x major) times D = resolvent_weights(S, zs) (dim by
-    zs.size, complex; formed here unless given as d) read as a real matrix
-    of twice the columns, in one real BLAS gemm.
+    (x, y) pair, x major) times D (dim by zs.size, complex) read as a real
+    matrix of twice the columns, in one real BLAS gemm.
     """
-    if d is None:
-        d = resolvent_weights(S, zs)
+    if d.ndim != 2 or d.shape[0] != S.dim or d.dtype != complex:
+        raise ValueError(
+            f"d must be resolvent_weights(S, zs), complex ({S.dim}, zs.size); "
+            f"got {d.dtype} {d.shape}"
+        )
     wx, wy = S.vectors[np.asarray(ix), :], S.vectors[np.asarray(iy), :]
     pairs = (wx[:, None, :] * wy[None, :, :]).reshape(-1, S.dim)
     out = (pairs @ d.view(float)).view(complex)
@@ -373,6 +382,18 @@ def composite_matrix(
     return out.reshape(nj * nk, nj * nk), basis
 
 
+def _composite_csr(H_J: SparseHamiltonian, H_K: SparseHamiltonian):
+    """composite_matrix's operator as a scipy CSR matrix (imports
+    scipy.sparse), for composites too large to solve densely."""
+    import scipy.sparse as sp
+
+    eye_j = sp.identity(H_J.dim, format="csr")
+    eye_k = sp.identity(H_K.dim, format="csr")
+    return sp.kron(H_J.matrix, eye_k, format="csr") + sp.kron(
+        eye_j, H_K.matrix, format="csr"
+    )
+
+
 def composite_spectral_data(
     H_J: SparseHamiltonian, H_K: SparseHamiltonian
 ) -> SpectralData:
@@ -416,8 +437,9 @@ def composite_green_check(
     a violation raises ContourGeometryError instead of returning garbage.
     The contour side evaluates G_J and G_K at all nodes in one pass each
     through the block eigendecompositions (green_entries). The direct side
-    is an independent LU solve (LAPACK) on the assembled dense composite,
-    so the returned gap measures the identity, not a shared code path.
+    is an independent LU solve on the assembled composite, dense (LAPACK)
+    up to dimension _DENSE_SOLVE_CAP and sparse (SuperLU) above it, so the
+    returned gap measures the identity, not a shared code path.
 
     quadrature_points may also be a sequence of node counts: then one
     CompositeCheck per count comes back, in order, and the block
@@ -444,7 +466,10 @@ def composite_green_check(
     if min(counts) < 2:
         raise ValueError(f"need at least 2 quadrature points, got {min(counts)}")
 
-    matrix, _ = composite_matrix(H_J, H_K)
+    if H_J.dim * H_K.dim <= _DENSE_SOLVE_CAP:
+        matrix, _ = composite_matrix(H_J, H_K)
+    else:
+        matrix = _composite_csr(H_J, H_K)
     iy = basis.index_of((yj, yk))
     ix = basis.index_of((xj, xk))
     direct = complex(_green_column(matrix, iy, z)[ix])

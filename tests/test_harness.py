@@ -623,7 +623,7 @@ def test_import_and_dense_runs_load_no_scipy(tmp_path):
     """`import mplab, mplab.cli` loads no scipy module, and neither does
     validating and running a uniform-density rescaling and a
     composite_check: Hamiltonians are numpy arrays, and the composite's
-    direct solve is a dense LU."""
+    direct solve is a dense LU at the default dim_cap."""
     rescaling = {
         "kind": "rescaling", "model": {"L": 4, "lambda": 5.0},
         "ensemble": {"count": 2}, "output": {"directory": str(tmp_path / "r")},

@@ -413,6 +413,18 @@ def _reference_gershgorin(kinetic, inter_diag, spec, density):
     return (float(lo), float(hi))
 
 
+def _assert_forms_match(H, kinetic, diag):
+    """dense() is, byte for byte, the sparse sum kinetic + diag(diag), and
+    the lazy CSR form holds that sum's arrays."""
+    want = (kinetic + sp.diags(diag, format="csr")).tocsr()
+    got = H.dense()
+    assert got.flags.c_contiguous and got.dtype == want.dtype
+    assert got.tobytes() == want.toarray().tobytes()
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(H.matrix, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
 @pytest.mark.parametrize("inter", sorted(_TEMPLATE_INTERACTIONS))
 @pytest.mark.parametrize(
     "d,side,n,norm",
@@ -432,18 +444,29 @@ def test_dense_matches_per_configuration_loop(sector, d, side, n, norm, inter):
     kinetic, occupation, inter_diag = _reference_template(spec)
     for seed in (0, 5):
         real = sample(spec.box, UNIFORM_HALF, seed)
-        H = tmpl.hamiltonian(real)
         diag = inter_diag + spec.lam * (occupation @ real.values)
-        want = (kinetic + sp.diags(diag, format="csr")).tocsr().toarray()
-        got = H.dense()
-        assert got.flags.c_contiguous and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-        assert H.matrix.toarray().tobytes() == got.tobytes()
+        _assert_forms_match(tmpl.hamiltonian(real), kinetic, diag)
     gauss = DensitySpec.truncated_gaussian(0.5, 1.0)
     for density in (UNIFORM_HALF, gauss):
         assert tmpl.gershgorin_interval(density) == _reference_gershgorin(
             kinetic, inter_diag, spec, density
         )
+
+
+@pytest.mark.parametrize("sector", ["distinguishable", "boson", "fermion", "hardcore"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_csr_form_stores_no_cancelled_diagonal(sector, d):
+    """At lam = 0 with a nearest-neighbour pair energy of -2*d*n, an adjacent
+    pair's diagonal entry is exactly 0.0; the CSR form leaves it out, as the
+    sparse sum kinetic + diag does."""
+    spec = OperatorSpec(
+        box=Box.centered(d, 3), n=2, sector=sector, lam=0.0,
+        interaction=InteractionSpec.pair_nn(-4.0 * d),
+    )
+    H = OperatorTemplate(spec).hamiltonian(sample(spec.box, UNIFORM_HALF, 0))
+    kinetic, _, inter_diag = _reference_template(spec)
+    assert (H.diagonal == 0.0).any()
+    _assert_forms_match(H, kinetic, inter_diag)
 
 
 def test_template_rejects_foreign_box():

@@ -22,6 +22,7 @@ from mplab.spectral import (
     green_block,
     green_entries,
     group_weights,
+    resolvent_weights,
     spectral_data,
     subadditivity_check,
 )
@@ -154,12 +155,15 @@ def test_green_block_matches_green_entries(nx, ny):
     zs = rng.uniform(S.energies[0], S.energies[-1], 6) + 1j * np.array(
         [1e-3, 0.06, 0.5, 1e-3, 0.06, 0.5]
     )
-    block = green_block(S, ix, iy, zs)
+    block = green_block(S, ix, iy, resolvent_weights(S, zs))
     assert block.shape == (zs.size, nx, ny) and block.dtype == complex
     want = np.array(
         [[green_entries(S, x, y, zs) for y in iy] for x in ix]
     ).transpose(2, 0, 1)
     assert np.allclose(block, want, rtol=1e-10, atol=1e-13 * np.abs(want).max())
+    # the nodes themselves are not the weights
+    with pytest.raises(ValueError):
+        green_block(S, ix, iy, zs)
 
 
 def test_eig_green_is_green_entries_at_one_point():
@@ -409,6 +413,32 @@ def test_composite_direct_matches_eigensum_reference():
     ref = eig_green(S, S.rank_of(x), S.rank_of(y), z)
     assert res.direct == pytest.approx(ref, rel=1e-9)
     assert res.contour == pytest.approx(ref, rel=1e-6)
+
+
+def test_composite_direct_solve_is_dense_up_to_the_cap(monkeypatch):
+    """The direct side factors a dense array up to _DENSE_SOLVE_CAP and a
+    scipy sparse matrix above it; both sides give the eigen-sum value."""
+    kinds = []
+    solve = spectral._green_column
+
+    def recorded(matrix, iy, z):
+        kinds.append(type(matrix).__module__.split(".")[0])
+        return solve(matrix, iy, z)
+
+    monkeypatch.setattr(spectral, "_green_column", recorded)
+    x = Configuration(sites=((1,), (0,)))
+    y = Configuration(sites=((9,), (12,)))
+    HJ = build(side=16, lam=1.0, seed=2)
+    for side in (16, 17):  # composite dimension 256, then 272
+        HK = build(side=side, lam=2.0, seed=3)
+        eK = np.linalg.eigvalsh(HK.dense())
+        z = complex(3.7, 1.3 * max(1.25 * (eK.max() - eK.min()) / 2.0, 1.0))
+        S = composite_spectral_data(HJ, HK)
+        ref = eig_green(S, S.rank_of(x), S.rank_of(y), z)
+        res = composite_green_check(HJ, HK, x, y, z, quadrature_points=256)
+        assert res.direct == pytest.approx(ref, rel=1e-9)
+    assert spectral._DENSE_SOLVE_CAP == 256
+    assert kinds == ["numpy", "scipy"]
 
 
 def test_composite_geometry_error_near_spectrum():
