@@ -117,7 +117,7 @@ def ensemble_spectra(spec: OperatorSpec, seeds, density: DensitySpec):
     if spec.dim > DENSE_DIAG_CAP:
         raise BudgetError(
             f"ensemble eigendecomposition at dimension {spec.dim} exceeds "
-            f"cap {DENSE_DIAG_CAP}; use the solve backend",
+            f"cap {DENSE_DIAG_CAP}; fractional_moment solves sparsely above it",
             count=spec.dim,
             limit=DENSE_DIAG_CAP,
         )
@@ -138,14 +138,6 @@ def _nudged(S, zs) -> np.ndarray:
     return zs
 
 
-def _pick_backend(backend: str, dim: int) -> str:
-    if backend == "auto":
-        return "eigen" if dim <= DENSE_DIAG_CAP else "solve"
-    if backend not in ("eigen", "solve"):
-        raise ValueError(f"unknown backend {backend!r}")
-    return backend
-
-
 # --------------------------------------------------------- fractional moment
 
 
@@ -157,24 +149,25 @@ def fractional_moment(
     z: complex,
     s: float,
     density: DensitySpec = UNIFORM_HALF,
-    backend: str = "auto",
 ) -> Estimate:
     """Monte-Carlo estimate of E |G(x, y; z)|^s over the disorder ensemble.
 
-    A solve that lands exactly on an eigenvalue (possible for real z) is
-    retried once at z + 1e-10i and the nudge is logged; the eigen backend
-    applies the same nudge on an exact eigenvalue hit.
+    Up to DENSE_DIAG_CAP configurations the Green entry comes from the
+    eigendecomposition, above it from a sparse solve. A solve that lands
+    exactly on an eigenvalue (possible for real z) is retried once at
+    z + 1e-10i and the nudge is logged; the eigen path applies the same
+    nudge on an exact eigenvalue hit.
     """
     s = _check_s(s)
     z = complex(z)
     seeds = [int(v) for v in seeds]
-    backend = _pick_backend(backend, spec.dim)
+    eigen = spec.dim <= DENSE_DIAG_CAP
     template = _template_for(spec)
     ix, iy = spec.config_index.index_of(x), spec.config_index.index_of(y)
     samples = np.empty(len(seeds))
     for j, seed in enumerate(seeds):
         H = template.hamiltonian(sample(spec.box, density, seed))
-        if backend == "eigen":
+        if eigen:
             S = spectral_data(H)
             g = np.abs(green_entries(S, ix, iy, _nudged(S, [z])))[0]
         else:

@@ -11,6 +11,7 @@ conditional-expectation arguments in the diagnostics need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -152,8 +153,9 @@ class DensitySpec:
 
     Kinds: "uniform" on [a, b]; "truncated_gaussian" with scale sigma cut at
     +-cutoff; "piecewise" constant on a break table. Construction validates
-    that a piecewise table integrates to 1 within 1e-10 and that a truncated
-    Gaussian keeps a representable mass within its cutoff.
+    that the parameters and the uniform width are finite, that a piecewise
+    table integrates to 1 within 1e-10 and that a truncated Gaussian keeps a
+    representable mass within its cutoff.
     """
 
     kind: str
@@ -165,6 +167,8 @@ class DensitySpec:
             a, b = self.params
             if not a < b:
                 raise ValueError(f"uniform needs a < b, got ({a}, {b})")
+            if not math.isfinite(b - a):
+                raise ValueError(f"uniform needs a finite width b - a, got ({a}, {b})")
         elif self.kind == "truncated_gaussian":
             sigma, cutoff = self.params
             if sigma <= 0 or cutoff <= 0:
@@ -176,6 +180,10 @@ class DensitySpec:
                 raise ValueError(
                     f"truncated gaussian {self.params} cannot be normalized: "
                     f"the mass within +-cutoff has log {gauss.log_mass}"
+                )
+            if not (math.isfinite(sigma) and math.isfinite(cutoff)):
+                raise ValueError(
+                    f"truncated gaussian needs finite sigma, cutoff, got {self.params}"
                 )
             object.__setattr__(self, "_gauss", gauss)
         elif self.kind == "piecewise":
@@ -190,7 +198,8 @@ class DensitySpec:
             if any(v < 0 for v in dens):
                 raise ValueError(f"piecewise densities must be nonnegative: {dens}")
             total = sum(v * (hi - lo) for v, lo, hi in zip(dens, breaks, breaks[1:]))
-            if abs(total - 1.0) > 1e-10:
+            # written so that a NaN total, from a non-finite entry, fails too
+            if not abs(total - 1.0) <= 1e-10:
                 raise ValueError(
                     f"density integrates to {total!r}, expected 1 +- 1e-10"
                 )

@@ -8,11 +8,17 @@ strings (budget problems carry a "budget:" prefix); `run` executes a valid
 config and writes a CSV table, a JSON mirror, and a metadata sidecar before
 returning.
 
+Each config field is declared once, as a `(default, rule)` entry: the
+sections' fields in the schema `_SECTIONS`, a kind's params in its record.
+`ExperimentConfig.from_dict` takes its defaults from the entries, and
+`validate` walks their rules; a rule maps `(path, value)` to a list of
+violations. The keys of a schema are the allowed fields.
+
 Each kind is described once, by its record in the kind table `_KINDS`:
-params defaults (also the allowed params fields), least ensemble count,
-the box sides its budget covers, result columns with their dtypes, params
-check, and runner. `KINDS` and the runner dict `_RUNNERS`, through which
-`run` dispatches, derive from it.
+params entries `(default, rule)`, least ensemble count, the box sides its
+budget covers, result columns with their dtypes, the check of the rules
+that need the model or another field, and runner. `KINDS` and the runner
+dict `_RUNNERS`, through which `run` dispatches, derive from it.
 
 Every result table comes out of one path, units -> map -> fold -> table:
 a runner maps its units through `_chunked_map` (per seed with
@@ -83,7 +89,6 @@ from .disorder import DensitySpec, sample
 from .errors import BudgetError
 from .operator import (
     BUILTIN_INTERACTIONS,
-    INTERACTION_FIELDS,
     InteractionSpec,
     OperatorSpec,
     assemble,
@@ -97,23 +102,6 @@ from .spectral import (
     spectral_data,
     subadditivity_check,
 )
-
-# section defaults; their keys are the allowed fields of each section
-_DEFAULT_SECTIONS = {
-    "model": {
-        "d": 1,
-        "L": 8,
-        "n": 1,
-        "sector": "distinguishable",
-        "lambda": 1.0,
-        "interaction": {"builtin": "none", "coupling": 0.0, "range": 1},
-        "density": {"kind": "uniform", "params": [-0.5, 0.5]},
-        "norm": "l1",
-    },
-    "ensemble": {"base_seed": 0, "count": 8},
-    "numerics": {"s": 0.5, "eta": None, "quad_points": None},
-    "output": {"directory": "out", "formats": ["csv", "json"]},
-}
 
 class ConfigError(ValueError):
     """A config failed validation; `violations` lists every problem."""
@@ -158,22 +146,18 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(["config must be a JSON object"])
         kind = raw.get("kind")
+        params = _KINDS[kind].params if kind in KINDS else {}
+        schemas = {**_SECTIONS, "params": params}
         sections = {
-            name: _merge(_DEFAULT_SECTIONS[name], raw.get(name, {}))
-            for name in _DEFAULT_SECTIONS
+            name: _merge(_defaults(schema), raw.get(name, {}))
+            for name, schema in schemas.items()
         }
-        defaults = _KINDS[kind].params if kind in KINDS else {}
-        params = _merge(defaults, raw.get("params", {}))
-        extra = {
-            k: raw[k]
-            for k in raw
-            if k not in ("kind", "params", *_DEFAULT_SECTIONS)
-        }
-        return cls(kind=kind, params=params, extra=extra, **sections)
+        extra = {k: raw[k] for k in raw if k != "kind" and k not in schemas}
+        return cls(kind=kind, extra=extra, **sections)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
-        for name in (*_DEFAULT_SECTIONS, "params"):
+        for name in (*_SECTIONS, "params"):
             out[name] = copy.deepcopy(getattr(self, name))
         out.update(copy.deepcopy(self.extra))
         return out
@@ -237,39 +221,138 @@ def _is_num(v) -> bool:
     )
 
 
-def _positive_int(out: list, path: str, value) -> bool:
-    if _is_int(value) and value >= 1:
-        return True
-    out.append(f"{path} must be a positive integer, got {value!r}")
-    return False
+def _rule(requirement: str, ok: Callable) -> Callable:
+    """The rule "<path> must <requirement>, got <value!r>" unless ok(value)."""
+
+    def rule(path: str, value) -> list:
+        return [] if ok(value) else [f"{path} must {requirement}, got {value!r}"]
+
+    return rule
 
 
-def _unknown_fields(out: list, section: str, fields, known, suffix="") -> None:
-    for key in sorted(set(fields) - set(known)):
-        out.append(f"unknown {section} field {key!r}{suffix}")
+def _fields(schema: dict, suffix: str = "") -> Callable:
+    """The rule of an object: its unknown fields, then each field's rule in
+    schema order. A field whose rule is None is left to the kind's check."""
+
+    def rule(path: str, obj) -> list:
+        if not isinstance(obj, dict):
+            return [f"{path} must be an object"]
+        out = [
+            f"unknown {path} field {key!r}{suffix}"
+            for key in sorted(set(obj) - set(schema))
+        ]
+        for key, (_, check) in schema.items():
+            if check is not None:
+                out += check(f"{path}.{key}", obj.get(key))
+        return out
+
+    return rule
 
 
-def _null_or_positive(out: list, path: str, value) -> None:
-    if value is not None and (not _is_num(value) or value <= 0):
-        out.append(f"{path} must be null or positive, got {value!r}")
+def _at_least(least: int, requirement: str = None) -> Callable:
+    """The rule of an integer >= least."""
+    requirement = requirement or f"be an integer >= {least}"
+    return _rule(requirement, lambda v: _is_int(v) and v >= least)
+
+
+def _one_of(options: tuple) -> Callable:
+    return _rule(f"be one of {options}", lambda v: v in options)
+
+
+def _is_list_of(v, ok) -> bool:
+    """A nonempty list whose every entry passes ok."""
+    return isinstance(v, list) and bool(v) and all(ok(x) for x in v)
+
+
+def _defaults(schema: dict) -> dict:
+    return {key: default for key, (default, _) in schema.items()}
+
+
+def _density_rule(path: str, value) -> list:
+    try:
+        DensitySpec.from_dict(value)
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
+        return [f"{path}: {err}"]
+    return []
+
+
+_POSITIVE_INT = _at_least(1, "be a positive integer")
+_NONNEGATIVE_INT = _at_least(0, "be a nonnegative integer")
+_FINITE = _rule("be a finite number", _is_num)
+_NONNEGATIVE = _rule("be a finite number >= 0", lambda v: _is_num(v) and v >= 0)
+_NULL_OR_POSITIVE = _rule(
+    "be null or positive", lambda v: v is None or (_is_num(v) and v > 0)
+)
+
+# Each config field once, as name -> (default, rule). from_dict overlays a
+# raw config on the defaults, validate walks the rules in this order, and
+# unknown fields are the keys missing here.
+_INTERACTION = {
+    "builtin": ("none", _one_of(BUILTIN_INTERACTIONS)),
+    "coupling": (0.0, _FINITE),
+    "range": (1, _POSITIVE_INT),
+}
+_SECTIONS = {
+    "model": {
+        "d": (1, _rule(
+            "be an integer in [1, 3]", lambda v: _is_int(v) and 1 <= v <= 3
+        )),
+        "L": (8, _POSITIVE_INT),
+        "n": (1, _POSITIVE_INT),
+        "sector": ("distinguishable", _one_of(SECTORS)),
+        "lambda": (1.0, _NONNEGATIVE),
+        "norm": ("l1", _rule("be 'l1' or 'linf'", lambda v: v in ("l1", "linf"))),
+        "interaction": (_defaults(_INTERACTION), _fields(_INTERACTION)),
+        "density": ({"kind": "uniform", "params": [-0.5, 0.5]}, _density_rule),
+    },
+    # the least count depends on the kind; validate adds its rule
+    "ensemble": {"base_seed": (0, _NONNEGATIVE_INT), "count": (8, None)},
+    "numerics": {
+        "s": (0.5, _rule("lie in (0,1)", lambda v: _is_num(v) and 0 < v < 1)),
+        "eta": (None, _NULL_OR_POSITIVE),
+        "quad_points": (None, _rule(
+            "be null or a positive integer",
+            lambda v: v is None or (_is_int(v) and v >= 1),
+        )),
+    },
+    "output": {
+        "directory": ("out", _rule(
+            "be a nonempty string", lambda v: isinstance(v, str) and v != ""
+        )),
+        # `in` on a tuple compares, so an unhashable entry is reported, not raised
+        "formats": (["csv", "json"], _rule(
+            "be a nonempty subset of [csv, json]",
+            lambda v: _is_list_of(v, lambda f: f in ("csv", "json")),
+        )),
+    },
+}
 
 
 def _as_configuration(obj, spec: OperatorSpec) -> Configuration:
-    """Accept a bare site list or a {sites, sector} object."""
+    """Accept a bare site list or a {sites, sector} object, with integer
+    coordinates, in the model's sector."""
     if isinstance(obj, dict):
         sites = obj["sites"]
         sector = obj.get("sector", spec.sector)
     else:
         sites, sector = obj, spec.sector
-    cfg = Configuration(
-        sites=tuple(tuple(int(c) for c in s) for s in sites), sector=sector
-    )
+    cfg = Configuration(sites=tuple(_site(s) for s in sites), sector=sector)
     for site in cfg.sites:
         if not spec.box.contains(site):
             raise ValueError(f"site {site} lies outside the box")
     if cfg.n != spec.n:
         raise ValueError(f"configuration has {cfg.n} particles, model has {spec.n}")
+    if cfg.sector != spec.sector:
+        raise ValueError(f"sector {cfg.sector!r} is not the model's {spec.sector!r}")
     return cfg
+
+
+def _site(coords) -> tuple:
+    """A site from its coordinates, which must be JSON integers."""
+    site = tuple(int(c) for c in coords)
+    if not all(_is_int(c) for c in coords):
+        raise ValueError(f"site coordinates must be integers, got {coords!r}")
+    return site
 
 
 def _block_candidates(config: ExperimentConfig) -> tuple:
@@ -293,8 +376,8 @@ def _resolve_wegner(config: ExperimentConfig, spec: OperatorSpec):
     p = config.params
     x = _as_configuration(p["x"], spec) if p["x"] is not None else corner_block(spec)
     y = _as_configuration(p["y"], spec) if p["y"] is not None else x
-    u1 = tuple(int(c) for c in p["u1"]) if p["u1"] is not None else x.sites[0]
-    u2 = tuple(int(c) for c in p["u2"]) if p["u2"] is not None else y.sites[0]
+    u1 = _site(p["u1"]) if p["u1"] is not None else x.sites[0]
+    u2 = _site(p["u2"]) if p["u2"] is not None else y.sites[0]
     if p["z_grid"] is not None:
         zs = []
         for z in p["z_grid"]:
@@ -322,12 +405,6 @@ def _resolve_pairs(config: ExperimentConfig, spec: OperatorSpec):
     return probe_pairs(spec, int(p["max_points"]))
 
 
-def _scan_lambdas(config: ExperimentConfig):
-    """params.lambdas; null means [model.lambda]."""
-    lambdas = config.params["lambdas"]
-    return [float(config.model["lambda"])] if lambdas is None else lambdas
-
-
 def validate(config) -> list:
     """Every violation in the config, as human-readable strings.
 
@@ -337,94 +414,25 @@ def validate(config) -> list:
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
-    out = []
 
     if config.kind not in KINDS:
-        out.append(f"kind must be one of {', '.join(KINDS)}, got {config.kind!r}")
-        return out
-    for key in config.extra:
-        out.append(f"unknown config section {key!r}")
+        return [f"kind must be one of {', '.join(KINDS)}, got {config.kind!r}"]
+    out = [f"unknown config section {key!r}" for key in config.extra]
     malformed = [
         f"{name} must be an object"
-        for name in (*_DEFAULT_SECTIONS, "params")
+        for name in (*_SECTIONS, "params")
         if not isinstance(getattr(config, name), dict)
     ]
     if malformed:
         return out + malformed
 
-    m = config.model
-    _unknown_fields(out, "model", m, _DEFAULT_SECTIONS["model"])
-    if not _is_int(m.get("d")) or not 1 <= m["d"] <= 3:
-        out.append(f"model.d must be an integer in [1, 3], got {m.get('d')!r}")
-    _positive_int(out, "model.L", m.get("L"))
-    _positive_int(out, "model.n", m.get("n"))
-    if m.get("sector") not in SECTORS:
-        out.append(f"model.sector must be one of {SECTORS}, got {m.get('sector')!r}")
-    if not _is_num(m.get("lambda")) or float(m["lambda"]) < 0:
-        out.append(
-            f"model.lambda must be a finite number >= 0, got {m.get('lambda')!r}"
-        )
-    if m.get("norm") not in ("l1", "linf"):
-        out.append(f"model.norm must be 'l1' or 'linf', got {m.get('norm')!r}")
-    inter = m.get("interaction", {})
-    if not isinstance(inter, dict):
-        out.append("model.interaction must be an object")
-        inter = {}
-    _unknown_fields(out, "model.interaction", inter, INTERACTION_FIELDS)
-    if inter.get("builtin", "none") not in BUILTIN_INTERACTIONS:
-        out.append(
-            f"model.interaction.builtin must be one of {BUILTIN_INTERACTIONS}, "
-            f"got {inter.get('builtin')!r}"
-        )
-    if "coupling" in inter and not _is_num(inter["coupling"]):
-        out.append(
-            f"model.interaction.coupling must be a finite number, "
-            f"got {inter['coupling']!r}"
-        )
-    if "range" in inter:
-        _positive_int(out, "model.interaction.range", inter["range"])
-    try:
-        config.density_spec()
-    except (ValueError, KeyError, TypeError) as e:
-        out.append(f"model.density: {e}")
-
-    e = config.ensemble
-    _unknown_fields(out, "ensemble", e, _DEFAULT_SECTIONS["ensemble"])
-    if not _is_int(e.get("base_seed")) or e["base_seed"] < 0:
-        out.append(
-            f"ensemble.base_seed must be a nonnegative integer, "
-            f"got {e.get('base_seed')!r}"
-        )
-    min_count = _KINDS[config.kind].min_count
-    if not _is_int(e.get("count")) or e["count"] < min_count:
-        out.append(
-            f"ensemble.count must be an integer >= {min_count} for kind "
-            f"{config.kind}, got {e.get('count')!r}"
-        )
-
-    num = config.numerics
-    _unknown_fields(out, "numerics", num, _DEFAULT_SECTIONS["numerics"])
-    s = num.get("s")
-    if not _is_num(s) or not 0.0 < float(s) < 1.0:
-        out.append(f"numerics.s must lie in (0,1), got {s!r}")
-    _null_or_positive(out, "numerics.eta", num.get("eta"))
-    qp = num.get("quad_points")
-    if qp is not None and (not _is_int(qp) or qp < 1):
-        out.append(
-            f"numerics.quad_points must be null or a positive integer, got {qp!r}"
-        )
-
-    o = config.output
-    _unknown_fields(out, "output", o, _DEFAULT_SECTIONS["output"])
-    if not isinstance(o.get("directory"), str) or not o["directory"]:
-        out.append(f"output.directory must be a nonempty string, got {o.get('directory')!r}")
-    fmts = o.get("formats")
-    # `in` on a tuple compares, so an unhashable entry is reported, not raised
-    if not isinstance(fmts, list) or not fmts or any(
-        f not in ("csv", "json") for f in fmts
-    ):
-        out.append(f"output.formats must be a nonempty subset of [csv, json], got {fmts!r}")
-
+    kind = _KINDS[config.kind]
+    least = kind.min_count
+    count = _at_least(least, f"be an integer >= {least} for kind {config.kind}")
+    for name, schema in _SECTIONS.items():
+        if name == "ensemble":
+            schema = {**schema, "count": (None, count)}
+        out += _fields(schema)(name, getattr(config, name))
     if out:
         # structural problems make the model unbuildable; stop here
         return out
@@ -434,19 +442,9 @@ def validate(config) -> list:
     try:
         spec = config.operator_spec()
     except (ValueError, TypeError) as err:
-        out.append(f"model: {err}")
-        return out
+        return [f"model: {err}"]
 
-    kind = _KINDS[config.kind]
-    _unknown_fields(out, "params", config.params, kind.params, f" for kind {config.kind}")
-    p = config.params
-    if "omega_samples" in kind.params and (
-        not _is_int(p.get("omega_samples")) or p["omega_samples"] < 0
-    ):
-        out.append(
-            f"params.omega_samples must be a nonnegative integer, "
-            f"got {p.get('omega_samples')!r}"
-        )
+    out += _fields(kind.params, f" for kind {config.kind}")("params", config.params)
     kind.check(config, spec, out)
     for scale in kind.budget_sides:
         side = scale * int(config.model["L"])
@@ -477,27 +475,16 @@ def config_warnings(config) -> list:
 
 def _check_probe(config, spec, out: list) -> None:
     p = config.params
-    if not _is_int(p.get("max_points")) or p["max_points"] < 3:
-        out.append(
-            f"params.max_points must be an integer >= 3, got {p.get('max_points')!r}"
-        )
-    else:
+    if _is_int(p["max_points"]) and p["max_points"] >= 3:
         try:
             _resolve_pairs(config, spec)
-        except (ValueError, KeyError, TypeError) as err:
+        except (ValueError, KeyError, TypeError, OverflowError) as err:
             out.append(f"params.pairs: {err}")
-    iv = p.get("interval")
-    if iv is not None:
-        if (
-            not isinstance(iv, list)
-            or len(iv) != 2
-            or not all(_is_num(v) for v in iv)
-        ):
-            out.append(f"params.interval must be null or [lo, hi], got {iv!r}")
-        elif not iv[1] - iv[0] >= 1.0 - 1e-12:
-            out.append(
-                f"params.interval must have length >= 1, got {iv[1] - iv[0]}"
-            )
+    iv = p["interval"]  # after the pairs, whose message comes first
+    if iv is not None and not (_is_list_of(iv, _is_num) and len(iv) == 2):
+        out.append(f"params.interval must be null or [lo, hi], got {iv!r}")
+    elif iv is not None and not iv[1] - iv[0] >= 1.0 - 1e-12:
+        out.append(f"params.interval must have length >= 1, got {iv[1] - iv[0]}")
 
 
 def _is_z(z) -> bool:
@@ -511,11 +498,10 @@ def _check_wegner(config, spec, out: list) -> None:
     p = config.params
     if float(config.model["lambda"]) == 0.0:
         out.append("model.lambda: the conditional check needs lambda != 0")
-    zg = p.get("z_grid")
+    zg = p["z_grid"]
     if zg is None:
-        _positive_int(out, "params.z_count", p.get("z_count"))
-        if not _is_num(p.get("z_im")):
-            out.append(f"params.z_im must be a finite number, got {p.get('z_im')!r}")
+        out += _POSITIVE_INT("params.z_count", p["z_count"])
+        out += _FINITE("params.z_im", p["z_im"])
     elif not isinstance(zg, (list, tuple)) or not all(_is_z(z) for z in zg):
         out.append(
             "params.z_grid entries must be finite numbers or [re, im] pairs of "
@@ -524,7 +510,7 @@ def _check_wegner(config, spec, out: list) -> None:
         return
     try:
         x, y, u1, u2, zs = _resolve_wegner(config, spec)
-    except (ValueError, KeyError, TypeError, IndexError) as err:
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as err:
         out.append(f"params: {err}")
         return
     if not zs:
@@ -543,50 +529,20 @@ def _check_monitor_box(config, spec, out: list) -> None:
 
 
 def _check_rescaling(config, spec, out: list) -> None:
-    p = config.params
-    for name in ("a", "A", "nu", "p"):
-        if not _is_num(p.get(name)) or float(p[name]) < 0:
-            out.append(
-                f"params.{name} must be a finite number >= 0, got {p.get(name)!r}"
-            )
-    if _is_num(p.get("a")) and float(p["a"]) == 0.0:
+    a = config.params["a"]
+    if _is_num(a) and float(a) == 0.0:
         out.append("params.a must be positive")
     _check_monitor_box(config, spec, out)
 
 
 def _check_region_scan(config, spec, out: list) -> None:
-    p = config.params
     L = int(config.model["L"])
-    lambdas = _scan_lambdas(config)
-    if (
-        not isinstance(lambdas, list)
-        or not lambdas
-        or not all(_is_num(v) and float(v) >= 0 for v in lambdas)
-    ):
-        out.append(
-            f"params.lambdas must be a nonempty list of numbers >= 0, "
-            f"got {p.get('lambdas')!r}"
-        )
-    alphas = p.get("alphas")
-    if (
-        not isinstance(alphas, list)
-        or not alphas
-        or not all(_is_num(v) for v in alphas)
-    ):
-        out.append(
-            f"params.alphas must be a nonempty list of numbers, got {alphas!r}"
-        )
-    if not _is_num(p.get("r2_threshold")) or not 0 < p["r2_threshold"] <= 1:
-        out.append(
-            f"params.r2_threshold must lie in (0, 1], got {p.get('r2_threshold')!r}"
-        )
-    _null_or_positive(out, "params.xi_max", p.get("xi_max"))
-    _null_or_positive(out, "params.monitor_eta", p.get("monitor_eta"))
     if config.interaction_spec().label == "onsite":
         out.append(
             "model.interaction: region_scan sweeps pair couplings; "
             "onsite is not supported here"
         )
+    alphas = config.params["alphas"]
     irange = config.model["interaction"].get("range", 1)
     if (
         isinstance(alphas, list)
@@ -607,10 +563,8 @@ def _check_region_scan(config, spec, out: list) -> None:
 
 
 def _check_blocks(config, spec, out: list) -> None:
-    p = config.params
-    _positive_int(out, "params.instances", p.get("instances"))
-    cap = p.get("dim_cap")
-    if not _positive_int(out, "params.dim_cap", cap):
+    cap = config.params["dim_cap"]
+    if not _is_int(cap) or cap < 1:
         return
     if not _block_candidates(config):
         out.append(
@@ -626,12 +580,9 @@ def _check_blocks(config, spec, out: list) -> None:
 
 def _check_composite(config, spec, out: list) -> None:
     _check_blocks(config, spec, out)
+    # after the block checks, whose messages come first
     p = config.params
-    if not _is_int(p.get("quadrature_points")) or p["quadrature_points"] < 8:
-        out.append(
-            f"params.quadrature_points must be an integer >= 8, "
-            f"got {p.get('quadrature_points')!r}"
-        )
+    out += _at_least(8)("params.quadrature_points", p["quadrature_points"])
 
 
 # -------------------------------------------------------------- result table
@@ -1139,7 +1090,7 @@ def _run_region_scan(config: ExperimentConfig, workers):
     )
     units = [
         (float(lam), float(alpha), proto)
-        for lam in _scan_lambdas(config)
+        for lam in p["lambdas"] or [config.model["lambda"]]
         for alpha in p["alphas"]
     ]
     verdicts = _chunked_map(_scan_unit, units, workers)
@@ -1194,16 +1145,17 @@ def _run_subadditivity(config: ExperimentConfig, workers):
 class _Kind:
     """Everything validate and run know about one experiment kind."""
 
-    params: dict  # params defaults; their keys are the allowed fields
+    params: dict  # field -> (default, rule), as in _SECTIONS; the allowed fields
     min_count: int  # least ensemble.count
     budget_sides: tuple  # box sides under the dense cap, as multiples of L
     columns: tuple  # (name, dtype) per result column, dtypes as in ResultTable
-    check: Callable  # check(config, spec, out) appends params violations
+    check: Callable  # check(config, spec, out) appends the rules that need the model
     runner: Callable  # runner(config, workers) -> (rows in column order, metadata)
 
 
 _PROBE_KIND = _Kind(
-    params={"max_points": 6, "pairs": None, "interval": None},
+    params={"max_points": (6, _at_least(3)), "pairs": (None, None),
+            "interval": (None, None)},
     min_count=2, budget_sides=(1,),
     columns=(("dist_H", "int"), ("EQ_mean", "float"), ("EQ_stderr", "float"),
              ("moment_mean", "float"), ("moment_stderr", "float"), ("seeds", "str")),
@@ -1214,8 +1166,9 @@ _PROBE_KIND = _Kind(
 _KINDS = {
     "decay_probe": _PROBE_KIND,
     "wegner": _Kind(
-        params={"x": None, "y": None, "u1": None, "u2": None, "z_grid": None,
-                "z_count": 8, "z_im": 0.0},
+        params={"x": (None, None), "y": (None, None), "u1": (None, None),
+                "u2": (None, None), "z_grid": (None, None), "z_count": (8, None),
+                "z_im": (0.0, None)},
         min_count=2, budget_sides=(1,),
         columns=(("z_re", "float"), ("z_im", "float"), ("mean", "float"),
                  ("stderr", "float"), ("count", "int"), ("seeds", "str")),
@@ -1223,14 +1176,16 @@ _KINDS = {
     ),
     "equivalence": _PROBE_KIND,
     "b_monitor": _Kind(
-        params={"omega_samples": 0},
+        params={"omega_samples": (0, _NONNEGATIVE_INT)},
         min_count=2, budget_sides=(1,),
         columns=(("tile_lo", "float"), ("tile_hi", "float"), ("mean", "float"),
                  ("stderr", "float"), ("count", "int"), ("seeds", "str")),
         check=_check_monitor_box, runner=_run_b_monitor,
     ),
     "rescaling": _Kind(
-        params={"a": 1.0, "A": 0.0, "nu": 0.0, "p": 0.0, "omega_samples": 0},
+        params={"omega_samples": (0, _NONNEGATIVE_INT), "a": (1.0, _NONNEGATIVE),
+                "A": (0.0, _NONNEGATIVE), "nu": (0.0, _NONNEGATIVE),
+                "p": (0.0, _NONNEGATIVE)},
         min_count=2, budget_sides=(2,),
         columns=(("scale", "str"), ("side", "int"), ("value", "float"),
                  ("full_mean", "float"), ("full_stderr", "float"), ("count", "int"),
@@ -1238,8 +1193,21 @@ _KINDS = {
         check=_check_rescaling, runner=_run_rescaling,
     ),
     "region_scan": _Kind(
-        params={"lambdas": None, "alphas": [0.0], "r2_threshold": 0.9,
-                "xi_max": None, "monitor_eta": None, "omega_samples": 0},
+        params={
+            "omega_samples": (0, _NONNEGATIVE_INT),
+            "lambdas": (None, _rule(  # null means [model.lambda]
+                "be a nonempty list of numbers >= 0",
+                lambda v: v is None or _is_list_of(v, lambda x: _is_num(x) and x >= 0),
+            )),
+            "alphas": ([0.0], _rule(
+                "be a nonempty list of numbers", lambda v: _is_list_of(v, _is_num)
+            )),
+            "r2_threshold": (0.9, _rule(
+                "lie in (0, 1]", lambda v: _is_num(v) and 0 < v <= 1
+            )),
+            "xi_max": (None, _NULL_OR_POSITIVE),
+            "monitor_eta": (None, _NULL_OR_POSITIVE),
+        },
         min_count=2, budget_sides=(2,),
         columns=(("lambda", "float"), ("alpha", "float"), ("b_small", "float"),
                  ("b_small_stderr", "float"), ("b_large", "float"),
@@ -1248,7 +1216,8 @@ _KINDS = {
         check=_check_region_scan, runner=_run_region_scan,
     ),
     "composite_check": _Kind(
-        params={"instances": 20, "dim_cap": 10, "quadrature_points": 512},
+        params={"instances": (20, _POSITIVE_INT), "dim_cap": (10, _POSITIVE_INT),
+                "quadrature_points": (512, None)},
         min_count=1, budget_sides=(),
         columns=(("instance", "int"), ("seed_left", "int"), ("seed_right", "int"),
                  ("dim_left", "int"), ("dim_right", "int"), ("z_re", "float"),
@@ -1257,7 +1226,7 @@ _KINDS = {
         check=_check_composite, runner=_run_composite,
     ),
     "subadditivity": _Kind(
-        params={"instances": 500, "dim_cap": 12},
+        params={"instances": (500, _POSITIVE_INT), "dim_cap": (12, _POSITIVE_INT)},
         min_count=1, budget_sides=(),
         columns=(("instance", "int"), ("seed_left", "int"), ("seed_right", "int"),
                  ("lhs", "float"), ("rhs", "float"), ("q_left", "float"),

@@ -108,11 +108,13 @@ def test_fractional_moment_far_field():
     assert est.mean * 1e3 == pytest.approx(1.0, abs=1e-3)
 
 
-def test_fractional_moment_backends_agree():
+def test_fractional_moment_backends_agree(monkeypatch):
     sp = spec1d(12, lam=3.0)
     z = 2.0 + 0.5j
-    a = fractional_moment(range(6), sp, c1(-2), c1(3), z, 0.5, backend="eigen")
-    b = fractional_moment(range(6), sp, c1(-2), c1(3), z, 0.5, backend="solve")
+    a = fractional_moment(range(6), sp, c1(-2), c1(3), z, 0.5)
+    # a cap below the dimension sends the same call down the solve path
+    monkeypatch.setattr(diag, "DENSE_DIAG_CAP", sp.dim - 1)
+    b = fractional_moment(range(6), sp, c1(-2), c1(3), z, 0.5)
     assert a.mean == pytest.approx(b.mean, rel=1e-10)
 
 
@@ -146,7 +148,7 @@ def test_eigenvalue_hit_is_nudged_in_fractional_moment(caplog):
     ]
     z = complex(spectra[0].energies[2])
     with caplog.at_level(logging.WARNING, logger="mplab.diagnostics"):
-        est = fractional_moment([4, 5], sp, x, y, z, s, backend="eigen")
+        est = fractional_moment([4, 5], sp, x, y, z, s)
     assert len(_nudge_records(caplog)) == 1
     expected = [
         abs(green_entries(spectra[0], ix, iy, np.array([z + 1e-10j]))[0]) ** s,

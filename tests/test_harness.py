@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mplab import cli
+from mplab import cli, harness
 from mplab.diagnostics import b_monitor, rescaling_check, scan_point, wegner_check
 from mplab.disorder import DensitySpec
 from mplab.errors import BudgetError
-from mplab.operator import InteractionSpec
+from mplab.operator import INTERACTION_FIELDS, InteractionSpec
 from mplab.harness import (
     KINDS,
     ConfigError,
@@ -146,6 +146,75 @@ def _cfg(kind, model=None, ensemble=None, params=None, **sections):
     raw.update(sections)
     return raw
 
+
+# Site coordinates must be JSON integers, in the model's sector. Without
+# these rules each config below validates and then runs on truncated
+# coordinates or crashes, or it makes validate raise.
+_SITE_CORPUS = [
+    pytest.param(
+        _cfg(
+            "decay_probe", {"L": 12, "lambda": 8.0},
+            params={"pairs": [[[[-2.9]], [[1]]], [[[0]], [[2]]], [[[0]], [[4]]]]},
+        ),
+        [
+            'params.pairs: site coordinates must be integers, got [-2.9]',
+        ],
+        id="pair_site_float",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": [[[[True]], [[3]]]]}),
+        [
+            'params.pairs: site coordinates must be integers, got [True]',
+        ],
+        id="pair_site_bool",
+    ),
+    pytest.param(
+        _cfg("equivalence", params={"pairs": [[[["2"]], [[0]]]]}),
+        [
+            "params.pairs: site coordinates must be integers, got ['2']",
+        ],
+        id="pair_site_string",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": [[[[math.inf]], [[0]]]]}),
+        [
+            'params.pairs: cannot convert float infinity to integer',
+        ],
+        id="pair_site_infinite",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"x": [[math.inf]]}),
+        [
+            'params: cannot convert float infinity to integer',
+        ],
+        id="wegner_x_infinite",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"u1": [math.inf]}),
+        [
+            'params: cannot convert float infinity to integer',
+        ],
+        id="wegner_u1_infinite",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"z_count": math.inf}),
+        [
+            'params.z_count must be a positive integer, got inf',
+            'params: cannot convert float infinity to integer',
+        ],
+        id="wegner_z_count_infinite",
+    ),
+    pytest.param(
+        _cfg(
+            "decay_probe",
+            params={"pairs": [[{"sites": [[-4]], "sector": "boson"}, [[0]]]]},
+        ),
+        [
+            "params.pairs: sector 'boson' is not the model's 'distinguishable'",
+        ],
+        id="pair_sector",
+    ),
+]
 
 # Exact validate output, in order: every check of the section block and of
 # each kind's params check, plus one runnable config per kind. A set-valued
@@ -347,6 +416,14 @@ _VALIDATE_CORPUS = [
         id="wegner_bad_x",
     ),
     pytest.param(
+        _cfg("wegner", params={"z_count": -1, "x": [[0], [1]]}),
+        [
+            'params.z_count must be a positive integer, got -1',
+            'params: configuration has 2 particles, model has 1',
+        ],
+        id="wegner_z_count_before_x",
+    ),
+    pytest.param(
         _cfg(
             "wegner", params={"u1": [3], "u2": [2], "z_grid": []}
         ),
@@ -401,6 +478,14 @@ _VALIDATE_CORPUS = [
         id="rescaling_constants",
     ),
     pytest.param(
+        _cfg("rescaling", {"L": 8}, params={"omega_samples": -2, "A": -1.0}),
+        [
+            'params.omega_samples must be a nonnegative integer, got -2',
+            'params.A must be a finite number >= 0, got -1.0',
+        ],
+        id="rescaling_omega_before_constants",
+    ),
+    pytest.param(
         _cfg("rescaling", {"L": 16, "n": 3}),
         [
             'budget: configuration space dimension 32768 at box side 32 exceeds the dense-diagonalization cap 20000',
@@ -424,6 +509,17 @@ _VALIDATE_CORPUS = [
             'model.L: monitor boxes need a side divisible by 4, got 6',
         ],
         id="region_scan_params",
+    ),
+    pytest.param(
+        _cfg(
+            "region_scan", {"L": 8, "n": 1},
+            params={"omega_samples": 1.5, "lambdas": [-2.0]},
+        ),
+        [
+            'params.omega_samples must be a nonnegative integer, got 1.5',
+            'params.lambdas must be a nonempty list of numbers >= 0, got [-2.0]',
+        ],
+        id="region_scan_omega_before_lambdas",
     ),
     pytest.param(
         _cfg(
@@ -483,12 +579,89 @@ _VALIDATE_CORPUS = [
         ],
         id="subadditivity_no_block",
     ),
+    *_SITE_CORPUS,
 ]
 
 
 @pytest.mark.parametrize("cfg, expected", _VALIDATE_CORPUS)
 def test_validate_output_pinned(cfg, expected):
     assert validate(cfg) == expected
+
+
+@pytest.mark.parametrize("cfg, expected", _SITE_CORPUS)
+def test_cli_reports_bad_site_coordinates(tmp_path, capsys, cfg, expected):
+    assert cli.main(["validate", write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"invalid: {v}" in err for v in expected)
+
+
+# JSON text, as a config file would carry it
+@pytest.mark.parametrize(
+    "density",
+    [
+        '{"kind": "uniform", "params": [-Infinity, 0]}',
+        '{"kind": "uniform", "params": [0, Infinity]}',
+        '{"kind": "uniform", "params": [-1e308, 1e308]}',
+        '{"kind": "truncated_gaussian", "params": [1, Infinity]}',
+        '{"kind": "truncated_gaussian", "params": [Infinity, 1]}',
+        '{"kind": "piecewise", "params": [[0, Infinity], [0]]}',
+        '{"kind": "piecewise", "params": [[0, 1, 2], [1, NaN]]}',
+    ],
+)
+def test_non_finite_density_parameters_rejected(density):
+    obj = json.loads(density)
+    with pytest.raises(ValueError):
+        DensitySpec.from_dict(obj)
+    (violation,) = validate(_cfg("decay_probe", {"density": obj}))
+    assert violation.startswith("model.density: ")
+
+
+def test_interaction_schema_lists_the_operator_fields():
+    defaults, _ = harness._SECTIONS["model"]["interaction"]
+    assert tuple(defaults) == INTERACTION_FIELDS
+
+
+# integers stay small: validate builds the whole wegner z grid and walks
+# every block side up to model.L
+_MALFORMED = [
+    None, True, False, "", "x", "2", [], [1, "a"], {}, {"a": 1},
+    math.nan, math.inf, -math.inf, 1e308, -0.0, 0, 1, 2, 3, 64, -1, -64,
+]
+# shapes that carry a value down to a site coordinate or a density parameter
+_SHAPES = [
+    lambda v: v,
+    lambda v: [v],
+    lambda v: [[v]],
+    lambda v: [[[[v]], [[0]]]],
+    lambda v: [[{"sites": [[v]]}, {"sites": [[0]], "sector": v}]],
+    lambda v: [v, 1.0],
+]
+
+
+def test_validate_never_raises_on_malformed_values():
+    """A malformed JSON value in any section, field or params field gives
+    violations as nonempty strings, never an exception."""
+    rng = np.random.default_rng(20261019)
+    bases = [p.values[0] for p in _VALIDATE_CORPUS if p.id.startswith("valid_")]
+    assert len(bases) == len(KINDS)
+    for base in bases:
+        full = ExperimentConfig.from_dict(base).to_dict()
+        sections = ("model", "ensemble", "numerics", "output", "params")
+        paths = [(name,) for name in sections]
+        paths += [(name, key) for name in sections for key in full[name]]
+        paths += [("model", sub, key) for sub in ("interaction", "density")
+                  for key in full["model"][sub]]
+        for path in paths:
+            for value in _MALFORMED:
+                shape = _SHAPES[int(rng.integers(len(_SHAPES)))]
+                cfg = copy.deepcopy(full)
+                node = cfg
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = shape(value)
+                violations = validate(cfg)
+                assert isinstance(violations, list), (path, cfg)
+                assert all(isinstance(v, str) and v for v in violations), (path, cfg)
 
 
 # JSON text, as a config file would carry it; json reads NaN and Infinity
