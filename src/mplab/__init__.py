@@ -24,20 +24,14 @@ from .diagnostics import (
     BMonitorResult,
     DecayFit,
     Estimate,
-    RegionScanResult,
-    RegionVerdict,
     RescalingReport,
-    ScanProtocol,
     WegnerReport,
     b_monitor,
     decay_fit,
-    energy_averaged_moment,
     equivalence_probe,
     fractional_moment,
     probe_pairs,
-    region_scan,
     rescaling_check,
-    scan_point,
     wegner_check,
 )
 from .disorder import UNIFORM_HALF, DensitySpec, DisorderRealization, resample_at, sample

@@ -1,10 +1,11 @@
 """Ensemble diagnostics for multi-particle localization.
 
 Monte-Carlo estimates of fractional resolvent moments, conditional
-single-site boundedness checks, energy-averaged moments with their
-eta-sensitivity companions, two-sided decay probes comparing moments against
-eigenfunction correlators, a finite-volume boundary-flux monitor, and the
-rescaling / region-scan layers on top of it.
+single-site boundedness checks, two-sided decay probes comparing
+interval-averaged moments against eigenfunction correlators, a finite-volume
+boundary-flux monitor, the doubling check on top of it, and the verdict
+rule of one region-scan point (the harness composes the monitor and probe
+runs of a scan).
 
 Estimates carry (mean, stderr, count, seeds) and are reproducible: the same
 seed set yields bit-identical results. Sup-type quantities (sup over z, sup
@@ -36,12 +37,7 @@ from .configspace import (
 )
 from .disorder import UNIFORM_HALF, DensitySpec, resample_at, sample
 from .errors import BudgetError, SingularityError
-from .operator import (
-    InteractionSpec,
-    OperatorSpec,
-    _template_for,
-    gershgorin_interval,
-)
+from .operator import OperatorSpec, _template_for, gershgorin_interval
 from .spectral import (
     DENSE_DIAG_CAP,
     EnergyInterval,
@@ -306,76 +302,6 @@ def wegner_reduce(
     )
 
 
-# ---------------------------------------------------- energy-averaged moment
-
-
-@dataclass(frozen=True)
-class AveragedMoment:
-    """Interval-averaged fractional moment and its eta -> 2*eta companion."""
-
-    estimate: Estimate
-    estimate_2eta: Estimate
-    interval: EnergyInterval
-    eta: float
-    quad_points: int
-
-    @property
-    def eta_shift(self) -> float:
-        """Relative change of the mean when eta doubles."""
-        scale = max(abs(self.estimate.mean), 1e-300)
-        return abs(self.estimate.mean - self.estimate_2eta.mean) / scale
-
-
-def _interval_nodes(interval: EnergyInterval, quad_points: int) -> np.ndarray:
-    if not np.isfinite(interval.length):
-        raise ValueError("energy averaging needs a finite interval")
-    if interval.length < 1.0 - 1e-12:
-        raise ValueError(
-            f"averaging interval must have length >= 1, got {interval.length}"
-        )
-    step = interval.length / quad_points
-    return interval.lo + step * (np.arange(quad_points) + 0.5)
-
-
-def energy_averaged_moment(
-    seeds,
-    spec: OperatorSpec,
-    x: Configuration,
-    y: Configuration,
-    interval: EnergyInterval,
-    s: float,
-    eta: float = DEFAULT_ETA,
-    quad_points: int = DEFAULT_QUAD_POINTS,
-    density: DensitySpec = UNIFORM_HALF,
-) -> AveragedMoment:
-    """(1/|I|) integral over I of E |G(x, y; E + i eta)|^s, midpoint rule.
-
-    Needs |I| >= 1. The companion estimate at 2*eta shares every disorder
-    sample, so the pair isolates regularization sensitivity from
-    Monte-Carlo noise.
-    """
-    s = _check_s(s)
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if quad_points < 1:
-        raise ValueError(f"need at least one quadrature node, got {quad_points}")
-    seeds = [int(v) for v in seeds]
-    nodes = _interval_nodes(interval, quad_points)
-    ix, iy = spec.config_index.index_of(x), spec.config_index.index_of(y)
-    vals = np.empty(len(seeds))
-    vals2 = np.empty(len(seeds))
-    for j, (seed, S) in enumerate(ensemble_spectra(spec, seeds, density)):
-        vals[j] = np.mean(np.abs(green_entries(S, ix, iy, nodes + 1j * eta)) ** s)
-        vals2[j] = np.mean(np.abs(green_entries(S, ix, iy, nodes + 2j * eta)) ** s)
-    return AveragedMoment(
-        estimate=Estimate.from_samples(vals, seeds),
-        estimate_2eta=Estimate.from_samples(vals2, seeds),
-        interval=interval,
-        eta=eta,
-        quad_points=quad_points,
-    )
-
-
 # ---------------------------------------------------------- equivalence probe
 
 
@@ -396,6 +322,49 @@ def default_probe_interval(
     """Unit interval centered in the operator's spectral enclosure."""
     lo, hi = gershgorin_interval(spec, density)
     return EnergyInterval.unit((lo + hi) / 2.0)
+
+
+def _interval_nodes(interval: EnergyInterval, quad_points: int) -> np.ndarray:
+    if not np.isfinite(interval.length):
+        raise ValueError("energy averaging needs a finite interval")
+    if interval.length < 1.0 - 1e-12:
+        raise ValueError(
+            f"averaging interval must have length >= 1, got {interval.length}"
+        )
+    step = interval.length / quad_points
+    return interval.lo + step * (np.arange(quad_points) + 0.5)
+
+
+def corner_block(spec: OperatorSpec, shift: int = 0) -> Configuration:
+    """n consecutive sites along the first axis, `shift` sites from the corner."""
+    corner = spec.box.origin
+    return Configuration(
+        sites=tuple(
+            (corner[0] + shift + k,) + tuple(corner[1:]) for k in range(spec.n)
+        ),
+        sector=spec.sector,
+    )
+
+
+def probe_pairs(spec: OperatorSpec, max_points: int = 6):
+    """Corner-anchored block pairs at even separations along the first axis.
+
+    Blocks of n consecutive sites are valid in every sector; shifting a
+    block by r along one axis moves its Hausdorff distance to exactly r in
+    both supported norms.
+    """
+    box, n = spec.box, spec.n
+    x = corner_block(spec)
+    out = []
+    r = 2
+    while r + n - 1 < box.side and len(out) < max_points:
+        out.append((x, corner_block(spec, r)))
+        r += 2
+    if len(out) < 3:
+        raise ValueError(
+            f"box side {box.side} too small for a {n}-particle decay probe"
+        )
+    return out
 
 
 def probe_samples(
@@ -882,155 +851,21 @@ def rescaling_check(
     )
 
 
-# ---------------------------------------------------------------- region scan
+def scan_verdict(b_small, b_large, fit: DecayFit, r2_threshold: float, xi_max: float):
+    """(gap, noise, verdict) of one region-scan point.
 
-
-@dataclass(frozen=True)
-class ScanProtocol:
-    """Knobs shared by every grid point of a region scan.
-
-    L is the monitor length parameter: each point compares monitors on the
-    centered boxes of sides 2L and 4L and fits correlator decay on the
-    larger one.
+    gap = b_small - b_large and noise their combined full-box stderr. The
+    verdict is "inconclusive" when the monitor difference is dominated by
+    the noise; "contracting" requires both the observed monitor drop and a
+    convincing exponential correlator fit (r2 at least r2_threshold, xi at
+    most xi_max); anything else is "non-contracting".
     """
-
-    d: int = 1
-    L: int = 8
-    n: int = 2
-    sector: str = "distinguishable"
-    count: int = 40
-    base_seed: int = 0
-    s: float = 0.5
-    eta: float = DEFAULT_ETA  # probe regularization
-    monitor_eta: float = None  # monitor tiles default to resolution-matched
-    quad_points: int = B_MONITOR_QUAD_POINTS
-    omega_samples: int = 0
-    norm: str = "l1"
-    density: DensitySpec = UNIFORM_HALF
-    interaction_range: int = 1
-    r2_threshold: float = 0.9
-    xi_max: float = None  # defaults to L
-
-
-@dataclass(frozen=True)
-class RegionVerdict:
-    """One scan point; gap = b_small - b_large, noise their combined stderr."""
-
-    lam: float
-    alpha: float
-    b_small: BMonitorResult
-    b_large: BMonitorResult
-    gap: float
-    noise: float
-    fit: DecayFit
-    verdict: str
-
-
-@dataclass(frozen=True)
-class RegionScanResult:
-    points: tuple
-    protocol: ScanProtocol
-
-
-def _scan_spec(lam: float, alpha: float, L: int, proto: ScanProtocol) -> OperatorSpec:
-    inter = (
-        InteractionSpec.pair_nn(alpha, range=proto.interaction_range)
-        if alpha
-        else InteractionSpec.none()
-    )
-    return OperatorSpec(
-        box=Box.centered(proto.d, L),
-        n=proto.n,
-        sector=proto.sector,
-        lam=lam,
-        interaction=inter,
-        norm=proto.norm,
-    )
-
-
-def corner_block(spec: OperatorSpec, shift: int = 0) -> Configuration:
-    """n consecutive sites along the first axis, `shift` sites from the corner."""
-    corner = spec.box.origin
-    return Configuration(
-        sites=tuple(
-            (corner[0] + shift + k,) + tuple(corner[1:]) for k in range(spec.n)
-        ),
-        sector=spec.sector,
-    )
-
-
-def probe_pairs(spec: OperatorSpec, max_points: int = 6):
-    """Corner-anchored block pairs at even separations along the first axis.
-
-    Blocks of n consecutive sites are valid in every sector; shifting a
-    block by r along one axis moves its Hausdorff distance to exactly r in
-    both supported norms.
-    """
-    box, n = spec.box, spec.n
-    x = corner_block(spec)
-    out = []
-    r = 2
-    while r + n - 1 < box.side and len(out) < max_points:
-        out.append((x, corner_block(spec, r)))
-        r += 2
-    if len(out) < 3:
-        raise ValueError(
-            f"box side {box.side} too small for a {n}-particle decay probe"
-        )
-    return out
-
-
-def scan_point(lam: float, alpha: float, proto: ScanProtocol) -> RegionVerdict:
-    """Monitor doubling plus a correlator decay fit at one (lambda, alpha).
-
-    Verdict "inconclusive" when the monitor difference is dominated by the
-    combined standard errors; "contracting" requires both the observed
-    monitor drop and a convincing exponential correlator fit (r2 and xi
-    thresholds from the protocol); anything else is "non-contracting".
-    """
-    seeds = range(proto.base_seed, proto.base_seed + proto.count)
-    common = dict(
-        s=proto.s,
-        omega_samples=proto.omega_samples,
-        eta=proto.monitor_eta,
-        quad_points=proto.quad_points,
-        density=proto.density,
-    )
-    spec_small = _scan_spec(lam, alpha, 2 * proto.L, proto)
-    spec_large = _scan_spec(lam, alpha, 4 * proto.L, proto)
-    b_small = b_monitor(spec_small, seeds, **common)
-    b_large = b_monitor(spec_large, seeds, **common)
-    rows = equivalence_probe(
-        seeds,
-        spec_large,
-        probe_pairs(spec_large),
-        s=proto.s,
-        eta=proto.eta,
-        density=proto.density,
-    )
-    fit = decay_fit([(row.dist, row.q.mean) for row in rows])
-    xi_max = proto.xi_max if proto.xi_max is not None else float(proto.L)
     gap = b_small.value - b_large.value
     noise = math.hypot(b_small.full.stderr, b_large.full.stderr)
     if abs(gap) <= noise:
         verdict = "inconclusive"
-    elif gap > 0 and fit.r2 >= proto.r2_threshold and fit.xi <= xi_max:
+    elif gap > 0 and fit.r2 >= r2_threshold and fit.xi <= xi_max:
         verdict = "contracting"
     else:
         verdict = "non-contracting"
-    return RegionVerdict(
-        lam=float(lam),
-        alpha=float(alpha),
-        b_small=b_small,
-        b_large=b_large,
-        gap=gap,
-        noise=noise,
-        fit=fit,
-        verdict=verdict,
-    )
-
-
-def region_scan(grid, proto: ScanProtocol = ScanProtocol()) -> RegionScanResult:
-    """Scan an iterable of (lambda, alpha) pairs with a shared protocol."""
-    points = tuple(scan_point(lam, alpha, proto) for lam, alpha in grid)
-    return RegionScanResult(points=points, protocol=proto)
+    return gap, noise, verdict

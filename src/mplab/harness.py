@@ -25,6 +25,10 @@ a runner maps its units through `_chunked_map` (per seed with
 `_per_seed_map`, per block-pair instance with `_instance_map`), folds the
 results in order and returns `(rows, metadata)`; `run` builds the one
 `ResultTable` from the kind's columns and the run metadata, and emits it.
+region_scan composes these pipelines: its unit is one (lambda, alpha)
+point, which runs the monitor maps of `rescaling` (`_monitor_runs`) and
+the probe map of `decay_probe` (`_probe_rows`) serially for the model at
+that point and folds them into the point's verdict (`scan_verdict`).
 
 Execution is deterministic by construction: work splits into units that
 depend only on their own seed (or instance index), workers share nothing
@@ -68,7 +72,6 @@ from .diagnostics import (
     B_MONITOR_QUAD_POINTS,
     DEFAULT_ETA,
     DEFAULT_QUAD_POINTS,
-    ScanProtocol,
     check_monitor_box,
     corner_block,
     decay_fit,
@@ -81,7 +84,7 @@ from .diagnostics import (
     probe_reduce,
     probe_samples,
     rescaling_check,
-    scan_point,
+    scan_verdict,
     wegner_reduce,
     wegner_samples,
 )
@@ -332,6 +335,11 @@ def _as_configuration(obj, spec: OperatorSpec) -> Configuration:
     """Accept a bare site list or a {sites, sector} object, with integer
     coordinates, in the model's sector."""
     if isinstance(obj, dict):
+        unknown = sorted(set(obj) - {"sites", "sector"})
+        if unknown:
+            raise ValueError(f"unknown configuration field(s) {unknown}")
+        if "sites" not in obj:
+            raise ValueError("a configuration object needs a 'sites' list")
         sites = obj["sites"]
         sector = obj.get("sector", spec.sector)
     else:
@@ -370,29 +378,32 @@ def _block_candidates(config: ExperimentConfig) -> tuple:
     return tuple(out)
 
 
-def _resolve_wegner(config: ExperimentConfig, spec: OperatorSpec):
-    """Materialize x, y, u1, u2, z grid (defaults: corner block, its first
-    site, a real grid across the spectral enclosure)."""
+def _wegner_marks(config: ExperimentConfig, spec: OperatorSpec):
+    """Materialize x, y, u1, u2 (defaults: corner block, x, and the first
+    site of each)."""
     p = config.params
     x = _as_configuration(p["x"], spec) if p["x"] is not None else corner_block(spec)
     y = _as_configuration(p["y"], spec) if p["y"] is not None else x
     u1 = _site(p["u1"]) if p["u1"] is not None else x.sites[0]
     u2 = _site(p["u2"]) if p["u2"] is not None else y.sites[0]
+    return x, y, u1, u2
+
+
+def _wegner_grid(config: ExperimentConfig, spec: OperatorSpec) -> list:
+    """The z grid: params.z_grid, by default z_count points across the
+    spectral enclosure at height z_im (which needs the operator template)."""
+    p = config.params
     if p["z_grid"] is not None:
-        zs = []
-        for z in p["z_grid"]:
-            if isinstance(z, (list, tuple)):
-                zs.append(complex(float(z[0]), float(z[1])))
-            else:
-                zs.append(complex(float(z), 0.0))
-    else:
-        lo, hi = gershgorin_interval(spec, config.density_spec())
-        count = int(p["z_count"])
-        zs = [
-            complex(v, float(p["z_im"]))
-            for v in np.linspace(lo, hi, count)
+        return [
+            complex(float(z[0]), float(z[1]))
+            if isinstance(z, (list, tuple))
+            else complex(float(z), 0.0)
+            for z in p["z_grid"]
         ]
-    return x, y, u1, u2, zs
+    lo, hi = gershgorin_interval(spec, config.density_spec())
+    return [
+        complex(v, float(p["z_im"])) for v in np.linspace(lo, hi, int(p["z_count"]))
+    ]
 
 
 def _resolve_pairs(config: ExperimentConfig, spec: OperatorSpec):
@@ -509,11 +520,11 @@ def _check_wegner(config, spec, out: list) -> None:
         )
         return
     try:
-        x, y, u1, u2, zs = _resolve_wegner(config, spec)
+        x, y, u1, u2 = _wegner_marks(config, spec)
     except (ValueError, KeyError, TypeError, IndexError, OverflowError) as err:
         out.append(f"params: {err}")
         return
-    if not zs:
+    if zg is not None and not zg:
         out.append("params.z_grid must not be empty")
     if occupation(x, u1) < 1:
         out.append(f"params.u1: x has no particle at {u1}")
@@ -826,11 +837,6 @@ def _monitor_unit(args):
     return monitor_seed_rows(plan, seed)
 
 
-def _scan_unit(args):
-    lam, alpha, proto = args
-    return scan_point(lam, alpha, proto)
-
-
 def _draw_block(rng, config: ExperimentConfig, candidates):
     side, n = candidates[int(rng.integers(len(candidates)))]
     spec = config.operator_spec(side, n)
@@ -926,10 +932,16 @@ def _numerics(config: ExperimentConfig, eta_default, qp_default):
     return float(num["s"]), eta, qp
 
 
+def _probe_rows(item, seeds, workers):
+    """The ProbeRows of item = (spec, pairs, interval, s, eta, quad_points,
+    density), from one per-seed map."""
+    (results,) = _per_seed_map(_probe_unit, [item], seeds, workers)
+    return probe_reduce(item[0], item[1], seeds, results)
+
+
 def _run_probe(config: ExperimentConfig, workers):
     spec = config.operator_spec()
     density = config.density_spec()
-    seeds = config.seeds()
     s, eta, qp = _numerics(config, DEFAULT_ETA, DEFAULT_QUAD_POINTS)
     pairs = _resolve_pairs(config, spec)
     iv = config.params["interval"]
@@ -939,10 +951,9 @@ def _run_probe(config: ExperimentConfig, workers):
         else EnergyInterval(float(iv[0]), float(iv[1]))
     )
     item = (spec, tuple(pairs), interval, s, eta, qp, density)
-    (results,) = _per_seed_map(_probe_unit, [item], seeds, workers)
     rows = [
         (int(r.dist), r.q.mean, r.q.stderr, r.moment.mean, r.moment.stderr, r.q.seeds)
-        for r in probe_reduce(spec, pairs, seeds, results)
+        for r in _probe_rows(item, config.seeds(), workers)
     ]
     return rows, {
         "interval": [interval.lo, interval.hi],
@@ -964,9 +975,9 @@ def _run_wegner(config: ExperimentConfig, workers):
     base_seed = int(config.ensemble["base_seed"])
     count = int(config.ensemble["count"])
     s = float(config.numerics["s"])
-    x, y, u1, u2, zs = _resolve_wegner(config, spec)
+    x, y, u1, u2 = _wegner_marks(config, spec)
     marked = marked_sites(u1, u2)
-    zarr = np.asarray(zs)
+    zarr = np.asarray(_wegner_grid(config, spec))
     chunk = 32
     chunks = [
         tuple(range(k, min(k + chunk, count))) for k in range(0, count, chunk)
@@ -1066,58 +1077,64 @@ def _run_rescaling(config: ExperimentConfig, workers):
     }
 
 
-def _run_region_scan(config: ExperimentConfig, workers):
-    L = int(config.model["L"])
-    p = config.params
-    s, eta, qp = _numerics(config, DEFAULT_ETA, B_MONITOR_QUAD_POINTS)
-    proto = ScanProtocol(
-        d=int(config.model["d"]),
-        L=L // 2,
-        n=int(config.model["n"]),
-        sector=config.model["sector"],
-        count=int(config.ensemble["count"]),
-        base_seed=int(config.ensemble["base_seed"]),
-        s=s,
-        eta=eta,
-        monitor_eta=None if p["monitor_eta"] is None else float(p["monitor_eta"]),
-        quad_points=qp,
-        omega_samples=int(p["omega_samples"]),
-        norm=config.model["norm"],
-        density=config.density_spec(),
-        interaction_range=int(config.model["interaction"].get("range", 1)),
-        r2_threshold=float(p["r2_threshold"]),
-        xi_max=None if p["xi_max"] is None else float(p["xi_max"]),
+def _scan_unit(args):
+    """One (lambda, alpha) point: the monitors at sides L and 2L and the
+    correlator decay fit on side 2L, each mapped serially, and the verdict."""
+    config, lam, alpha = args
+    model, p = config.model, config.params
+    inter = {
+        "builtin": "pair_nn" if alpha else "none",
+        "coupling": alpha,
+        "range": model["interaction"]["range"],
+    }
+    point = dataclasses.replace(
+        config, model={**model, "lambda": lam, "interaction": inter}
     )
+    L = int(model["L"])
+    # the monitors tile at params.monitor_eta, not at numerics.eta
+    monitors = dataclasses.replace(
+        point, numerics={**config.numerics, "eta": p["monitor_eta"]}
+    )
+    _, (b_small, b_large) = _monitor_runs(monitors, [L, 2 * L], workers=1)
+    # the probe always integrates on DEFAULT_QUAD_POINTS nodes
+    s, eta, _ = _numerics(point, DEFAULT_ETA, None)
+    spec = point.operator_spec(side=2 * L)
+    density = point.density_spec()
+    interval = default_probe_interval(spec, density)
+    pairs = tuple(probe_pairs(spec))
+    item = (spec, pairs, interval, s, eta, DEFAULT_QUAD_POINTS, density)
+    rows = _probe_rows(item, point.seeds(), workers=1)
+    fit = decay_fit([(r.dist, r.q.mean) for r in rows])
+    gap, noise, verdict = scan_verdict(
+        b_small, b_large, fit, float(p["r2_threshold"]), _xi_max(config)
+    )
+    return (
+        lam, alpha, b_small.value, b_small.full.stderr, b_large.value,
+        b_large.full.stderr, gap, noise, fit.xi, fit.r2, verdict, b_small.full.seeds,
+    )
+
+
+def _xi_max(config: ExperimentConfig) -> float:
+    """params.xi_max, by default half the monitor box side model.L."""
+    xi_max = config.params["xi_max"]
+    return float(int(config.model["L"]) // 2 if xi_max is None else xi_max)
+
+
+def _run_region_scan(config: ExperimentConfig, workers):
+    p = config.params
     units = [
-        (float(lam), float(alpha), proto)
+        (config, float(lam), float(alpha))
         for lam in p["lambdas"] or [config.model["lambda"]]
         for alpha in p["alphas"]
     ]
-    verdicts = _chunked_map(_scan_unit, units, workers)
-    rows = [
-        (
-            v.lam,
-            v.alpha,
-            v.b_small.value,
-            v.b_small.full.stderr,
-            v.b_large.value,
-            v.b_large.full.stderr,
-            v.gap,
-            v.noise,
-            v.fit.xi,
-            v.fit.r2,
-            v.verdict,
-            v.b_small.full.seeds,
-        )
-        for v in verdicts
-    ]
-    return rows, {
-        "sides": [2 * proto.L, 4 * proto.L],
-        "count": proto.count,
-        "base_seed": proto.base_seed,
-        "s": proto.s,
-        "r2_threshold": proto.r2_threshold,
-        "xi_max": proto.xi_max if proto.xi_max is not None else float(proto.L),
+    L = int(config.model["L"])
+    return _chunked_map(_scan_unit, units, workers), {
+        "sides": [L, 2 * L],
+        "count": int(config.ensemble["count"]),
+        "base_seed": int(config.ensemble["base_seed"]),
+        "s": float(config.numerics["s"]),
+        "r2_threshold": float(p["r2_threshold"]),
+        "xi_max": _xi_max(config),
     }
 
 

@@ -23,20 +23,21 @@ from mplab.errors import BudgetError
 from mplab.operator import InteractionSpec, OperatorSpec, OperatorTemplate, assemble
 from mplab.spectral import EnergyInterval, green_entries, spectral_data
 from mplab.diagnostics import (
+    DEFAULT_ETA,
+    BMonitorResult,
+    DecayFit,
     Estimate,
-    ScanProtocol,
     b_monitor,
     decay_fit,
-    energy_averaged_moment,
     equivalence_probe,
     fractional_moment,
-    region_scan,
     rescaling_check,
-    scan_point,
+    scan_verdict,
     seed_descriptor,
     wegner_check,
     wegner_samples,
 )
+from mplab.harness import run
 
 
 def spec1d(side, n=1, lam=2.0, alpha=0.0, sector="distinguishable"):
@@ -241,49 +242,43 @@ def test_wegner_rejects_free_system_and_tiny_ensemble():
         )
 
 
-# ---------------------------------------------------- energy-averaged moment
+# ----------------------------------------------------------- two-sided probe
 
 
 def test_averaged_moment_needs_unit_interval():
     sp = spec1d(6, lam=5.0)
     with pytest.raises(ValueError):
-        energy_averaged_moment(
-            range(4), sp, c1(0), c1(1), EnergyInterval(0.0, 0.5), 0.5
-        )
+        equivalence_probe(range(4), sp, [(c1(0), c1(1))], EnergyInterval(0.0, 0.5))
     with pytest.raises(ValueError):
-        energy_averaged_moment(
-            range(4), sp, c1(0), c1(1), EnergyInterval.full_line(), 0.5
-        )
+        equivalence_probe(range(4), sp, [(c1(0), c1(1))], EnergyInterval.full_line())
 
 
 def test_averaged_moment_disjoint_interval_bound():
     # interval at distance >= 2 above the spectral enclosure: |G| <= 1/2
     sp = spec1d(16, lam=15.0)
     _, hi = OperatorTemplate(sp).gershgorin_interval(UNIFORM_HALF)
-    am = energy_averaged_moment(
-        range(20), sp, c1(0), c1(0), EnergyInterval(hi + 2.0, hi + 3.0), 0.5
+    (row,) = equivalence_probe(
+        range(20), sp, [(c1(0), c1(0))], EnergyInterval(hi + 2.0, hi + 3.0)
     )
-    assert am.estimate.mean <= 2.0**-0.5
+    assert row.moment.mean <= 2.0**-0.5
 
 
 def test_averaged_moment_quadrature_and_eta_stability():
     sp = spec1d(16, lam=15.0)
     lo, hi = OperatorTemplate(sp).gershgorin_interval(UNIFORM_HALF)
     interval = EnergyInterval.unit((lo + hi) / 2.0)
-    am16 = energy_averaged_moment(
-        range(100), sp, c1(0), c1(3), interval, 0.5, quad_points=16
+    pair = [(c1(0), c1(3))]
+    (m16,) = equivalence_probe(range(100), sp, pair, interval, quad_points=16)
+    (m64,) = equivalence_probe(range(100), sp, pair, interval, quad_points=64)
+    (m16_2eta,) = equivalence_probe(
+        range(100), sp, pair, interval, eta=2 * DEFAULT_ETA, quad_points=16
     )
-    am64 = energy_averaged_moment(
-        range(100), sp, c1(0), c1(3), interval, 0.5, quad_points=64
-    )
-    assert abs(am16.estimate.mean - am64.estimate.mean) < 2.0 * am16.estimate.stderr
-    # the 2*eta companion shares every disorder sample, so the shift it
-    # reports is pure regularization sensitivity
-    assert am16.eta_shift < 0.05
-    assert am16.estimate_2eta.count == am16.estimate.count == 100
-
-
-# ----------------------------------------------------------- two-sided probe
+    m16, m64, m16_2eta = m16.moment, m64.moment, m16_2eta.moment
+    assert abs(m16.mean - m64.mean) < 2.0 * m16.stderr
+    # both runs share every disorder sample, so the shift between them is
+    # pure regularization sensitivity
+    assert abs(m16.mean - m16_2eta.mean) / abs(m16.mean) < 0.05
+    assert m16_2eta.count == m16.count == 100
 
 
 def test_probe_diagonal_row():
@@ -692,10 +687,9 @@ def test_b_monitor_pair_budget(monkeypatch):
 
 def test_ensemble_dimension_budget():
     sp = spec1d(12, n=4, lam=5.0)  # dim 20736 over the dense cap
+    x = c1(0, 1, 2, 3)
     with pytest.raises(BudgetError) as exc:
-        energy_averaged_moment(
-            range(2), sp, c1(0, 1, 2, 3), c1(0, 1, 2, 3), EnergyInterval(0, 1), 0.5
-        )
+        equivalence_probe(range(2), sp, [(x, x)], EnergyInterval(0, 1))
     assert exc.value.count == 20736
 
 
@@ -758,37 +752,68 @@ def test_rescaling_validations():
 # ---------------------------------------------------------------- region scan
 
 
-def test_scan_three_verdicts():
-    proto = ScanProtocol(d=1, L=4, n=2, count=40)
-    res = region_scan([(20.0, 0.1), (4.0, 0.1), (10.0, 0.1)], proto)
-    assert [p.verdict for p in res.points] == [
+def _monitor_value(value, stderr):
+    est = Estimate(mean=value, stderr=stderr, count=2, seeds="0..1")
+    return BMonitorResult(
+        value=value, full=est, full_interval=EnergyInterval(0.0, 1.0),
+        tiles=(), subbox_values=(), pair_count=1, boundary_count=2,
+    )
+
+
+def _fit(xi, r2):
+    return DecayFit(xi=xi, A=1.0, r2=r2, pairs=(), dropped_zeros=0, verdict="decay")
+
+
+def test_scan_verdict_rule():
+    # combined stderr hypot(3, 4) = 5 exactly
+    def verdict(b_small, b_large, xi=2.0, r2=0.95):
+        small, large = _monitor_value(b_small, 3.0), _monitor_value(b_large, 4.0)
+        return scan_verdict(small, large, _fit(xi, r2), 0.9, 4.0)
+
+    assert verdict(20.0, 10.0) == (10.0, 5.0, "contracting")
+    # a drop without a convincing decay fit, and a rise
+    assert verdict(20.0, 10.0, r2=0.5)[2] == "non-contracting"
+    assert verdict(20.0, 10.0, xi=5.0)[2] == "non-contracting"
+    assert verdict(10.0, 20.0)[2] == "non-contracting"
+    # |gap| == noise counts as dominated by the noise, either sign
+    assert verdict(15.0, 10.0) == (5.0, 5.0, "inconclusive")
+    assert verdict(10.0, 15.0) == (-5.0, 5.0, "inconclusive")
+
+
+def _scan(tmp_path, n, count, lambdas, alphas):
+    """region_scan rows on monitor boxes of sides 8 and 16."""
+    table = run(
+        {
+            "kind": "region_scan",
+            "model": {"d": 1, "L": 8, "n": n},
+            "ensemble": {"base_seed": 0, "count": count},
+            "params": {"lambdas": lambdas, "alphas": alphas},
+            "output": {"directory": str(tmp_path), "formats": ["csv"]},
+        },
+        workers=1,
+    )
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
+def test_scan_three_verdicts(tmp_path):
+    rows = _scan(tmp_path, 2, 40, [20.0, 4.0, 10.0], [0.1])
+    assert [r["verdict"] for r in rows] == [
         "contracting",
         "non-contracting",
         "inconclusive",
     ]
-    strong = res.points[0]
-    assert strong.b_large.value < strong.b_small.value
-    assert strong.fit.r2 >= proto.r2_threshold
-    assert res.protocol == proto
+    strong = rows[0]
+    assert strong["b_large"] < strong["b_small"]
+    assert strong["r2"] >= 0.9
 
 
-def test_scan_alpha_zero_column_matches_single_particle():
-    v2 = scan_point(20.0, 0.0, ScanProtocol(d=1, L=4, n=2, count=40))
-    v1 = scan_point(20.0, 0.0, ScanProtocol(d=1, L=4, n=1, count=40))
-    assert v1.verdict == v2.verdict == "contracting"
+def test_scan_alpha_zero_column_matches_single_particle(tmp_path):
+    (v2,) = _scan(tmp_path / "n2", 2, 40, [20.0], [0.0])
+    (v1,) = _scan(tmp_path / "n1", 1, 40, [20.0], [0.0])
+    assert v1["verdict"] == v2["verdict"] == "contracting"
 
 
-def test_scan_free_point_non_contracting():
-    v = scan_point(0.0, 0.0, ScanProtocol(d=1, L=4, n=1, count=4))
-    assert v.verdict == "non-contracting"
-    assert v.fit.r2 < 0.9
-
-
-def test_scan_point_deterministic():
-    proto = ScanProtocol(d=1, L=4, n=1, count=6)
-    assert scan_point(12.0, 0.0, proto) == scan_point(12.0, 0.0, proto)
-
-
-def test_scan_box_too_small_for_probe():
-    with pytest.raises(ValueError):
-        scan_point(20.0, 0.0, ScanProtocol(d=1, L=1, n=2, count=4))
+def test_scan_free_point_non_contracting(tmp_path):
+    (v,) = _scan(tmp_path, 1, 4, [0.0], [0.0])
+    assert v["verdict"] == "non-contracting"
+    assert v["r2"] < 0.9

@@ -171,8 +171,8 @@ def test_json_mirror_and_metadata_match_golden(tmp_path, kind):
 # redraws), degenerate eigenvalue groups of three or more (free fermions
 # on a d=2 box, whose composites have groups of up to 232 eigenvalues), and
 # a monitor at dim 1024, above OpenBLAS's blocking sizes, where the tile
-# products take the blocked BLAS paths; each pins the CSV, the JSON mirror
-# and meta.json as above
+# products take the blocked BLAS paths, and a region_scan with every knob
+# off its default; each pins the CSV, the JSON mirror and meta.json as above
 _EXTRA_CONFIGS = {
     "decay_probe_truncated_gaussian": {
         "kind": "decay_probe",
@@ -209,6 +209,21 @@ _EXTRA_CONFIGS = {
         },
         "ensemble": {"base_seed": 0, "count": 2},
     },
+    # every numerics and params knob of region_scan away from its default
+    "region_scan_knobs": {
+        "kind": "region_scan",
+        "model": {
+            "L": 8, "n": 2, "lambda": 10.0, "sector": "boson",
+            "interaction": {"builtin": "pair_nn", "coupling": 0.3, "range": 2},
+            "density": {"kind": "truncated_gaussian", "params": [0.5, 1.0]},
+        },
+        "ensemble": {"base_seed": 5, "count": 3},
+        "numerics": {"s": 0.4, "eta": 1e-4, "quad_points": 6},
+        "params": {
+            "lambdas": [6.0, 18.0], "alphas": [0.0, 0.7], "omega_samples": 1,
+            "monitor_eta": 0.05, "r2_threshold": 0.8, "xi_max": 3.0,
+        },
+    },
 }
 
 EXTRA_SHA256 = {
@@ -231,6 +246,11 @@ EXTRA_SHA256 = {
         "6aba384c7836d794a218e2fa554a1109567d4dbff8c7a17df6f1fed7043bc360",
         "15968af831bd4bb0e0af0b7a2b5efcda891b0fb1332666c31a62eb68a20cd266",
         "9b18eda47d98dd934e28d160dbf1fbe1d6c240445e6bc86bb1a417e24543d45c",
+    ),
+    "region_scan_knobs": (
+        "8120cecf07b526fe9e8d6fbfb85a4838ea7472ea2c5853a346ca187fd8d9112a",
+        "21758955e32dc4c3205b0d3bcca99a3b6e8e95e3e04a57d3191951fd0ff315b5",
+        "c8e4bf2174430e591ab8b0a91743da546ec10dde78c0d70efb3a9101fbb61d1c",
     ),
 }
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mplab import cli, harness
-from mplab.diagnostics import b_monitor, rescaling_check, scan_point, wegner_check
+from mplab.diagnostics import b_monitor, rescaling_check, wegner_check
 from mplab.disorder import DensitySpec
 from mplab.errors import BudgetError
 from mplab.operator import INTERACTION_FIELDS, InteractionSpec
@@ -200,7 +200,6 @@ _SITE_CORPUS = [
         _cfg("wegner", params={"z_count": math.inf}),
         [
             'params.z_count must be a positive integer, got inf',
-            'params: cannot convert float infinity to integer',
         ],
         id="wegner_z_count_infinite",
     ),
@@ -388,6 +387,34 @@ _VALIDATE_CORPUS = [
         ],
         id="probe_pairs_and_interval",
     ),
+    # a configuration object has the fields sites and sector, nothing else
+    pytest.param(
+        _cfg(
+            "decay_probe", {"L": 12, "lambda": 8.0},
+            params={"pairs": [[{"sites": [[-6]], "sectr": "boson"}, [[0]]]]},
+        ),
+        [
+            "params.pairs: unknown configuration field(s) ['sectr']",
+        ],
+        id="pair_object_unknown_field",
+    ),
+    pytest.param(
+        _cfg(
+            "decay_probe", {"L": 12, "lambda": 8.0},
+            params={"pairs": [[{"site": [[-6]]}, [[0]]]]},
+        ),
+        [
+            "params.pairs: unknown configuration field(s) ['site']",
+        ],
+        id="pair_object_without_sites",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"x": {"sites": [[0]], "sectr": "boson"}}),
+        [
+            "params: unknown configuration field(s) ['sectr']",
+        ],
+        id="wegner_x_object_unknown_field",
+    ),
     pytest.param(
         _cfg("decay_probe", {"L": 40, "n": 3}),
         [
@@ -404,7 +431,6 @@ _VALIDATE_CORPUS = [
             'model.lambda: the conditional check needs lambda != 0',
             'params.z_count must be a positive integer, got 0',
             "params.z_im must be a finite number, got 'x'",
-            'params.z_grid must not be empty',
         ],
         id="wegner_grid_knobs",
     ),
@@ -621,8 +647,7 @@ def test_interaction_schema_lists_the_operator_fields():
     assert tuple(defaults) == INTERACTION_FIELDS
 
 
-# integers stay small: validate builds the whole wegner z grid and walks
-# every block side up to model.L
+# integers stay small: validate walks every block side up to model.L
 _MALFORMED = [
     None, True, False, "", "x", "2", [], [1, "a"], {}, {"a": 1},
     math.nan, math.inf, -math.inf, 1e308, -0.0, 0, 1, 2, 3, 64, -1, -64,
@@ -672,6 +697,19 @@ def test_wegner_z_grid_entries_must_be_finite(z_grid):
     cfg = _cfg("wegner", params={"z_grid": json.loads(z_grid)})
     (violation,) = validate(cfg)
     assert violation.startswith("params.z_grid entries must be finite numbers")
+
+
+def test_wegner_validate_builds_no_template_over_budget():
+    # the default z grid spans the spectral enclosure, whose bound needs the
+    # operator template; validate leaves that grid to the run
+    from mplab import operator
+
+    cfg = _cfg("wegner", {"d": 1, "L": 60, "n": 3})  # dim 216000
+    before = operator._cached_template.cache_info()
+    (violation,) = validate(cfg)
+    assert violation.startswith("budget: configuration space dimension 216000")
+    after = operator._cached_template.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 @pytest.mark.parametrize("time_grid", [None, [0.0, 1.0]])
@@ -1013,7 +1051,9 @@ def test_same_config_same_bytes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind", ["decay_probe", "b_monitor", "rescaling", "composite_check", "subadditivity"]
+    "kind",
+    ["decay_probe", "b_monitor", "rescaling", "region_scan", "composite_check",
+     "subadditivity"],
 )
 def test_worker_count_irrelevant(tmp_path, kind):
     def cfg(tag):
@@ -1028,6 +1068,9 @@ def test_worker_count_irrelevant(tmp_path, kind):
             raw["params"] = {"instances": 4, "dim_cap": 8}
         if kind == "composite_check":
             raw["params"] = {"instances": 4, "quadrature_points": 16}
+        if kind == "region_scan":
+            # two grid points, so the pool has two units to share
+            raw["params"] = {"alphas": [0.0, 0.5]}
         return raw
 
     run(cfg("serial"), workers=1)
@@ -1138,22 +1181,38 @@ def test_rescaling_kind_matches_library(tmp_path):
     assert t.metadata["report"]["consistent"] == report.consistent
 
 
-def test_region_scan_kind_matches_library(tmp_path):
-    raw = {
-        "kind": "region_scan",
-        "model": {"L": 8, "n": 1},
-        "ensemble": {"base_seed": 0, "count": 4},
-        "params": {"lambdas": [20.0], "alphas": [0.0]},
-        "output": {"directory": str(tmp_path)},
-    }
-    t = run(raw, workers=1)
-    from mplab.diagnostics import ScanProtocol
-
-    verdict = scan_point(20.0, 0.0, ScanProtocol(d=1, L=4, n=1, count=4))
-    row = t.rows[0]
-    assert row[2] == verdict.b_small.value
-    assert row[4] == verdict.b_large.value
-    assert row[10] == verdict.verdict
+def test_region_scan_monitors_match_rescaling(tmp_path):
+    """A scan point's monitor columns are the rescaling kind's rows for the
+    model at that point."""
+    scan = run(
+        {
+            "kind": "region_scan",
+            "model": {"L": 8, "n": 2},
+            "ensemble": {"base_seed": 0, "count": 4},
+            "params": {"lambdas": [20.0], "alphas": [0.3]},
+            "output": {"directory": str(tmp_path / "scan")},
+        },
+        workers=1,
+    )
+    doubling = run(
+        {
+            "kind": "rescaling",
+            "model": {
+                "L": 8, "n": 2, "lambda": 20.0,
+                "interaction": {"builtin": "pair_nn", "coupling": 0.3, "range": 1},
+            },
+            "ensemble": {"base_seed": 0, "count": 4},
+            "output": {"directory": str(tmp_path / "doubling")},
+        },
+        workers=1,
+    )
+    (row,) = scan.rows
+    small, large = doubling.rows
+    col = doubling.columns.index
+    assert row[2:6] == (
+        small[col("value")], small[col("full_stderr")],
+        large[col("value")], large[col("full_stderr")],
+    )
 
 
 def test_seeds_column_everywhere(tmp_path):
