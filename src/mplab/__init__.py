@@ -21,18 +21,13 @@ from .configspace import (
     symmetrized_dist,
 )
 from .diagnostics import (
-    BMonitorResult,
     DecayFit,
     Estimate,
     RescalingReport,
-    WegnerReport,
-    b_monitor,
     decay_fit,
-    equivalence_probe,
     fractional_moment,
     probe_pairs,
     rescaling_check,
-    wegner_check,
 )
 from .disorder import UNIFORM_HALF, DensitySpec, DisorderRealization, resample_at, sample
 from .errors import BudgetError, ContourGeometryError, SingularityError
@@ -62,7 +57,6 @@ from .spectral import (
     composite_spectral_data,
     correlator,
     dynamical_kernel,
-    eig_green,
     green,
     green_block,
     green_entries,

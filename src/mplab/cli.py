@@ -1,10 +1,11 @@
 """Command-line front end: run and validate experiment configs.
 
-Exit codes: 0 success, 2 validation failure, 3 budget overrun. Settings
-that validate but have no effect are printed as `warning:` lines on stderr
-and leave the exit code alone. The MPLAB_SEED environment variable
-overrides ensemble.base_seed (handy for CI smoke runs); explicit --set
-overrides are applied after it and win.
+Exit codes: 0 success, 2 validation failure or a bad command line (such
+as --workers below 1), 3 budget overrun. Settings that validate but have
+no effect are printed as `warning:` lines on stderr and leave the exit
+code alone. The MPLAB_SEED environment variable overrides
+ensemble.base_seed (handy for CI smoke runs); explicit --set overrides are
+applied after it and win.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mplab",
@@ -33,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a JSON experiment config")
     run_p.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=None,
         help="parallel worker processes (default: available cores)",
     )

@@ -1,11 +1,15 @@
 """Ensemble diagnostics for multi-particle localization.
 
-Monte-Carlo estimates of fractional resolvent moments, conditional
-single-site boundedness checks, two-sided decay probes comparing
-interval-averaged moments against eigenfunction correlators, a finite-volume
-boundary-flux monitor, the doubling check on top of it, and the verdict
-rule of one region-scan point (the harness composes the monitor and probe
-runs of a scan).
+Per-seed units, the plans that freeze their inputs, and the folds that
+reduce their outputs in seed order, for three quantities: conditional
+single-site (Wegner-type) moments (`wegner_samples`, `wegner_reduce`),
+two-sided decay probes comparing interval-averaged moments against
+eigenfunction correlators (`probe_samples`, `probe_reduce`), and the
+finite-volume boundary-flux monitor (`monitor_plan`, `monitor_seed_rows`,
+`monitor_reduce`). The harness maps the units and folds them; it is the one
+pipeline of every kind. Beside them: the serial Monte-Carlo estimate
+`fractional_moment`, the decay fit, the doubling check on two monitor
+values, and the verdict rule of one region-scan point.
 
 Estimates carry (mean, stderr, count, seeds) and are reproducible: the same
 seed set yields bit-identical results. Sup-type quantities (sup over z, sup
@@ -33,7 +37,6 @@ from .configspace import (
     ConfigIndex,
     Configuration,
     hausdorff_dist,
-    occupation,
 )
 from .disorder import UNIFORM_HALF, DensitySpec, resample_at, sample
 from .errors import BudgetError, SingularityError
@@ -108,8 +111,8 @@ class Estimate:
 # ----------------------------------------------------------- shared plumbing
 
 
-def ensemble_spectra(spec: OperatorSpec, seeds, density: DensitySpec):
-    """Yield (seed, SpectralData) per realization, one template for all."""
+def realization_spectrum(spec: OperatorSpec, seed: int, density: DensitySpec):
+    """SpectralData of the realization at `seed`, on the spec's one template."""
     if spec.dim > DENSE_DIAG_CAP:
         raise BudgetError(
             f"ensemble eigendecomposition at dimension {spec.dim} exceeds "
@@ -118,9 +121,7 @@ def ensemble_spectra(spec: OperatorSpec, seeds, density: DensitySpec):
             limit=DENSE_DIAG_CAP,
         )
     template = _template_for(spec)
-    for seed in seeds:
-        real = sample(spec.box, density, int(seed))
-        yield int(seed), spectral_data(template.hamiltonian(real))
+    return spectral_data(template.hamiltonian(sample(spec.box, density, int(seed))))
 
 
 def _nudged(S, zs) -> np.ndarray:
@@ -215,6 +216,12 @@ def wegner_samples(
 ) -> np.ndarray:
     """Conditional sample rows |G(x, y; z)|^s for a block of subseeds.
 
+    Only the marked sites are resampled on top of the frozen background at
+    base_seed, so the row means are genuine conditional expectations. The
+    bound's hypotheses (a particle of x at u1, one of y at u2, lambda != 0)
+    are the caller's to check. The z grid may approach the real spectrum
+    freely; exact eigenvalue hits are nudged as in fractional_moment.
+
     Row k depends only on subseeds[k] (frozen background plus one resample
     draw), so a parallel caller may split the subseed range into chunks and
     stack the chunks in order with results identical to one serial pass.
@@ -231,56 +238,6 @@ def wegner_samples(
         S = spectral_data(template.hamiltonian(real))
         values[row, :] = np.abs(green_entries(S, ix, iy, _nudged(S, zs))) ** s
     return values
-
-
-def marked_sites(u1, u2) -> tuple:
-    """The sites a conditional check resamples: u1, and u2 if it differs."""
-    return (u1,) if u1 == u2 else (u1, u2)
-
-
-def wegner_check(
-    spec: OperatorSpec,
-    base_seed: int,
-    x: Configuration,
-    y: Configuration,
-    u1,
-    u2,
-    z_grid,
-    s: float,
-    subsamples: int,
-    density: DensitySpec = UNIFORM_HALF,
-) -> WegnerReport:
-    """Resample only the sites u1, u2 on top of a frozen background field.
-
-    Requires a particle of x at u1 and a particle of y at u2 (the bound's
-    hypothesis) and lambda != 0. All other site values stay bit-identical
-    across the subsample ensemble, so the estimates are genuine conditional
-    expectations. The z grid may approach the real spectrum freely; exact
-    eigenvalue hits are nudged as in fractional_moment.
-    """
-    s = _check_s(s)
-    u1, u2 = tuple(u1), tuple(u2)
-    if occupation(x, u1) < 1:
-        raise ValueError(f"x has no particle at the marked site {u1}")
-    if occupation(y, u2) < 1:
-        raise ValueError(f"y has no particle at the marked site {u2}")
-    if spec.lam == 0:
-        raise ValueError("conditional bound needs lambda != 0")
-    if subsamples < 2:
-        raise ValueError(f"need at least 2 subsamples, got {subsamples}")
-    if spec.dim > DENSE_DIAG_CAP:
-        raise BudgetError(
-            f"conditional check needs dense spectra; dimension {spec.dim} "
-            f"exceeds {DENSE_DIAG_CAP}",
-            count=spec.dim,
-            limit=DENSE_DIAG_CAP,
-        )
-    marked = marked_sites(u1, u2)
-    zs = np.asarray([complex(z) for z in z_grid])
-    values = wegner_samples(
-        spec, base_seed, x, y, marked, zs, s, range(subsamples), density
-    )
-    return wegner_reduce(spec, zs, values, marked, s, range(subsamples))
 
 
 def wegner_reduce(
@@ -379,10 +336,12 @@ def probe_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair (moment, correlator) samples for a single realization.
 
-    One eigendecomposition serves every pair and both columns. The output
-    depends only on this seed, so averaging these rows over a seed list in
-    order reproduces equivalence_probe exactly regardless of how the list
-    was partitioned among workers.
+    The moment column averages |G|^s over quad_points midpoint nodes of
+    `interval` at height eta; the correlator column uses the whole line, the
+    monotone envelope of the interval correlators. One eigendecomposition
+    serves every pair and both columns. The output depends only on this
+    seed, so probe_reduce over a seed list in order gives the same rows
+    however the list was partitioned among workers.
     """
     s = _check_s(s)
     pairs = [(px, py) for px, py in pairs]
@@ -392,41 +351,11 @@ def probe_samples(
     full = EnergyInterval.full_line()
     moments = np.empty(len(pairs))
     qvals = np.empty(len(pairs))
-    _, S = next(ensemble_spectra(spec, [int(seed)], density))
+    S = realization_spectrum(spec, seed, density)
     for p, ((px, py), (ix, iy)) in enumerate(zip(pairs, ranks)):
         moments[p] = np.mean(np.abs(green_entries(S, ix, iy, nodes + 1j * eta)) ** s)
         qvals[p] = correlator(S, px, py, full)
     return moments, qvals
-
-
-def equivalence_probe(
-    seeds,
-    spec: OperatorSpec,
-    pairs,
-    interval: EnergyInterval = None,
-    s: float = 0.5,
-    eta: float = DEFAULT_ETA,
-    quad_points: int = DEFAULT_QUAD_POINTS,
-    density: DensitySpec = UNIFORM_HALF,
-) -> tuple[ProbeRow, ...]:
-    """Side-by-side decay data: averaged moments vs mean correlators.
-
-    The moment column averages over `interval` (default: the unit interval
-    centered in the uniform spectral enclosure); the correlator column uses
-    the whole line, the monotone envelope of the interval correlators.
-    Distances are Hausdorff in spec.norm. One eigendecomposition per
-    realization serves every pair and both columns.
-    """
-    s = _check_s(s)
-    seeds = [int(v) for v in seeds]
-    pairs = [(px, py) for px, py in pairs]
-    if interval is None:
-        interval = default_probe_interval(spec, density)
-    samples = [
-        probe_samples(spec, seed, pairs, interval, s, eta, quad_points, density)
-        for seed in seeds
-    ]
-    return probe_reduce(spec, pairs, seeds, samples)
 
 
 def probe_reduce(
@@ -631,7 +560,20 @@ def monitor_plan(
     quad_points: int = B_MONITOR_QUAD_POINTS,
     density: DensitySpec = UNIFORM_HALF,
 ) -> MonitorPlan:
-    """Validate the monitor call and freeze its region family and grids."""
+    """Validate the monitor call and freeze its region family and grids.
+
+    The monitor sums interval-averaged |G|^s over pairs of clusters (a
+    particle on the anchor, diameter under side/4) anchored at the box
+    center and at a boundary site, so every term needs tunneling across
+    the gap; `omega_samples` extra sub-boxes probe the sup over regions.
+
+    eta defaults to half the quadrature node spacing, 1/(2*quad_points).
+    The tile average approximates an integral of |G|^s whose singularities
+    at eigenvalues are integrable, but a midpoint sample taken much closer
+    to an eigenvalue than the node spacing overshoots the integral by
+    (spacing/eta)^s; matching eta to the resolution keeps every sample the
+    size of its tile contribution and the ensemble variance finite.
+    """
     s = _check_s(s)
     if eta is None:
         eta = 0.5 / quad_points
@@ -695,7 +637,7 @@ def monitor_seed_rows(plan: MonitorPlan, seed: int) -> tuple:
     rows = []
     for task in plan.regions:
         rspec = dataclasses.replace(plan.spec, box=task.box)
-        _, S = next(ensemble_spectra(rspec, [int(seed)], plan.density))
+        S = realization_spectrum(rspec, seed, plan.density)
         x_ranks = np.asarray(task.x_ranks)
         y_ranks = np.concatenate(task.anchors)
         step = max(1, _BLOCK_BYTES // (8 * y_ranks.size * max(S.dim, 2 * zs.size)))
@@ -740,47 +682,6 @@ def monitor_reduce(plan: MonitorPlan, seeds, rows_by_seed) -> BMonitorResult:
         pair_count=plan.regions[0].pair_count,
         boundary_count=plan.boundary_count,
     )
-
-
-def b_monitor(
-    spec: OperatorSpec,
-    seeds,
-    s: float = 0.5,
-    omega_samples: int = 0,
-    eta: float = None,
-    quad_points: int = B_MONITOR_QUAD_POINTS,
-    density: DensitySpec = UNIFORM_HALF,
-) -> BMonitorResult:
-    """Boundary-flux localization monitor; the size parameter is side/2.
-
-    Sums interval-averaged |G|^s over pairs (clustered configuration at the
-    box center, clustered configuration at a boundary site), weighted by the
-    boundary size and maximized over unit energy tiles covering the uniform
-    spectral enclosure. Clustered means diameter under a quarter of the box
-    side with at least one particle on the anchor: for a monitor at length
-    scale L the box spans radius L around the center and clusters have
-    diameter under L/2, less than half the center-to-boundary separation.
-    That keeps the two clusters of every pair spatially disjoint, which is
-    what makes the quantity a transport monitor: every term needs tunneling
-    across the gap, and nothing sits on a shared diagonal. `omega_samples`
-    extra sub-boxes probe the sup over regions; their values are reported
-    separately and folded into `value`.
-
-    Requires the centered box with side a multiple of 4 (even length
-    parameter), so the thresholds stay aligned across a doubling family.
-
-    eta defaults to half the quadrature node spacing, 1/(2*quad_points).
-    The tile average approximates an integral of |G|^s whose singularities
-    at eigenvalues are integrable, but a midpoint sample taken much closer
-    to an eigenvalue than the node spacing overshoots the integral by
-    (spacing/eta)^s; matching eta to the resolution keeps every sample the
-    size of its tile contribution and the ensemble variance finite. Pass an
-    explicit eta to override.
-    """
-    plan = monitor_plan(spec, seeds, s, omega_samples, eta, quad_points, density)
-    seeds = [int(v) for v in seeds]
-    rows_by_seed = [monitor_seed_rows(plan, seed) for seed in seeds]
-    return monitor_reduce(plan, seeds, rows_by_seed)
 
 
 # ------------------------------------------------------------------ rescaling

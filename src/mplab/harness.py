@@ -32,10 +32,10 @@ that point and folds them into the point's verdict (`scan_verdict`).
 
 Execution is deterministic by construction: work splits into units that
 depend only on their own seed (or instance index), workers share nothing
-mutable, and a single reducer folds unit results in seed order. The result
-rows are therefore byte-identical for any worker count, and identical to
-the serial library entry points, which share the same per-unit functions
-and folds.
+mutable, and a single reducer folds unit results in seed order. These
+runners are the only pipeline of each kind (the library holds the units,
+plans and folds, not a second serial copy), and the output bytes do not
+depend on the worker count.
 
 Model objects are built through the library, never copied here: the
 operator spec comes from `ExperimentConfig.operator_spec`, the interaction
@@ -76,7 +76,6 @@ from .diagnostics import (
     corner_block,
     decay_fit,
     default_probe_interval,
-    marked_sites,
     monitor_plan,
     monitor_reduce,
     monitor_seed_rows,
@@ -976,7 +975,7 @@ def _run_wegner(config: ExperimentConfig, workers):
     count = int(config.ensemble["count"])
     s = float(config.numerics["s"])
     x, y, u1, u2 = _wegner_marks(config, spec)
-    marked = marked_sites(u1, u2)
+    marked = (u1,) if u1 == u2 else (u1, u2)
     zarr = np.asarray(_wegner_grid(config, spec))
     chunk = 32
     chunks = [
@@ -1271,11 +1270,14 @@ def run(config, workers=None) -> ResultTable:
     """Validate, execute, and persist one experiment.
 
     Raises ConfigError when validation fails (BudgetError when the only
-    failures are budget overruns). Writes the output files before
+    failures are budget overruns), and ValueError for a worker count below
+    1 (None means one per available core). Writes the output files before
     returning; the table's metadata records the config, its hash, the
     package version, the wall time, and under "warnings" the
     config_warnings, when there are any.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
     violations = validate(config)

@@ -237,11 +237,6 @@ def green_block(S: SpectralData, ix, iy, d: np.ndarray) -> np.ndarray:
     return out.reshape(len(wx), len(wy), d.shape[1]).transpose(2, 0, 1)
 
 
-def eig_green(S: SpectralData, ix: int, iy: int, z: complex) -> complex:
-    """Same entry as green, through the eigendecomposition."""
-    return complex(green_entries(S, ix, iy, np.array([complex(z)]))[0])
-
-
 # ------------------------------------------------------------- correlator
 
 

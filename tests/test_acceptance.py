@@ -17,7 +17,7 @@ from mplab.configspace import (
     hausdorff_dist,
     symmetrized_dist,
 )
-from mplab.diagnostics import fractional_moment, wegner_check
+from mplab.diagnostics import fractional_moment
 from mplab.disorder import UNIFORM_HALF, sample
 from mplab.harness import ExperimentConfig, run
 from mplab.operator import (
@@ -30,8 +30,8 @@ from mplab.spectral import (
     EnergyInterval,
     correlator,
     dynamical_kernel,
-    eig_green,
     green,
+    green_entries,
     spectral_data,
 )
 
@@ -140,7 +140,7 @@ def test_criterion_01_resolvent_and_projector_oracles():
         energy = float(rng.uniform(S.energies[0], S.energies[-1]))
         z = complex(energy, float(rng.uniform(0.3, 1.5)))
         g_solve = green(H, x, y, z)
-        g_eig = eig_green(S, ix, iy, z)
+        g_eig = green_entries(S, ix, iy, np.array([z]))[0]
         worst_rel = max(worst_rel, abs(g_solve - g_eig) / max(abs(g_eig), 1e-12))
         interval = (
             EnergyInterval.full_line()
@@ -250,8 +250,7 @@ def test_criterion_04_composite_contour_identity(tmp_path):
     )
 
 
-def test_criterion_05_conditional_moment_bound():
-    x = Configuration(sites=((0,), (1,)), sector="distinguishable")
+def test_criterion_05_conditional_moment_bound(tmp_path):
     c_emp, plateau = {}, {}
     for lam in (5.0, 10.0, 20.0):
         spec = OperatorSpec(
@@ -264,19 +263,32 @@ def test_criterion_05_conditional_moment_bound():
         lo, hi = gershgorin_interval(spec, UNIFORM_HALF)
         z_grid = [  # 20 energies x 10 resolutions, 200 points per lambda
 
-            complex(e, h)
+            [float(e), float(h)]
             for e in np.linspace(lo, hi, 20)
             for h in np.geomspace(1.0, 1e-6, 10)
         ]
-        report = wegner_check(
-            spec, 23, x, x, (0,), (1,), z_grid, s=0.5, subsamples=2000
+        table = run(
+            {
+                "kind": "wegner",
+                "model": {"d": 1, "L": 4, "n": 2, "lambda": lam},
+                "ensemble": {"base_seed": 23, "count": 2000},
+                "params": {
+                    "x": [[0], [1]],
+                    "u1": [0],
+                    "u2": [1],
+                    "z_grid": z_grid,
+                },
+                "output": {"directory": str(tmp_path / str(lam)), "formats": ["csv"]},
+            },
+            workers=1,
         )
-        means = np.array([est.mean for est in report.estimates]).reshape(20, 10)
+        ci = table.columns.index
+        means = np.array([r[ci("mean")] for r in table.rows]).reshape(20, 10)
         assert np.all(np.isfinite(means))
         tier_max = means.max(axis=0)
         # Bounded approach to the axis: the deepest resolution tiers plateau.
         plateau[lam] = float(tier_max[-1] / tier_max[-3])
-        c_emp[lam] = report.c_emp
+        c_emp[lam] = table.metadata["c_emp"]
     drift = max(c_emp.values()) / min(c_emp.values())
 
     scalar = OperatorSpec(

@@ -27,17 +27,16 @@ from mplab.diagnostics import (
     BMonitorResult,
     DecayFit,
     Estimate,
-    b_monitor,
     decay_fit,
-    equivalence_probe,
     fractional_moment,
+    monitor_plan,
+    probe_samples,
     rescaling_check,
     scan_verdict,
     seed_descriptor,
-    wegner_check,
     wegner_samples,
 )
-from mplab.harness import run
+from mplab.harness import run, validate
 
 
 def spec1d(side, n=1, lam=2.0, alpha=0.0, sector="distinguishable"):
@@ -49,6 +48,31 @@ def spec1d(side, n=1, lam=2.0, alpha=0.0, sector="distinguishable"):
 
 def c1(*coords, sector="distinguishable"):
     return Configuration(sites=tuple((c,) for c in coords), sector=sector)
+
+
+def sites(*coords):
+    """The site list of c1(*coords), as a config gives it."""
+    return [[c] for c in coords]
+
+
+def kind_run(tmp_path, kind, model, count, base_seed=0, params=None, numerics=None):
+    """A harness run of `kind` on the d = 1 model; the result table."""
+    return run(
+        {
+            "kind": kind,
+            "model": model,
+            "ensemble": {"base_seed": base_seed, "count": count},
+            "numerics": numerics or {},
+            "params": params or {},
+            "output": {"directory": str(tmp_path), "formats": ["csv"]},
+        },
+        workers=1,
+    )
+
+
+def columns(table, *names):
+    """The named columns of a result table, one list each."""
+    return [[row[table.columns.index(name)] for row in table.rows] for name in names]
 
 
 SCALAR_SPEC = OperatorSpec(
@@ -176,183 +200,196 @@ def test_eigenvalue_hit_is_nudged_in_wegner_samples(caplog):
     assert values[1].tolist() == expected.tolist()
 
 
-def test_wegner_scalar_closed_form_bound():
+def wegner_run(tmp_path, lam, base_seed, count, z_grid, L=4, n=2):
+    """A wegner run at x = y the corner block, marks its first two sites
+    (one site for n = 1), z_grid given as [re, im] pairs."""
+    params = {"z_grid": [[float(z.real), float(z.imag)] for z in map(complex, z_grid)]}
+    if n == 2:
+        params.update(x=sites(0, 1), u1=[0], u2=[1])
+    model = {"L": L, "n": n, "lambda": lam}
+    return kind_run(tmp_path, "wegner", model, count, base_seed, params)
+
+
+def test_wegner_scalar_closed_form_bound(tmp_path):
     # 1x1: conditional = unconditional, so C_emp should reproduce the
     # closed-form constant 2^s/(1-s) = 2 sqrt(2) up to Monte-Carlo noise
-    rep = wegner_check(
-        SCALAR_SPEC, 7, c1(0), c1(0), (0,), (0,), [2.0 + 0j], 0.5, 3000
-    )
-    bound = 2.0 * math.sqrt(2.0) + 3.0 * 4.0**0.5 * rep.worst.stderr
-    assert rep.c_emp <= bound
-    assert rep.worst.count == 3000
-    assert rep.marked == ((0,),)
+    t = wegner_run(tmp_path, 4.0, 7, 3000, [2.0], L=1, n=1)
+    bound = 2.0 * math.sqrt(2.0) + 3.0 * 4.0**0.5 * t.metadata["worst_stderr"]
+    assert t.metadata["c_emp"] <= bound
+    assert columns(t, "count") == [[3000]]
+    assert t.metadata["marked"] == [[0]]
 
 
-def test_wegner_far_grid_point_trivial_bound():
+def test_wegner_far_grid_point_trivial_bound(tmp_path):
     sp = spec1d(4, n=2, lam=10.0)
     lo, _ = OperatorTemplate(sp).gershgorin_interval(UNIFORM_HALF)
-    z = complex(lo - 5.0)
-    rep = wegner_check(sp, 3, c1(0, 1), c1(0, 1), (0,), (1,), [z], 0.5, 50)
-    assert rep.worst.mean <= 5.0**-0.5 * (1.0 + 1e-9)
+    t = wegner_run(tmp_path, 10.0, 3, 50, [lo - 5.0])
+    assert t.metadata["worst_mean"] <= 5.0**-0.5 * (1.0 + 1e-9)
 
 
-def test_wegner_bounded_as_grid_approaches_spectrum():
+def test_wegner_bounded_as_grid_approaches_spectrum(tmp_path):
     # worst conditional mean must plateau, not diverge, as the grid's
     # imaginary offset drops through six decades
-    sp = spec1d(4, n=2, lam=10.0)
-    x = c1(0, 1)
     worsts = []
     for eta in (1e-4, 1e-6, 1e-8):
         grid = [e + 1j * eta for e in np.linspace(-3.0, 11.0, 15)]
-        rep = wegner_check(sp, 11, x, x, (0,), (1,), grid, 0.5, 300)
-        worsts.append(rep.worst.mean)
+        t = wegner_run(tmp_path / str(eta), 10.0, 11, 300, grid)
+        worsts.append(t.metadata["worst_mean"])
     assert max(worsts) / min(worsts) <= 1.02
 
 
-def test_wegner_lambda_uniformity_smoke():
+def test_wegner_lambda_uniformity_smoke(tmp_path):
     # calibrated drift 1.14 at 600 subsamples; the full-protocol version
     # (2000 subsamples, 200 z-points) lives in the acceptance suite
-    x = c1(0, 1)
     c_emp = {}
     for lam in (5.0, 20.0):
         sp = spec1d(4, n=2, lam=lam)
         lo, hi = OperatorTemplate(sp).gershgorin_interval(UNIFORM_HALF)
         es = np.linspace(lo, hi, 10)
         grid = [e + 1j * eta for eta in np.geomspace(1.0, 1e-6, 4) for e in es]
-        c_emp[lam] = wegner_check(sp, 23, x, x, (0,), (1,), grid, 0.5, 600).c_emp
+        c_emp[lam] = wegner_run(tmp_path / str(lam), lam, 23, 600, grid).metadata["c_emp"]
     assert max(c_emp.values()) / min(c_emp.values()) < 1.25
 
 
+def _wegner_violations(model=None, **params):
+    raw = {
+        "kind": "wegner",
+        "model": {"L": 4, "n": 2, "lambda": 5.0, **(model or {})},
+        "params": {"x": sites(0, 1), "z_grid": [[0.0, 1.0]], **params},
+    }
+    return validate(raw)
+
+
 def test_wegner_requires_marked_particles():
-    sp = spec1d(4, n=2, lam=5.0)
-    with pytest.raises(ValueError):
-        wegner_check(sp, 0, c1(0, 1), c1(0, 1), (-2,), (1,), [1j], 0.5, 10)
-    with pytest.raises(ValueError):
-        wegner_check(sp, 0, c1(0, 1), c1(0, 1), (0,), (-2,), [1j], 0.5, 10)
+    assert _wegner_violations(u1=[-2]) == ["params.u1: x has no particle at (-2,)"]
+    assert _wegner_violations(u2=[-2]) == ["params.u2: y has no particle at (-2,)"]
 
 
 def test_wegner_rejects_free_system_and_tiny_ensemble():
-    with pytest.raises(ValueError):
-        wegner_check(
-            spec1d(4, n=2, lam=0.0), 0, c1(0, 1), c1(0, 1), (0,), (1,), [1j], 0.5, 10
-        )
-    with pytest.raises(ValueError):
-        wegner_check(
-            spec1d(4, n=2, lam=5.0), 0, c1(0, 1), c1(0, 1), (0,), (1,), [1j], 0.5, 1
-        )
+    assert _wegner_violations({"lambda": 0.0}) == [
+        "model.lambda: the conditional check needs lambda != 0"
+    ]
+    raw = {"kind": "wegner", "model": {"L": 4, "n": 2}, "ensemble": {"count": 1}}
+    assert validate(raw) == ["ensemble.count must be an integer >= 2 for kind wegner, got 1"]
 
 
 # ----------------------------------------------------------- two-sided probe
 
 
+def probe_run(tmp_path, L, lam, count, pairs, interval=None, numerics=None, **model):
+    """A decay_probe run with explicit pairs of site lists."""
+    params = {"pairs": pairs, "interval": interval}
+    model = {"L": L, "lambda": lam, **model}
+    return kind_run(tmp_path, "decay_probe", model, count, 0, params, numerics)
+
+
 def test_averaged_moment_needs_unit_interval():
     sp = spec1d(6, lam=5.0)
     with pytest.raises(ValueError):
-        equivalence_probe(range(4), sp, [(c1(0), c1(1))], EnergyInterval(0.0, 0.5))
+        probe_samples(sp, 0, [(c1(0), c1(1))], EnergyInterval(0.0, 0.5))
     with pytest.raises(ValueError):
-        equivalence_probe(range(4), sp, [(c1(0), c1(1))], EnergyInterval.full_line())
+        probe_samples(sp, 0, [(c1(0), c1(1))], EnergyInterval.full_line())
 
 
-def test_averaged_moment_disjoint_interval_bound():
+def test_averaged_moment_disjoint_interval_bound(tmp_path):
     # interval at distance >= 2 above the spectral enclosure: |G| <= 1/2
     sp = spec1d(16, lam=15.0)
     _, hi = OperatorTemplate(sp).gershgorin_interval(UNIFORM_HALF)
-    (row,) = equivalence_probe(
-        range(20), sp, [(c1(0), c1(0))], EnergyInterval(hi + 2.0, hi + 3.0)
-    )
-    assert row.moment.mean <= 2.0**-0.5
+    t = probe_run(tmp_path, 16, 15.0, 20, [[sites(0), sites(0)]], [hi + 2.0, hi + 3.0])
+    ((moment,),) = columns(t, "moment_mean")
+    assert moment <= 2.0**-0.5
 
 
-def test_averaged_moment_quadrature_and_eta_stability():
+def test_averaged_moment_quadrature_and_eta_stability(tmp_path):
     sp = spec1d(16, lam=15.0)
     lo, hi = OperatorTemplate(sp).gershgorin_interval(UNIFORM_HALF)
     interval = EnergyInterval.unit((lo + hi) / 2.0)
-    pair = [(c1(0), c1(3))]
-    (m16,) = equivalence_probe(range(100), sp, pair, interval, quad_points=16)
-    (m64,) = equivalence_probe(range(100), sp, pair, interval, quad_points=64)
-    (m16_2eta,) = equivalence_probe(
-        range(100), sp, pair, interval, eta=2 * DEFAULT_ETA, quad_points=16
-    )
-    m16, m64, m16_2eta = m16.moment, m64.moment, m16_2eta.moment
-    assert abs(m16.mean - m64.mean) < 2.0 * m16.stderr
+    pair = [[sites(0), sites(3)]]
+
+    def moment(tag, numerics):
+        t = probe_run(
+            tmp_path / tag, 16, 15.0, 100, pair, [interval.lo, interval.hi], numerics
+        )
+        ((mean,), (stderr,), seeds) = columns(t, "moment_mean", "moment_stderr", "seeds")
+        assert seeds == ["0..99"]
+        return mean, stderr
+
+    m16, e16 = moment("16", {"quad_points": 16})
+    m64, _ = moment("64", {"quad_points": 64})
+    m16_2eta, _ = moment("2eta", {"eta": 2 * DEFAULT_ETA, "quad_points": 16})
+    assert abs(m16 - m64) < 2.0 * e16
     # both runs share every disorder sample, so the shift between them is
     # pure regularization sensitivity
-    assert abs(m16.mean - m16_2eta.mean) / abs(m16.mean) < 0.05
-    assert m16_2eta.count == m16.count == 100
+    assert abs(m16 - m16_2eta) / abs(m16) < 0.05
 
 
-def test_probe_diagonal_row():
-    sp = spec1d(16, lam=15.0)
-    (row,) = equivalence_probe(range(10), sp, [(c1(0), c1(0))], s=0.5)
-    assert row.dist == 0
-    assert row.q.mean == pytest.approx(1.0, abs=1e-12)  # completeness
-    assert row.moment.mean > 0.1
+def test_probe_diagonal_row(tmp_path):
+    t = probe_run(tmp_path, 16, 15.0, 10, [[sites(0), sites(0)]])
+    ((dist,), (q,), (moment,)) = columns(t, "dist_H", "EQ_mean", "moment_mean")
+    assert dist == 0
+    assert q == pytest.approx(1.0, abs=1e-12)  # completeness
+    assert moment > 0.1
 
 
-def test_probe_strong_disorder_two_sided_decay():
+def test_probe_strong_disorder_two_sided_decay(tmp_path):
     # both columns strictly decreasing over r in {2,...,16}, and the two
     # fitted decay lengths agree within the factor-3 monitoring threshold
-    sp = spec1d(24, lam=15.0)
-    pairs = [(c1(-12), c1(-12 + r)) for r in range(2, 17, 2)]
-    rows = equivalence_probe(range(400), sp, pairs, s=0.5)
-    m = [row.moment.mean for row in rows]
-    q = [row.q.mean for row in rows]
+    pairs = [[sites(-12), sites(-12 + r)] for r in range(2, 17, 2)]
+    t = probe_run(tmp_path, 24, 15.0, 400, pairs)
+    m, q = columns(t, "moment_mean", "EQ_mean")
     assert all(a > b for a, b in zip(m, m[1:]))
     assert all(a > b for a, b in zip(q, q[1:]))
-    fit_m = decay_fit([(row.dist, row.moment.mean) for row in rows])
-    fit_q = decay_fit([(row.dist, row.q.mean) for row in rows])
-    assert fit_m.r2 >= 0.9 and fit_q.r2 >= 0.9
-    assert 1.0 / 3.0 <= fit_m.xi / fit_q.xi <= 3.0
+    fit_m, fit_q = t.metadata["fit_moment"], t.metadata["fit_q"]
+    assert fit_m["r2"] >= 0.9 and fit_q["r2"] >= 0.9
+    assert 1.0 / 3.0 <= fit_m["xi"] / fit_q["xi"] <= 3.0
 
 
-def test_probe_free_control_no_decay():
+def test_probe_free_control_no_decay(tmp_path):
     # lam = 0 is deterministic, so two seeds already give the exact table
-    sp = spec1d(24, lam=0.0)
-    pairs = [(c1(-12), c1(-12 + r)) for r in range(2, 17, 2)]
-    rows = equivalence_probe(range(2), sp, pairs, s=0.5)
-    fit_m = decay_fit([(row.dist, row.moment.mean) for row in rows])
-    fit_q = decay_fit([(row.dist, row.q.mean) for row in rows])
-    assert fit_m.r2 < 0.5
-    assert fit_q.r2 < 0.5
+    pairs = [[sites(-12), sites(-12 + r)] for r in range(2, 17, 2)]
+    t = probe_run(tmp_path, 24, 0.0, 2, pairs)
+    assert t.metadata["fit_moment"]["r2"] < 0.5
+    assert t.metadata["fit_q"]["r2"] < 0.5
 
 
-def test_probe_default_interval_is_centered_unit():
+def test_probe_default_interval_is_centered_unit(tmp_path):
     sp = spec1d(8, lam=3.0)
     lo, hi = OperatorTemplate(sp).gershgorin_interval(UNIFORM_HALF)
     explicit = EnergyInterval.unit((lo + hi) / 2.0)
-    a = equivalence_probe(range(3), sp, [(c1(0), c1(2))], s=0.5)
-    b = equivalence_probe(range(3), sp, [(c1(0), c1(2))], interval=explicit, s=0.5)
-    assert a[0].moment == b[0].moment
+    pair = [[sites(0), sites(2)]]
+    a = probe_run(tmp_path / "a", 8, 3.0, 3, pair)
+    b = probe_run(tmp_path / "b", 8, 3.0, 3, pair, [explicit.lo, explicit.hi])
+    assert a.metadata["interval"] == [explicit.lo, explicit.hi]
+    assert columns(a, "moment_mean", "moment_stderr") == columns(
+        b, "moment_mean", "moment_stderr"
+    )
 
 
 def bos3(*sites):
     return Configuration(sites=tuple((v,) for v in sorted(sites)), sector="boson")
 
 
-def test_clustered_transfer_contrast():
+def test_clustered_transfer_contrast(tmp_path):
     # Three bosons, pairs of two kinds: rigid-stack separations (both
     # distances grow together) and excess-charge transfers (a,a,b)->(a,b,b)
     # with equal supports, where the Hausdorff distance stays 0 while the
     # transport distance grows. The transfer correlators stay O(1), so the
     # transport-distance fit carries visibly more scatter: the Hausdorff
     # axis is the one the decay law actually follows on this family.
-    sp = OperatorSpec(
-        box=Box.centered(1, 14),
-        n=3,
-        sector="boson",
-        lam=4.0,
-        interaction=InteractionSpec.pair_nn(0.2),
-    )
     c = -2
     stacks = [(bos3(c, c, c), bos3(c + r, c + r, c + r)) for r in (1, 2, 3, 4)]
     transfers = [(bos3(c, c, c + r), bos3(c, c + r, c + r)) for r in (1, 2, 3)]
     for r, (x, y) in zip((1, 2, 3), transfers):
         assert hausdorff_dist(x, y) == 0
         assert symmetrized_dist(x, y) == r
-    rows = equivalence_probe(range(120), sp, stacks + transfers, s=0.5)
+    pairs = [[[list(u) for u in x.sites], [list(u) for u in y.sites]]
+             for x, y in stacks + transfers]
+    inter = {"builtin": "pair_nn", "coupling": 0.2}
+    t = probe_run(tmp_path, 14, 4.0, 120, pairs, n=3, sector="boson", interaction=inter)
+    (q,) = columns(t, "EQ_mean")
     pts = [
-        (hausdorff_dist(x, y), symmetrized_dist(x, y), row.q.mean)
-        for (x, y), row in zip(stacks + transfers, rows)
+        (hausdorff_dist(x, y), symmetrized_dist(x, y), v)
+        for (x, y), v in zip(stacks + transfers, q)
     ]
     fit_h = decay_fit([(dh, v) for dh, _, v in pts])
     fit_s = decay_fit([(ds, v) for _, ds, v in pts])
@@ -410,13 +447,18 @@ def test_decay_fit_drops_zeros_and_validates():
 # ------------------------------------------------------------------ B monitor
 
 
+def monitor_run(tmp_path, L, lam, count, params=None, numerics=None, **model):
+    """A b_monitor run on the d = 1 model; the result table."""
+    model = {"L": L, "lambda": lam, **model}
+    return kind_run(tmp_path, "b_monitor", model, count, 0, params, numerics)
+
+
 @pytest.fixture(scope="module")
-def monitor_runs():
-    seeds = range(20)
+def monitor_runs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("monitor_runs")
     return {
-        (20.0, 8): b_monitor(spec1d(8, lam=20.0), seeds),
-        (20.0, 16): b_monitor(spec1d(16, lam=20.0), seeds),
-        (8.0, 8): b_monitor(spec1d(8, lam=8.0), seeds),
+        (lam, L): monitor_run(out / f"{lam}_{L}", L, lam, 20)
+        for lam, L in ((20.0, 8), (20.0, 16), (8.0, 8))
     }
 
 
@@ -451,7 +493,7 @@ def _per_anchor_rows(plan, seed):
     rows = []
     for task in plan.regions:
         rspec = dataclasses.replace(plan.spec, box=task.box)
-        _, S = next(diag.ensemble_spectra(rspec, [seed], plan.density))
+        S = diag.realization_spectrum(rspec, seed, plan.density)
         Wx = S.vectors[np.asarray(task.x_ranks), :]
         row = np.zeros(tile_edges.size - 1)
         for y_ranks in task.anchors:
@@ -589,7 +631,7 @@ def test_monitor_rows_do_not_depend_on_the_chunking():
         assert worst <= 1e-13, (case, worst)
 
 
-def test_b_monitor_n1_matches_direct_sum():
+def test_b_monitor_n1_matches_direct_sum(tmp_path):
     # independent evaluation: raw eigh per seed, tile scan and boundary sum
     # written out longhand
     from mplab.disorder import sample
@@ -597,7 +639,7 @@ def test_b_monitor_n1_matches_direct_sum():
 
     sp = spec1d(8, lam=10.0)
     seeds = range(20)
-    res = b_monitor(sp, seeds)
+    res = monitor_run(tmp_path, 8, 10.0, 20).metadata
     lo, hi = OperatorTemplate(sp).gershgorin_interval(UNIFORM_HALF)
     edges = np.arange(math.floor(lo - 1.0), math.ceil(hi + 1.0) + 1, 1.0)
     eta = 0.5 / 8
@@ -620,50 +662,58 @@ def test_b_monitor_n1_matches_direct_sum():
                     )
                 )
                 acc[j, t] += 2.0 * float(np.mean(g**0.5))
-    assert res.value == pytest.approx(float(acc.mean(axis=0).max()), abs=1e-12)
-    assert res.pair_count == 2
-    assert res.boundary_count == 2
+    assert res["value"] == pytest.approx(float(acc.mean(axis=0).max()), abs=1e-12)
+    assert res["pair_count"] == 2
+    assert res["boundary_count"] == 2
 
 
 def test_b_monitor_contraction_strong_disorder(monitor_runs):
-    b8 = monitor_runs[(20.0, 8)]
-    b16 = monitor_runs[(20.0, 16)]
-    assert b16.value < 0.5 * b8.value
+    b8 = monitor_runs[(20.0, 8)].metadata
+    b16 = monitor_runs[(20.0, 16)].metadata
+    assert b16["value"] < 0.5 * b8["value"]
 
 
 def test_b_monitor_lambda_monotone(monitor_runs):
-    assert monitor_runs[(8.0, 8)].value > monitor_runs[(20.0, 8)].value
+    value = {key: t.metadata["value"] for key, t in monitor_runs.items()}
+    assert value[(8.0, 8)] > value[(20.0, 8)]
 
 
 def test_b_monitor_value_is_worst_tile_mean(monitor_runs):
-    res = monitor_runs[(20.0, 8)]
-    assert res.value == pytest.approx(max(t[1] for t in res.tiles))
-    assert res.full.mean == pytest.approx(res.value)
-    assert res.full_interval.length == pytest.approx(1.0)
-    assert "under-estimates" in res.note
+    t = monitor_runs[(20.0, 8)]
+    res = t.metadata
+    (means,) = columns(t, "mean")
+    assert res["value"] == pytest.approx(max(means))
+    assert res["full_mean"] == pytest.approx(res["value"])
+    lo, hi = res["full_interval"]
+    assert hi - lo == pytest.approx(1.0)
+    assert "under-estimates" in res["note"]
 
 
-def test_b_monitor_eta_default_matches_explicit():
-    seeds = range(4)
-    sp = spec1d(8, lam=12.0)
-    a = b_monitor(sp, seeds)
-    b = b_monitor(sp, seeds, eta=0.5 / 8)
-    assert a.value == b.value
-    assert a.tiles == b.tiles
+def test_b_monitor_eta_default_matches_explicit(tmp_path):
+    a = monitor_run(tmp_path / "a", 8, 12.0, 4)
+    b = monitor_run(tmp_path / "b", 8, 12.0, 4, numerics={"eta": 0.5 / 8})
+    assert a.metadata["eta"] == b.metadata["eta"]
+    assert a.metadata["value"] == b.metadata["value"]
+    assert a.rows == b.rows
 
 
-def test_b_monitor_omega_samples_fold_into_value():
-    sp = spec1d(8, n=2, lam=8.0, alpha=0.1)
-    a = b_monitor(sp, range(6), omega_samples=4)
-    assert len(a.subbox_values) <= 4
-    assert a.value == pytest.approx(max([a.full.mean, *a.subbox_values]))
-    b = b_monitor(sp, range(6), omega_samples=4)
-    assert a == b  # sub-box sampling is seeded
+def test_b_monitor_omega_samples_fold_into_value(tmp_path):
+    inter = {"builtin": "pair_nn", "coupling": 0.1}
+    runs = [
+        monitor_run(tmp_path / tag, 8, 8.0, 6, {"omega_samples": 4}, n=2, interaction=inter)
+        for tag in "ab"
+    ]
+    a = runs[0].metadata
+    assert len(a["subbox_values"]) <= 4
+    assert a["value"] == pytest.approx(max([a["full_mean"], *a["subbox_values"]]))
+    # sub-box sampling is seeded
+    assert runs[0].rows == runs[1].rows
+    assert a["subbox_values"] == runs[1].metadata["subbox_values"]
 
 
 def test_b_monitor_validations():
     with pytest.raises(ValueError):
-        b_monitor(spec1d(10, lam=5.0), range(4))  # side not a multiple of 4
+        monitor_plan(spec1d(10, lam=5.0), range(4))  # side not a multiple of 4
     off = OperatorSpec(
         box=Box(d=1, side=8, origin=(0,)),
         n=1,
@@ -672,15 +722,15 @@ def test_b_monitor_validations():
         interaction=InteractionSpec.none(),
     )
     with pytest.raises(ValueError):
-        b_monitor(off, range(4))
+        monitor_plan(off, range(4))
     with pytest.raises(ValueError):
-        b_monitor(spec1d(8, lam=5.0), [0])
+        monitor_plan(spec1d(8, lam=5.0), [0])
 
 
 def test_b_monitor_pair_budget(monkeypatch):
     monkeypatch.setattr(diag, "B_PAIR_BUDGET", 1)
     with pytest.raises(BudgetError) as exc:
-        b_monitor(spec1d(8, lam=5.0), range(2))
+        monitor_plan(spec1d(8, lam=5.0), range(2))
     assert exc.value.count == 2
     assert exc.value.limit == 1
 
@@ -689,7 +739,7 @@ def test_ensemble_dimension_budget():
     sp = spec1d(12, n=4, lam=5.0)  # dim 20736 over the dense cap
     x = c1(0, 1, 2, 3)
     with pytest.raises(BudgetError) as exc:
-        equivalence_probe(range(2), sp, [(x, x)], EnergyInterval(0, 1))
+        probe_samples(sp, 0, [(x, x)], EnergyInterval(0, 1))
     assert exc.value.count == 20736
 
 
@@ -727,10 +777,12 @@ def test_rescaling_detects_broken_prediction():
 
 
 def test_rescaling_accepts_monitor_results(monitor_runs):
-    rep = rescaling_check(
-        monitor_runs[(20.0, 8)], monitor_runs[(20.0, 16)], 20.0, 0.5, 8
+    small, large = (
+        _monitor_value(t.metadata["value"], t.metadata["full_stderr"])
+        for t in (monitor_runs[(20.0, 8)], monitor_runs[(20.0, 16)])
     )
-    assert rep.b_small == monitor_runs[(20.0, 8)].value
+    rep = rescaling_check(small, large, 20.0, 0.5, 8)
+    assert rep.b_small == monitor_runs[(20.0, 8)].metadata["value"]
     assert rep.contraction_observed
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from mplab import cli, harness
-from mplab.diagnostics import b_monitor, rescaling_check, wegner_check
 from mplab.disorder import DensitySpec
 from mplab.errors import BudgetError
 from mplab.operator import INTERACTION_FIELDS, InteractionSpec
@@ -459,6 +458,13 @@ _VALIDATE_CORPUS = [
             'params.u2: y has no particle at (2,)',
         ],
         id="wegner_marks_and_empty_grid",
+    ),
+    pytest.param(
+        _cfg("wegner", ensemble={"count": 1}),
+        [
+            'ensemble.count must be an integer >= 2 for kind wegner, got 1',
+        ],
+        id="wegner_count_one",
     ),
     pytest.param(
         _cfg("wegner", {"L": 40, "n": 3}, params={"z_grid": [0.5]}),
@@ -1052,8 +1058,8 @@ def test_same_config_same_bytes(tmp_path):
 
 @pytest.mark.parametrize(
     "kind",
-    ["decay_probe", "b_monitor", "rescaling", "region_scan", "composite_check",
-     "subadditivity"],
+    ["decay_probe", "wegner", "b_monitor", "rescaling", "region_scan",
+     "composite_check", "subadditivity"],
 )
 def test_worker_count_irrelevant(tmp_path, kind):
     def cfg(tag):
@@ -1071,6 +1077,9 @@ def test_worker_count_irrelevant(tmp_path, kind):
         if kind == "region_scan":
             # two grid points, so the pool has two units to share
             raw["params"] = {"alphas": [0.0, 0.5]}
+        if kind == "wegner":
+            # two chunks of subseeds, so the pool has two units to share
+            raw["ensemble"]["count"] = 40
         return raw
 
     run(cfg("serial"), workers=1)
@@ -1108,6 +1117,13 @@ def test_pool_is_clamped_to_the_units(tmp_path, monkeypatch):
     assert a == b
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_rejects_workers_below_one(tmp_path, workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run(probe_config(tmp_path / "out"), workers=workers)
+    assert not (tmp_path / "out").exists()
+
+
 def test_pool_is_clamped_to_the_cpus(monkeypatch):
     import mplab.harness as harness
 
@@ -1117,68 +1133,6 @@ def test_pool_is_clamped_to_the_cpus(monkeypatch):
     assert harness._chunked_map(abs, [-1, -2, -3, -4, -5], 8) == [1, 2, 3, 4, 5]
     assert harness._chunked_map(abs, [-1, -2], None) == [1, 2]
     assert opened == [3, 2]
-
-
-def test_monitor_kind_matches_library(tmp_path):
-    raw = {
-        "kind": "b_monitor",
-        "model": {"L": 8, "lambda": 10.0},
-        "ensemble": {"base_seed": 0, "count": 5},
-        "params": {"omega_samples": 2},
-        "output": {"directory": str(tmp_path)},
-    }
-    t = run(raw, workers=2)
-    spec = ExperimentConfig.from_dict(raw).operator_spec()
-    res = b_monitor(spec, range(5), omega_samples=2)
-    assert t.metadata["value"] == res.value
-    assert t.metadata["pair_count"] == res.pair_count
-    assert t.metadata["subbox_values"] == list(res.subbox_values)
-    by_tile = {row[0]: row[2] for row in t.rows}
-    for lo, mean, _ in res.tiles:
-        assert by_tile[lo] == mean
-
-
-def test_wegner_kind_matches_library(tmp_path):
-    raw = {
-        "kind": "wegner",
-        "model": {"L": 4, "n": 2, "lambda": 5.0},
-        "ensemble": {"base_seed": 7, "count": 40},
-        "params": {"z_grid": [[2.0, 0.0], [2.5, 0.001]]},
-        "output": {"directory": str(tmp_path)},
-    }
-    t = run(raw, workers=2)
-    spec = ExperimentConfig.from_dict(raw).operator_spec()
-    x = t.metadata["x"]
-    from mplab import Configuration
-
-    cfg_x = Configuration(
-        sites=tuple(tuple(s) for s in x), sector="distinguishable"
-    )
-    report = wegner_check(
-        spec, 7, cfg_x, cfg_x, cfg_x.sites[0], cfg_x.sites[0],
-        [2.0, 2.5 + 0.001j], s=0.5, subsamples=40,
-    )
-    assert t.metadata["c_emp"] == report.c_emp
-    assert t.rows[0][2] == report.estimates[0].mean
-    assert t.rows[1][3] == report.estimates[1].stderr
-
-
-def test_rescaling_kind_matches_library(tmp_path):
-    raw = {
-        "kind": "rescaling",
-        "model": {"L": 8, "lambda": 20.0},
-        "ensemble": {"base_seed": 0, "count": 4},
-        "output": {"directory": str(tmp_path)},
-    }
-    t = run(raw, workers=2)
-    cfg = ExperimentConfig.from_dict(raw)
-    small = b_monitor(cfg.operator_spec(side=8), range(4))
-    large = b_monitor(cfg.operator_spec(side=16), range(4))
-    report = rescaling_check(small, large, lam=20.0, s=0.5, L=4)
-    assert t.rows[0][2] == small.value
-    assert t.rows[1][2] == large.value
-    assert t.metadata["report"]["condition_value"] == report.condition_value
-    assert t.metadata["report"]["consistent"] == report.consistent
 
 
 def test_region_scan_monitors_match_rescaling(tmp_path):
@@ -1247,6 +1201,16 @@ def test_cli_run_ok(tmp_path, capsys):
     assert cli.main(["run", path, "--workers", "1"]) == 0
     assert (tmp_path / "out" / "decay_probe.csv").exists()
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
+    path = write_cfg(tmp_path, probe_config(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", path, "--workers", workers])
+    assert exc.value.code == 2
+    assert "error: argument --workers: must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_validate_ok(tmp_path, capsys):

@@ -10,7 +10,13 @@ import scipy.sparse as sp
 
 from mplab.configspace import Box, ConfigIndex, Configuration
 from mplab.disorder import UNIFORM_HALF, DensitySpec, resample_at, sample
-from mplab.diagnostics import b_monitor, equivalence_probe, probe_pairs
+from mplab.diagnostics import (
+    default_probe_interval,
+    monitor_plan,
+    monitor_seed_rows,
+    probe_pairs,
+    probe_samples,
+)
 from mplab.operator import (
     InteractionSpec,
     OperatorSpec,
@@ -522,8 +528,8 @@ def test_one_template_per_spec(monkeypatch):
     monkeypatch.setattr(OperatorTemplate, "__init__", counting_init)
     _cached_template.cache_clear()
     spec = _pair_spec(8, n=2, alpha=0.2)
-    b_monitor(spec, range(2))
-    equivalence_probe(range(2), spec, probe_pairs(spec, 3))
+    monitor_seed_rows(monitor_plan(spec, range(2)), 0)
+    probe_samples(spec, 0, probe_pairs(spec, 3), default_probe_interval(spec))
     gershgorin_interval(spec, UNIFORM_HALF)
     assemble(spec, sample(spec.box, UNIFORM_HALF, 0))
     assert built == [spec]

@@ -17,7 +17,6 @@ from mplab.spectral import (
     correlator,
     dynamical_kernel,
     _green_column,
-    eig_green,
     green,
     green_block,
     green_entries,
@@ -58,7 +57,7 @@ def test_green_matches_eigensum():
     x, y = c1(3), c1(20)
     for z in (2.0 + 1e-3j, -1.0 + 0.1j, 5.0 + 1e-6j):
         g_solve = green(H, x, y, z)
-        g_eig = eig_green(S, S.rank_of(x), S.rank_of(y), z)
+        g_eig = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
         assert abs(g_solve - g_eig) <= 1e-8 * abs(g_eig)
 
 
@@ -164,14 +163,6 @@ def test_green_block_matches_green_entries(nx, ny):
     # the nodes themselves are not the weights
     with pytest.raises(ValueError):
         green_block(S, ix, iy, zs)
-
-
-def test_eig_green_is_green_entries_at_one_point():
-    H = build(side=10, lam=2.0, seed=3)
-    S = spectral_data(H)
-    zs = np.array([1.0 + 0.2j, 4.0 + 1e-6j])
-    many = green_entries(S, 2, 7, zs)
-    assert [eig_green(S, 2, 7, z) for z in zs] == many.tolist()
 
 
 # -------------------------------------------------------------- correlator
@@ -410,7 +401,7 @@ def test_composite_direct_matches_eigensum_reference():
     radius = max(1.25 * (eK.max() - eK.min()) / 2.0, 1.0)
     z = complex(3.7, 1.3 * radius)
     res = composite_green_check(HJ, HK, x, y, z, quadrature_points=256)
-    ref = eig_green(S, S.rank_of(x), S.rank_of(y), z)
+    ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
     assert res.direct == pytest.approx(ref, rel=1e-9)
     assert res.contour == pytest.approx(ref, rel=1e-6)
 
@@ -434,7 +425,7 @@ def test_composite_direct_solve_is_dense_up_to_the_cap(monkeypatch):
         eK = np.linalg.eigvalsh(HK.dense())
         z = complex(3.7, 1.3 * max(1.25 * (eK.max() - eK.min()) / 2.0, 1.0))
         S = composite_spectral_data(HJ, HK)
-        ref = eig_green(S, S.rank_of(x), S.rank_of(y), z)
+        ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
         res = composite_green_check(HJ, HK, x, y, z, quadrature_points=256)
         assert res.direct == pytest.approx(ref, rel=1e-9)
     assert spectral._DENSE_SOLVE_CAP == 256
@@ -467,7 +458,7 @@ def test_composite_identity_on_free_blocks(d, side, n):
     x = Configuration(sites=(origin,) * 2 * n)
     y = Configuration(sites=(far,) + (origin,) * (2 * n - 1))
     S = composite_spectral_data(HJ, HK)
-    ref = eig_green(S, S.rank_of(x), S.rank_of(y), z)
+    ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
     res = composite_green_check(HJ, HK, x, y, z, quadrature_points=512)
     assert res.gap <= 1e-8
     assert res.contour == pytest.approx(ref, rel=1e-8)
