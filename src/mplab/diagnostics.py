@@ -1,13 +1,14 @@
 """Ensemble diagnostics for multi-particle localization.
 
-Per-seed units, the plans that freeze their inputs, and the folds that
-reduce their outputs in seed order, for three quantities: conditional
-single-site (Wegner-type) moments (`wegner_samples`, `wegner_reduce`),
-two-sided decay probes comparing interval-averaged moments against
-eigenfunction correlators (`probe_samples`, `probe_reduce`), and the
-finite-volume boundary-flux monitor (`monitor_plan`, `monitor_seed_rows`,
-`monitor_reduce`). The harness maps the units and folds them; it is the one
-pipeline of every kind. Beside them: the serial Monte-Carlo estimate
+Per-seed units for three quantities: conditional single-site (Wegner-type)
+moments (`wegner_samples`), two-sided decay probes comparing
+interval-averaged moments against eigenfunction correlators
+(`probe_samples`), and the finite-volume boundary-flux monitor, whose plan
+freezes its inputs and whose fold builds the result that the doubling check
+and the scan verdict read (`monitor_plan`, `monitor_seed_rows`,
+`monitor_reduce`). The harness maps the units and folds each column of
+their per-seed samples with `Estimate.from_samples`; it is the one pipeline
+of every kind. Beside them: the serial Monte-Carlo estimate
 `fractional_moment`, the decay fit, the doubling check on two monitor
 values, and the verdict rule of one region-scan point.
 
@@ -32,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import (
-    Box,
-    ConfigIndex,
-    Configuration,
-    hausdorff_dist,
-)
+from .configspace import Box, ConfigIndex, Configuration
 from .disorder import UNIFORM_HALF, DensitySpec, resample_at, sample
 from .errors import BudgetError, SingularityError
 from .operator import OperatorSpec, _template_for, gershgorin_interval
@@ -184,25 +180,6 @@ def fractional_moment(
 # --------------------------------------------------------- conditional check
 
 
-@dataclass(frozen=True)
-class WegnerReport:
-    """Conditional fractional-moment scan over a z grid.
-
-    estimates[k] is the conditional Monte-Carlo mean of |G(x, y; z_k)|^s
-    with only the two marked sites resampled; worst is the estimate at the
-    worst grid point and c_emp = lambda^s * worst.mean the empirical
-    constant that the single-site bound predicts to be O(1) uniformly in z
-    and lambda.
-    """
-
-    z_grid: tuple
-    estimates: tuple
-    worst: Estimate
-    c_emp: float
-    marked: tuple
-    s: float
-
-
 def wegner_samples(
     spec: OperatorSpec,
     base_seed: int,
@@ -240,37 +217,7 @@ def wegner_samples(
     return values
 
 
-def wegner_reduce(
-    spec: OperatorSpec, zs, values: np.ndarray, marked, s: float, sub_ids
-) -> WegnerReport:
-    """Fold conditional sample rows (in subseed order) into the report."""
-    zs = np.asarray([complex(z) for z in zs])
-    estimates = tuple(
-        Estimate.from_samples(values[:, j], sub_ids) for j in range(zs.size)
-    )
-    worst = max(estimates, key=lambda e: e.mean)
-    return WegnerReport(
-        z_grid=tuple(zs.tolist()),
-        estimates=estimates,
-        worst=worst,
-        c_emp=float(abs(spec.lam) ** s * worst.mean),
-        marked=tuple(marked),
-        s=s,
-    )
-
-
 # ---------------------------------------------------------- equivalence probe
-
-
-@dataclass(frozen=True)
-class ProbeRow:
-    """One configuration pair: distance, averaged moment, mean correlator."""
-
-    x: Configuration
-    y: Configuration
-    dist: int
-    moment: Estimate
-    q: Estimate
 
 
 def default_probe_interval(
@@ -340,8 +287,8 @@ def probe_samples(
     `interval` at height eta; the correlator column uses the whole line, the
     monotone envelope of the interval correlators. One eigendecomposition
     serves every pair and both columns. The output depends only on this
-    seed, so probe_reduce over a seed list in order gives the same rows
-    however the list was partitioned among workers.
+    seed, so the per-seed outputs of a seed list, folded in order, give the
+    same rows however the list was partitioned among workers.
     """
     s = _check_s(s)
     pairs = [(px, py) for px, py in pairs]
@@ -356,26 +303,6 @@ def probe_samples(
         moments[p] = np.mean(np.abs(green_entries(S, ix, iy, nodes + 1j * eta)) ** s)
         qvals[p] = correlator(S, px, py, full)
     return moments, qvals
-
-
-def probe_reduce(
-    spec: OperatorSpec, pairs, seeds, samples_by_seed
-) -> tuple[ProbeRow, ...]:
-    """Fold per-seed probe_samples output (in seed order) into one ProbeRow
-    per pair."""
-    seeds = [int(v) for v in seeds]
-    moments = np.stack([m for m, _ in samples_by_seed])
-    qvals = np.stack([q for _, q in samples_by_seed])
-    return tuple(
-        ProbeRow(
-            x=px,
-            y=py,
-            dist=hausdorff_dist(px, py, spec.norm),
-            moment=Estimate.from_samples(moments[:, p], seeds),
-            q=Estimate.from_samples(qvals[:, p], seeds),
-        )
-        for p, (px, py) in enumerate(pairs)
-    )
 
 
 # ------------------------------------------------------------------ decay fit
@@ -653,19 +580,13 @@ def monitor_seed_rows(plan: MonitorPlan, seed: int) -> tuple:
 
 def monitor_reduce(plan: MonitorPlan, seeds, rows_by_seed) -> BMonitorResult:
     """Fold per-seed rows (in seed order) into the monitor result."""
-    seeds = [int(v) for v in seeds]
     tile_edges = np.asarray(plan.tile_edges)
     samples = np.stack([rows[0] for rows in rows_by_seed])
-    means = samples.mean(axis=0)
-    t_best = int(np.argmax(means))
-    full_est = Estimate.from_samples(samples[:, t_best], seeds)
+    columns = [Estimate.from_samples(col, seeds) for col in samples.T]
+    t_best = int(np.argmax(samples.mean(axis=0)))
+    full_est = columns[t_best]
     tiles = tuple(
-        (
-            float(tile_edges[t]),
-            float(samples[:, t].mean()),
-            float(samples[:, t].std(ddof=1) / math.sqrt(len(seeds))),
-        )
-        for t in range(means.size)
+        (float(lo), est.mean, est.stderr) for lo, est in zip(tile_edges, columns)
     )
     sub_values = []
     for r in range(1, len(plan.regions)):

@@ -67,11 +67,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .configspace import SECTORS, Box, Configuration, occupation
+from .configspace import SECTORS, Box, Configuration, hausdorff_dist, occupation
 from .diagnostics import (
     B_MONITOR_QUAD_POINTS,
     DEFAULT_ETA,
     DEFAULT_QUAD_POINTS,
+    Estimate,
     check_monitor_box,
     corner_block,
     decay_fit,
@@ -80,11 +81,9 @@ from .diagnostics import (
     monitor_reduce,
     monitor_seed_rows,
     probe_pairs,
-    probe_reduce,
     probe_samples,
     rescaling_check,
     scan_verdict,
-    wegner_reduce,
     wegner_samples,
 )
 from .disorder import DensitySpec, sample
@@ -221,6 +220,13 @@ def _is_num(v) -> bool:
         and not isinstance(v, bool)
         and math.isfinite(float(v))
     )
+
+
+def _magnitude(count: int) -> str:
+    """count in decimal, or as ~10^k once it has more than 20 digits: str()
+    refuses integers of more than 4300 digits, and a dimension of n
+    particles grows like side^(d n)."""
+    return str(count) if count < 10**20 else f"~10^{int(math.log10(count))}"
 
 
 def _rule(requirement: str, ok: Callable) -> Callable:
@@ -362,25 +368,33 @@ def _site(coords) -> tuple:
     return site
 
 
-def _block_candidates(config: ExperimentConfig) -> tuple:
-    """(side, n) choices whose block dimension fits under params.dim_cap."""
-    cap = int(config.params["dim_cap"])
-    out = []
-    for side in range(2, int(config.model["L"]) + 1):
-        for n in range(1, int(config.model["n"]) + 1):
+def _block_candidates(config: ExperimentConfig):
+    """(side, n) choices whose block dimension fits under params.dim_cap.
+
+    Sides stop at max(dim_cap, model.n): a box with more sites than
+    particles holds no sector of dimension below its site count, which is
+    at least its side.
+    """
+    cap, n_max = int(config.params["dim_cap"]), int(config.model["n"])
+    for side in range(2, min(int(config.model["L"]), max(cap, n_max)) + 1):
+        for n in range(1, n_max + 1):
             try:
                 dim = config.operator_spec(side, n).dim
             except ValueError:  # too few sites, or the interaction spans the box
                 continue
             if dim <= cap:
-                out.append((side, n))
-    return tuple(out)
+                yield side, n
 
 
 def _wegner_marks(config: ExperimentConfig, spec: OperatorSpec):
     """Materialize x, y, u1, u2 (defaults: corner block, x, and the first
     site of each)."""
     p = config.params
+    if p["x"] is None and spec.n > spec.box.side:
+        raise ValueError(
+            f"box side {spec.box.side} too small for the default x, a block "
+            f"of {spec.n} sites"
+        )
     x = _as_configuration(p["x"], spec) if p["x"] is not None else corner_block(spec)
     y = _as_configuration(p["y"], spec) if p["y"] is not None else x
     u1 = _site(p["u1"]) if p["u1"] is not None else x.sites[0]
@@ -461,8 +475,8 @@ def validate(config) -> list:
         dim = config.operator_spec(side).dim
         if dim > DENSE_DIAG_CAP:
             out.append(
-                f"budget: configuration space dimension {dim} at box side {side} "
-                f"exceeds the dense-diagonalization cap {DENSE_DIAG_CAP}"
+                f"budget: configuration space dimension {_magnitude(dim)} at box "
+                f"side {side} exceeds the dense-diagonalization cap {DENSE_DIAG_CAP}"
             )
     return out
 
@@ -495,6 +509,8 @@ def _check_probe(config, spec, out: list) -> None:
         out.append(f"params.interval must be null or [lo, hi], got {iv!r}")
     elif iv is not None and not iv[1] - iv[0] >= 1.0 - 1e-12:
         out.append(f"params.interval must have length >= 1, got {iv[1] - iv[0]}")
+    elif iv is not None and not math.isfinite(iv[1] - iv[0]):
+        out.append(f"params.interval must have a finite length, got {iv[1] - iv[0]}")
 
 
 def _is_z(z) -> bool:
@@ -576,15 +592,15 @@ def _check_blocks(config, spec, out: list) -> None:
     cap = config.params["dim_cap"]
     if not _is_int(cap) or cap < 1:
         return
-    if not _block_candidates(config):
+    if next(_block_candidates(config), None) is None:
         out.append(
             f"params.dim_cap {cap} admits no block on boxes up to side "
             f"{config.model['L']}"
         )
     if cap * cap > DENSE_DIAG_CAP:
         out.append(
-            f"budget: composite dimension up to {cap * cap} exceeds the "
-            f"dense-diagonalization cap {DENSE_DIAG_CAP}"
+            f"budget: composite dimension up to {_magnitude(cap * cap)} exceeds "
+            f"the dense-diagonalization cap {DENSE_DIAG_CAP}"
         )
 
 
@@ -816,7 +832,7 @@ def _per_seed_map(unit, items, seeds, workers) -> list:
 def _instance_map(unit, config: ExperimentConfig, workers) -> list:
     """unit((config, candidates, i)) for each block-pair instance i, in
     instance order; candidates are the (side, n) blocks under dim_cap."""
-    candidates = _block_candidates(config)
+    candidates = tuple(_block_candidates(config))
     n = int(config.params["instances"])
     return _chunked_map(unit, [(config, candidates, i) for i in range(n)], workers)
 
@@ -932,10 +948,20 @@ def _numerics(config: ExperimentConfig, eta_default, qp_default):
 
 
 def _probe_rows(item, seeds, workers):
-    """The ProbeRows of item = (spec, pairs, interval, s, eta, quad_points,
-    density), from one per-seed map."""
+    """(dist, q, moment) per pair of item = (spec, pairs, interval, s, eta,
+    quad_points, density): q and moment are the Estimates of the pair's
+    columns of one per-seed map."""
+    spec, pairs = item[:2]
     (results,) = _per_seed_map(_probe_unit, [item], seeds, workers)
-    return probe_reduce(item[0], item[1], seeds, results)
+    moments, qvals = (np.stack(col).T for col in zip(*results))
+    return [
+        (
+            hausdorff_dist(px, py, spec.norm),
+            Estimate.from_samples(q, seeds),
+            Estimate.from_samples(m, seeds),
+        )
+        for (px, py), q, m in zip(pairs, qvals, moments)
+    ]
 
 
 def _run_probe(config: ExperimentConfig, workers):
@@ -951,8 +977,8 @@ def _run_probe(config: ExperimentConfig, workers):
     )
     item = (spec, tuple(pairs), interval, s, eta, qp, density)
     rows = [
-        (int(r.dist), r.q.mean, r.q.stderr, r.moment.mean, r.moment.stderr, r.q.seeds)
-        for r in _probe_rows(item, config.seeds(), workers)
+        (int(dist), q.mean, q.stderr, moment.mean, moment.stderr, q.seeds)
+        for dist, q, moment in _probe_rows(item, config.seeds(), workers)
     ]
     return rows, {
         "interval": [interval.lo, interval.hi],
@@ -984,18 +1010,21 @@ def _run_wegner(config: ExperimentConfig, workers):
     units = [
         (spec, base_seed, x, y, marked, zarr, s, ch, density) for ch in chunks
     ]
-    blocks = _chunked_map(_wegner_unit, units, workers)
-    values = np.vstack(blocks)
-    report = wegner_reduce(spec, zarr, values, marked, s, range(count))
+    values = np.vstack(_chunked_map(_wegner_unit, units, workers))
+    # column k: the conditional samples of |G(x, y; z_k)|^s, in subseed order
+    estimates = [Estimate.from_samples(col, range(count)) for col in values.T]
+    worst = max(estimates, key=lambda e: e.mean)
     rows = [
         (z.real, z.imag, est.mean, est.stderr, est.count, est.seeds)
-        for z, est in zip(report.z_grid, report.estimates)
+        for z, est in zip(zarr.tolist(), estimates)
     ]
     return rows, {
-        "c_emp": report.c_emp,
-        "worst_mean": report.worst.mean,
-        "worst_stderr": report.worst.stderr,
-        "marked": [list(u) for u in report.marked],
+        # the empirical constant that the single-site bound predicts to be
+        # O(1) uniformly in z and lambda
+        "c_emp": float(abs(spec.lam) ** s * worst.mean),
+        "worst_mean": worst.mean,
+        "worst_stderr": worst.stderr,
+        "marked": [list(u) for u in marked],
         "x": [list(site) for site in x.sites],
         "y": [list(site) for site in y.sites],
         "s": s,
@@ -1103,7 +1132,7 @@ def _scan_unit(args):
     pairs = tuple(probe_pairs(spec))
     item = (spec, pairs, interval, s, eta, DEFAULT_QUAD_POINTS, density)
     rows = _probe_rows(item, point.seeds(), workers=1)
-    fit = decay_fit([(r.dist, r.q.mean) for r in rows])
+    fit = decay_fit([(dist, q.mean) for dist, q, _ in rows])
     gap, noise, verdict = scan_verdict(
         b_small, b_large, fit, float(p["r2_threshold"]), _xi_max(config)
     )

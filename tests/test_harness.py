@@ -386,6 +386,14 @@ _VALIDATE_CORPUS = [
         ],
         id="probe_pairs_and_interval",
     ),
+    # a length that overflows to inf once passed "length >= 1"
+    pytest.param(
+        _cfg("decay_probe", params={"interval": [-1e308, 1e308]}),
+        [
+            'params.interval must have a finite length, got inf',
+        ],
+        id="probe_interval_length_overflows",
+    ),
     # a configuration object has the fields sites and sector, nothing else
     pytest.param(
         _cfg(
@@ -458,6 +466,14 @@ _VALIDATE_CORPUS = [
             'params.u2: y has no particle at (2,)',
         ],
         id="wegner_marks_and_empty_grid",
+    ),
+    # the default x is a block of n consecutive sites along the first axis
+    pytest.param(
+        _cfg("wegner", {"L": 2, "n": 3, "sector": "boson"}, params={"z_count": 1}),
+        [
+            'params: box side 2 too small for the default x, a block of 3 sites',
+        ],
+        id="wegner_default_x_outside_box",
     ),
     pytest.param(
         _cfg("wegner", ensemble={"count": 1}),
@@ -653,7 +669,8 @@ def test_interaction_schema_lists_the_operator_fields():
     assert tuple(defaults) == INTERACTION_FIELDS
 
 
-# integers stay small: validate walks every block side up to model.L
+# integers stay small, so that the seeded shape draws below do not move;
+# test_validate_never_raises_on_large_integers takes the large ones
 _MALFORMED = [
     None, True, False, "", "x", "2", [], [1, "a"], {}, {"a": 1},
     math.nan, math.inf, -math.inf, 1e308, -0.0, 0, 1, 2, 3, 64, -1, -64,
@@ -693,6 +710,36 @@ def test_validate_never_raises_on_malformed_values():
                 violations = validate(cfg)
                 assert isinstance(violations, list), (path, cfg)
                 assert all(isinstance(v, str) and v for v in violations), (path, cfg)
+
+
+def _int_paths(node, path=()):
+    """Paths of the integer (not bool) fields of a config, in order."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _int_paths(value, (*path, key))
+    elif isinstance(node, int) and not isinstance(node, bool):
+        yield path
+
+
+def test_validate_never_raises_on_large_integers():
+    """5000 or 10**5 in any integer field gives violations, never an
+    exception: a budget dimension past the 4300 digits str() converts is
+    spelled compactly, and the block search stops far short of model.L."""
+    bases = [p.values[0] for p in _VALIDATE_CORPUS if p.id.startswith("valid_")]
+    for base in bases:
+        full = ExperimentConfig.from_dict(base).to_dict()
+        paths = list(_int_paths(full))
+        assert paths, base
+        for path in paths:
+            for value in (5000, 10**5):
+                cfg = copy.deepcopy(full)
+                node = cfg
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                violations = validate(cfg)
+                assert isinstance(violations, list), (path, value)
+                assert all(isinstance(v, str) and v for v in violations), (path, value)
 
 
 # JSON text, as a config file would carry it; json reads NaN and Infinity
@@ -1229,6 +1276,17 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     path = write_cfg(tmp_path, probe_config(tmp_path, d=2, L=10, n=3))
     assert cli.main(["run", path]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_cli_budget_exit_code_for_a_huge_dimension(tmp_path, capsys):
+    # the dimension 8^5000 has 4516 digits, more than str() converts
+    path = write_cfg(tmp_path, {"kind": "b_monitor", "model": {"L": 8, "n": 5000}})
+    assert cli.main(["validate", path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "invalid: budget: configuration space dimension ~10^4515 at box side 8 "
+        "exceeds the dense-diagonalization cap 20000"
+    ]
 
 
 def test_cli_missing_file(tmp_path, capsys):
