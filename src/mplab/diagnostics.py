@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configspace import Box, ConfigIndex, Configuration
-from .disorder import UNIFORM_HALF, DensitySpec, resample_at, sample
+from .disorder import UNIFORM_HALF, DensitySpec, resample_batch, sample
 from .errors import BudgetError, SingularityError
 from .operator import OperatorSpec, _template_for, gershgorin_interval
 from .spectral import (
@@ -47,6 +47,7 @@ from .spectral import (
     resolvent_weights,
     spectral_data,
 )
+from .streams import Stream
 
 logger = logging.getLogger("mplab.diagnostics")
 
@@ -210,8 +211,7 @@ def wegner_samples(
     base = sample(spec.box, density, int(base_seed))
     ix, iy = spec.config_index.index_of(x), spec.config_index.index_of(y)
     values = np.empty((len(subseeds), zs.size))
-    for row, k in enumerate(subseeds):
-        real = resample_at(base, marked, subseed=k)
+    for row, real in enumerate(resample_batch(base, marked, subseeds)):
         S = spectral_data(template.hamiltonian(real))
         values[row, :] = np.abs(green_entries(S, ix, iy, _nudged(S, zs))) ** s
     return values
@@ -521,7 +521,7 @@ def monitor_plan(
         raise ValueError("no admissible boundary pairs on the full box")
     regions = [full_task]
     if omega_samples:
-        rng = np.random.default_rng([int(seeds[0]), 0x0B, int(omega_samples)])
+        rng = Stream([int(seeds[0]), 0x0B, int(omega_samples)])
         for _ in range(omega_samples):
             side = int(rng.integers(box.side // 2 + 1, box.side))
             lo_org = max(-(box.side // 2), 1 - side)

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .configspace import Box, Site
+from .streams import philox_u01
 
 # Exact injective packing of coordinates into the 64-bit Philox key lane is
 # available for d <= 4 (64//d bits per signed coordinate); higher dimensions
@@ -26,32 +27,35 @@ _MIX_MULT = np.uint64(0x9E3779B97F4A7C15)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def site_key(site: Site) -> int:
-    """Deterministic 64-bit stream key for a lattice site (absolute coords)."""
-    d = len(site)
+def site_keys(coords) -> np.ndarray:
+    """Deterministic 64-bit stream keys of sites in absolute coordinates,
+    given as an integer array of shape (..., d); the keys have shape (...)."""
+    coords = np.asarray(coords, dtype=np.int64)
+    d = coords.shape[-1]
     if d <= 4:
         bits = 64 // d
         offset = 1 << (bits - 1)
-        key = 0
-        for c in site:
-            if not -offset <= c < offset:
-                raise ValueError(
-                    f"coordinate {c} exceeds the +-{offset} packing range for d={d}"
-                )
-            key = (key << bits) | (c + offset)
-        return key & _MASK64
-    key = np.uint64(d)
-    for c in site:
-        key = key * _MIX_MULT + np.uint64((c + (1 << 31)) & _MASK64)
-    return int(key)
+        outside = (coords < -offset) | (coords >= offset)
+        if outside.any():
+            c = coords[outside].flat[0]
+            raise ValueError(
+                f"coordinate {c} exceeds the +-{offset} packing range for d={d}"
+            )
+        # c + offset, modulo 2^64, is the coordinate's unsigned lane value
+        lanes = coords.astype(np.uint64) + np.uint64(offset)
+        keys = lanes[..., 0]
+        for j in range(1, d):
+            keys = (keys << np.uint64(bits)) | lanes[..., j]
+        return keys
+    keys = np.full(coords.shape[:-1], d, dtype=np.uint64)
+    for j in range(d):
+        keys = keys * _MIX_MULT + (coords[..., j] + (1 << 31)).astype(np.uint64)
+    return keys
 
 
-def _u01(seed: int, key: int, tag: int) -> float:
-    bg = np.random.Philox(
-        key=np.array([seed & _MASK64, key & _MASK64], dtype=np.uint64),
-        counter=np.array([tag & _MASK64, 0, 0, 0], dtype=np.uint64),
-    )
-    return np.random.Generator(bg).random()
+def site_key(site: Site) -> int:
+    """Deterministic 64-bit stream key for a lattice site (absolute coords)."""
+    return int(site_keys([site])[0])
 
 
 # The truncated Gaussian is scipy's truncnorm(-c/sigma, c/sigma, loc=0,
@@ -360,14 +364,17 @@ class DisorderRealization:
         return float(self.values[self.box.encode(site)])
 
 
-def _draw(density: DensitySpec, seed: int, sites, tag: int) -> np.ndarray:
-    """One value per site, each from its own substream at counter tag.
+def _draw(density: DensitySpec, seed: int, coords, tags) -> np.ndarray:
+    """One value per site and tag, each from that site's own substream at
+    that counter tag; coords (sites, d) against tags (rows, 1) give rows of
+    sites.
 
-    The uniforms come from one Philox stream per site, as the (seed, site)
-    contract needs; the quantile map then runs once over the whole array.
+    The uniforms come from one Philox pass over all (site, tag) pairs, as
+    the (seed, site) contract needs; the quantile map then runs once over
+    the whole array.
     """
-    u = np.array([_u01(seed, site_key(s), tag) for s in sites], dtype=float)
-    return density.ppf(u)
+    u = philox_u01(seed, site_keys(coords), tags)
+    return density.ppf(u.ravel()).reshape(u.shape)
 
 
 def sample(box: Box, density: DensitySpec, seed: int) -> DisorderRealization:
@@ -379,8 +386,35 @@ def sample(box: Box, density: DensitySpec, seed: int) -> DisorderRealization:
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    vals = _draw(density, seed, box.sites(), tag=0)
+    vals = _draw(density, seed, box.coords(np.arange(box.volume)), 0)
     return DisorderRealization(box=box, density=density, seed=seed, values=vals)
+
+
+def resample_batch(real: DisorderRealization, sites, subseeds):
+    """resample_at(real, sites, k) for each k in subseeds, in order.
+
+    The marked sites of every subseed are drawn in one Philox pass and one
+    quantile call, and each row is written over a copy of the frozen base.
+    """
+    subseeds = [int(k) for k in subseeds]
+    if any(k < 0 for k in subseeds):
+        raise ValueError(f"subseed must be nonnegative, got {min(subseeds)}")
+    marked = tuple(tuple(s) for s in sites)
+    if not marked:
+        raise ValueError("no sites marked for resampling")
+    ranks = [real.box.encode(s) for s in marked]
+    tags = np.array([(k + 1) & _MASK64 for k in subseeds], dtype=np.uint64)
+    rows = _draw(real.density, real.seed, real.box.coords(ranks), tags[:, None])
+    for subseed, row in zip(subseeds, rows):
+        vals = np.array(real.values)
+        vals[ranks] = row
+        yield DisorderRealization(
+            box=real.box,
+            density=real.density,
+            seed=real.seed,
+            values=vals,
+            history=real.history + ((tuple(ranks), subseed),),
+        )
 
 
 def resample_at(
@@ -391,18 +425,4 @@ def resample_at(
     Tag 0 is the base draw, so subseed 0 already yields fresh values.
     Different subseeds give independent redraws of the same sites.
     """
-    if subseed < 0:
-        raise ValueError(f"subseed must be nonnegative, got {subseed}")
-    marked = tuple(tuple(s) for s in sites)
-    if not marked:
-        raise ValueError("no sites marked for resampling")
-    ranks = [real.box.encode(s) for s in marked]
-    vals = np.array(real.values)
-    vals[ranks] = _draw(real.density, real.seed, marked, tag=subseed + 1)
-    return DisorderRealization(
-        box=real.box,
-        density=real.density,
-        seed=real.seed,
-        values=vals,
-        history=real.history + ((tuple(ranks), subseed),),
-    )
+    return next(resample_batch(real, sites, [subseed]))

@@ -103,6 +103,7 @@ from .spectral import (
     spectral_data,
     subadditivity_check,
 )
+from .streams import Stream
 
 class ConfigError(ValueError):
     """A config failed validation; `violations` lists every problem."""
@@ -215,25 +216,38 @@ def _is_int(v) -> bool:
 
 
 def _is_num(v) -> bool:
-    return (
-        isinstance(v, (int, float))
-        and not isinstance(v, bool)
-        and math.isfinite(float(v))
-    )
+    """A finite float, or an integer that converts to one."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def _magnitude(count: int) -> str:
     """count in decimal, or as ~10^k once it has more than 20 digits: str()
     refuses integers of more than 4300 digits, and a dimension of n
     particles grows like side^(d n)."""
-    return str(count) if count < 10**20 else f"~10^{int(math.log10(count))}"
+    if abs(count) < 10**20:
+        return str(count)
+    return f"{'-' if count < 0 else ''}~10^{int(math.log10(abs(count)))}"
+
+
+def _shown(value) -> str:
+    """repr(value), with every integer spelled by _magnitude."""
+    if _is_int(value):
+        return _magnitude(value)
+    if isinstance(value, list):
+        return f"[{', '.join(map(_shown, value))}]"
+    return repr(value)
 
 
 def _rule(requirement: str, ok: Callable) -> Callable:
-    """The rule "<path> must <requirement>, got <value!r>" unless ok(value)."""
+    """The rule "<path> must <requirement>, got <value>" unless ok(value)."""
 
     def rule(path: str, value) -> list:
-        return [] if ok(value) else [f"{path} must {requirement}, got {value!r}"]
+        return [] if ok(value) else [f"{path} must {requirement}, got {_shown(value)}"]
 
     return rule
 
@@ -364,7 +378,7 @@ def _site(coords) -> tuple:
     """A site from its coordinates, which must be JSON integers."""
     site = tuple(int(c) for c in coords)
     if not all(_is_int(c) for c in coords):
-        raise ValueError(f"site coordinates must be integers, got {coords!r}")
+        raise ValueError(f"site coordinates must be integers, got {_shown(coords)}")
     return site
 
 
@@ -373,17 +387,23 @@ def _block_candidates(config: ExperimentConfig):
 
     Sides stop at max(dim_cap, model.n): a box with more sites than
     particles holds no sector of dimension below its site count, which is
-    at least its side.
+    at least its side. Particle numbers stop at the box's site count in
+    the exclusion sectors, and at the first dimension over the cap for
+    bosons and distinguishable particles, whose dimension grows with n.
     """
     cap, n_max = int(config.params["dim_cap"]), int(config.model["n"])
+    d = int(config.model["d"])
+    exclusion = config.model["sector"] in ("fermion", "hardcore")
     for side in range(2, min(int(config.model["L"]), max(cap, n_max)) + 1):
-        for n in range(1, n_max + 1):
+        for n in range(1, (min(n_max, side**d) if exclusion else n_max) + 1):
             try:
                 dim = config.operator_spec(side, n).dim
-            except ValueError:  # too few sites, or the interaction spans the box
-                continue
+            except ValueError:  # the interaction spans the box, for every n
+                break
             if dim <= cap:
                 yield side, n
+            elif not exclusion:
+                break
 
 
 def _wegner_marks(config: ExperimentConfig, spec: OperatorSpec):
@@ -506,7 +526,7 @@ def _check_probe(config, spec, out: list) -> None:
             out.append(f"params.pairs: {err}")
     iv = p["interval"]  # after the pairs, whose message comes first
     if iv is not None and not (_is_list_of(iv, _is_num) and len(iv) == 2):
-        out.append(f"params.interval must be null or [lo, hi], got {iv!r}")
+        out.append(f"params.interval must be null or [lo, hi], got {_shown(iv)}")
     elif iv is not None and not iv[1] - iv[0] >= 1.0 - 1e-12:
         out.append(f"params.interval must have length >= 1, got {iv[1] - iv[0]}")
     elif iv is not None and not math.isfinite(iv[1] - iv[0]):
@@ -531,7 +551,7 @@ def _check_wegner(config, spec, out: list) -> None:
     elif not isinstance(zg, (list, tuple)) or not all(_is_z(z) for z in zg):
         out.append(
             "params.z_grid entries must be finite numbers or [re, im] pairs of "
-            f"finite numbers, got {zg!r}"
+            f"finite numbers, got {_shown(zg)}"
         )
         return
     try:
@@ -865,7 +885,7 @@ def _draw_pair(config: ExperimentConfig, candidates, salt: int, i: int):
     """Instance i of a block-pair kind: the generator (for further draws),
     both blocks as (seed, H, enclosure), and the end configurations
     x = (x_left, x_right), y = (y_left, y_right)."""
-    rng = np.random.default_rng([int(config.ensemble["base_seed"]), salt, i])
+    rng = Stream([int(config.ensemble["base_seed"]), salt, i])
     left = _draw_block(rng, config, candidates)
     right = _draw_block(rng, config, candidates)
     ix_j, ix_k = left[1].index, right[1].index

@@ -1,30 +1,41 @@
 """Report header: the library and BLAS settings that produced this run's
-bytes, and the scipy subpackages that `import mplab` loads. The golden pins
-hold for one BLAS build and thread count, so a pin that fails on another
-host can be read against these lines."""
+bytes, and what `import mplab` loads: its scipy subpackages and whether
+numpy's random subpackage comes with it (mplab draws from its own streams,
+so it should not). The golden pins hold for one BLAS build and thread
+count, so a pin that fails on another host can be read against these
+lines."""
 
 import os
 import sys
 
 
-def _scipy_loaded_by_mplab() -> list:
-    """scipy subpackages (two dotted levels) that importing mplab and its
-    CLI added to sys.modules."""
+def _loaded_by_mplab() -> set:
+    """Modules that importing mplab and its CLI added to sys.modules."""
     before = set(sys.modules)
     import mplab  # noqa: F401
     import mplab.cli  # noqa: F401
 
-    return sorted(
-        {
-            ".".join(name.split(".")[:2])
-            for name in set(sys.modules) - before
-            if name == "scipy" or name.startswith("scipy.")
-        }
-    )
+    return set(sys.modules) - before
+
+
+def _numpy_random_state(added: set) -> str:
+    if "numpy.random" in added:
+        return "loaded"
+    if "numpy.random" in sys.modules:
+        return "loaded before mplab was imported"
+    return "not loaded"
 
 
 def pytest_report_header(config):
-    loaded = _scipy_loaded_by_mplab()
+    added = _loaded_by_mplab()
+    # scipy subpackages, two dotted levels
+    loaded = sorted(
+        {
+            ".".join(name.split(".")[:2])
+            for name in added
+            if name == "scipy" or name.startswith("scipy.")
+        }
+    )
     import numpy
     import scipy
 
@@ -42,5 +53,6 @@ def pytest_report_header(config):
         f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
         f"blas {blas.get('name')} {blas.get('version')}",
         f"{threads}, cpu affinity {affinity}",
-        f"scipy modules loaded by import mplab: {', '.join(loaded) or 'none'}",
+        f"scipy modules loaded by import mplab: {', '.join(loaded) or 'none'}; "
+        f"numpy.random {_numpy_random_state(added)}",
     ]

@@ -6,8 +6,8 @@ from mplab.configspace import Box
 from mplab.disorder import (
     UNIFORM_HALF,
     DensitySpec,
-    _u01,
     resample_at,
+    resample_batch,
     sample,
     site_key,
 )
@@ -252,6 +252,15 @@ _DENSITY_KINDS = {
 }
 
 
+def _u01(seed: int, key: int, tag: int) -> float:
+    """The first uniform of numpy's own Philox stream of one site."""
+    bg = np.random.Philox(
+        key=np.array([seed, key], dtype=np.uint64),
+        counter=np.array([tag, 0, 0, 0], dtype=np.uint64),
+    )
+    return np.random.Generator(bg).random()
+
+
 @pytest.mark.parametrize("kind", sorted(_DENSITY_KINDS))
 @pytest.mark.parametrize("d, side", [(1, 17), (2, 6)])
 def test_draws_equal_per_site_quantiles(kind, d, side):
@@ -316,3 +325,22 @@ def test_truncated_gaussian_matches_scipy_stats(sigma, cutoff):
     for q in (0.0, 1.0, 1e-300, 1.0 - 2.0**-53, 0.25, np.nan):
         assert _bits(d.ppf(q)) == _bits(ref.ppf(q))
     assert _bits(d.bound) == _bits(ref.pdf(0.0))
+
+
+@pytest.mark.parametrize("kind", sorted(_DENSITY_KINDS))
+def test_resample_batch_equals_resample_at_per_subseed(kind):
+    """One batched redraw gives, row for row, resample_at's realization,
+    history included; the tag 2^64 - 1 of the last subseed carries."""
+    box = Box(d=2, side=5)
+    base = sample(box, _DENSITY_KINDS[kind], seed=4)
+    marked = [box.decode(k) for k in (3, 0, 24, 3)]
+    subseeds = [0, 7, 1, 2**64 - 2]
+    batch = list(resample_batch(base, marked, subseeds))
+    assert len(batch) == len(subseeds)
+    for k, real in zip(subseeds, batch):
+        ref = resample_at(base, marked, subseed=k)
+        assert real.values.tobytes() == ref.values.tobytes()
+        assert real.history == ref.history
+    u = _u01(4, site_key(marked[0]), tag=2**64 - 1)
+    got = batch[-1].values[box.encode(marked[0])]
+    assert got.tobytes() == _DENSITY_KINDS[kind].ppf(np.array([u])).tobytes()

@@ -482,6 +482,52 @@ _VALIDATE_CORPUS = [
         ],
         id="wegner_count_one",
     ),
+    # a JSON integer past the float range is not a finite number; one of
+    # more than 20 digits is spelled ~10^k, since str() refuses 4300
+    pytest.param(
+        _cfg("decay_probe", {"lambda": 10**400}),
+        [
+            'model.lambda must be a finite number >= 0, got ~10^400',
+        ],
+        id="lambda_past_float_range",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"interaction": {"builtin": "pair_nn", "coupling": 10**400}}),
+        [
+            'model.interaction.coupling must be a finite number, got ~10^400',
+        ],
+        id="coupling_past_float_range",
+    ),
+    pytest.param(
+        _cfg("decay_probe", numerics={"eta": 10**400}),
+        [
+            'numerics.eta must be null or positive, got ~10^400',
+        ],
+        id="eta_past_float_range",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"z_grid": [0.5, 10**400]}),
+        [
+            'params.z_grid entries must be finite numbers or [re, im] pairs of '
+            'finite numbers, got [0.5, ~10^400]',
+        ],
+        id="z_grid_entry_past_float_range",
+    ),
+    pytest.param(
+        _cfg("wegner", {"lambda": 10**5000}, params={"z_grid": [[0.5, -10**5000]]}),
+        [
+            'model.lambda must be a finite number >= 0, got ~10^5000',
+        ],
+        id="lambda_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"z_grid": [[0.5, -10**5000]]}),
+        [
+            'params.z_grid entries must be finite numbers or [re, im] pairs of '
+            'finite numbers, got [[0.5, -~10^5000]]',
+        ],
+        id="z_grid_pair_of_5000_digits",
+    ),
     pytest.param(
         _cfg("wegner", {"L": 40, "n": 3}, params={"z_grid": [0.5]}),
         [
@@ -740,6 +786,32 @@ def test_validate_never_raises_on_large_integers():
                 violations = validate(cfg)
                 assert isinstance(violations, list), (path, value)
                 assert all(isinstance(v, str) and v for v in violations), (path, value)
+
+
+@pytest.mark.parametrize("sector", ["distinguishable", "boson", "fermion"])
+def test_block_candidates_do_not_walk_every_particle_number(monkeypatch, sector):
+    """The run-time candidate list at model.n 6000 builds a few operator
+    specs per side, not one per particle number, and keeps its order."""
+    config = ExperimentConfig.from_dict(
+        _cfg("composite_check", {"L": 4, "n": 6000, "sector": sector},
+             params={"dim_cap": 8})
+    )
+    calls = []
+    build = ExperimentConfig.operator_spec
+    monkeypatch.setattr(
+        ExperimentConfig, "operator_spec",
+        lambda self, *args: calls.append(args) or build(self, *args),
+    )
+    got = tuple(harness._block_candidates(config))
+    expected = {
+        "distinguishable": ((2, 1), (2, 2), (2, 3), (3, 1), (4, 1)),
+        "boson": ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+                  (3, 1), (3, 2), (4, 1)),
+        "fermion": ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2),
+                    (4, 3), (4, 4)),
+    }[sector]
+    assert got == expected
+    assert len(calls) <= 20
 
 
 # JSON text, as a config file would carry it; json reads NaN and Infinity
