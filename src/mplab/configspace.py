@@ -22,11 +22,13 @@ import bisect
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import neg
 
 import numpy as np
+
+from .errors import magnitude
 
 SECTORS = ("distinguishable", "boson", "fermion", "hardcore")
 
@@ -254,26 +256,48 @@ class ConfigIndex:
     box: Box
     n: int
     sector: str = "distinguishable"
-    size: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"particle number must be positive, got {self.n}")
         if self.sector not in SECTORS:
             raise ValueError(f"unknown sector {self.sector!r}")
-        V = self.box.volume
+        if self.sector in ("fermion", "hardcore") and self.n > self.box.volume:
+            raise ValueError(
+                f"cannot place {magnitude(self.n)} mutually excluding particles "
+                f"on {magnitude(self.box.volume)} sites"
+            )
+
+    @cached_property
+    def size(self) -> int:
+        """The number of configurations: V^n, C(V + n - 1, n) for bosons,
+        C(V, n) for fermions and hardcore particles."""
+        V, n = self.box.volume, self.n
         if self.sector == "distinguishable":
-            size = V**self.n
-        elif self.sector == "boson":
-            size = math.comb(V + self.n - 1, self.n)
-        else:  # fermion, hardcore
-            if self.n > V:
-                raise ValueError(
-                    f"cannot place {self.n} mutually excluding particles on "
-                    f"{V} sites"
-                )
-            size = math.comb(V, self.n)
-        object.__setattr__(self, "size", size)
+            return V**n
+        return math.comb(V + n - 1 if self.sector == "boson" else V, n)
+
+    def log10_size(self) -> float:
+        """log10(size) in floats, without building size (V^n at V = 8 and
+        n = 10^8 alone takes 37 MB); inf once it passes the float range."""
+        V, n = self.box.volume, self.n
+        k = V + n - 1 if self.sector == "boson" else V  # the exchange C(k, n)
+        m = min(n, k - n)  # C(k, n) = C(k, m)
+        try:
+            if self.sector == "distinguishable":
+                return n * math.log10(V) if V > 1 else 0.0
+            if m < 100:  # a product of fewer than 100 factors: exact
+                return math.log10(math.comb(k, m))
+            # ln k! - ln (k-m)! by Stirling's series to its 1/(12x) terms,
+            # with the large terms cancelled in closed form (r = m/k), so
+            # that it stays accurate however far k lies above m
+            r = m / k
+            ratio = -math.log1p(-r) / r if r else 1.0
+            ln = m * (math.log(k) - 1 + (1 - r + 1 / (2 * k)) * ratio)
+            ln -= m / (12 * k * (k - m))
+            return (ln - math.lgamma(m + 1)) / math.log(10)
+        except OverflowError:
+            return math.inf
 
     def __len__(self) -> int:
         return self.size

@@ -24,7 +24,6 @@ from .streams import philox_u01
 # available for d <= 4 (64//d bits per signed coordinate); higher dimensions
 # fall back to a deterministic polynomial mix (collision odds ~ V^2 / 2^64).
 _MIX_MULT = np.uint64(0x9E3779B97F4A7C15)
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def site_keys(coords) -> np.ndarray:
@@ -397,13 +396,14 @@ def resample_batch(real: DisorderRealization, sites, subseeds):
     quantile call, and each row is written over a copy of the frozen base.
     """
     subseeds = [int(k) for k in subseeds]
-    if any(k < 0 for k in subseeds):
-        raise ValueError(f"subseed must be nonnegative, got {min(subseeds)}")
+    # subseed k draws at counter tag k + 1, and tags end at 2^64 - 1
+    if not all(0 <= k < 2**64 - 1 for k in subseeds):
+        raise ValueError("subseed must lie in [0, 2^64 - 1)")
     marked = tuple(tuple(s) for s in sites)
     if not marked:
         raise ValueError("no sites marked for resampling")
     ranks = [real.box.encode(s) for s in marked]
-    tags = np.array([(k + 1) & _MASK64 for k in subseeds], dtype=np.uint64)
+    tags = np.array([k + 1 for k in subseeds], dtype=np.uint64)
     rows = _draw(real.density, real.seed, real.box.coords(ranks), tags[:, None])
     for subseed, row in zip(subseeds, rows):
         vals = np.array(real.values)
@@ -423,6 +423,7 @@ def resample_at(
     """Redraw the marked sites from substream tag subseed+1; rest untouched.
 
     Tag 0 is the base draw, so subseed 0 already yields fresh values.
+    subseed lies in [0, 2^64 - 1), so that its tag fits in 64 bits.
     Different subseeds give independent redraws of the same sites.
     """
     return next(resample_batch(real, sites, [subseed]))

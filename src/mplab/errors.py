@@ -1,4 +1,15 @@
-"""Shared exception types."""
+"""Shared exception types, and the spelling of integers in their messages."""
+
+import math
+
+
+def magnitude(count: int) -> str:
+    """count in decimal, or as ~10^k once it has more than 20 digits: str()
+    refuses integers of more than 4300 digits, and a dimension of n
+    particles grows like side^(d n)."""
+    if abs(count) < 10**20:
+        return str(count)
+    return f"{'-' if count < 0 else ''}~10^{int(math.log10(abs(count)))}"
 
 
 class BudgetError(RuntimeError):

@@ -56,6 +56,7 @@ import copy
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -87,7 +88,7 @@ from .diagnostics import (
     wegner_samples,
 )
 from .disorder import DensitySpec, sample
-from .errors import BudgetError
+from .errors import BudgetError, magnitude
 from .operator import (
     BUILTIN_INTERACTIONS,
     InteractionSpec,
@@ -225,19 +226,10 @@ def _is_num(v) -> bool:
         return False
 
 
-def _magnitude(count: int) -> str:
-    """count in decimal, or as ~10^k once it has more than 20 digits: str()
-    refuses integers of more than 4300 digits, and a dimension of n
-    particles grows like side^(d n)."""
-    if abs(count) < 10**20:
-        return str(count)
-    return f"{'-' if count < 0 else ''}~10^{int(math.log10(abs(count)))}"
-
-
 def _shown(value) -> str:
-    """repr(value), with every integer spelled by _magnitude."""
+    """repr(value), with every integer spelled by magnitude."""
     if _is_int(value):
-        return _magnitude(value)
+        return magnitude(value)
     if isinstance(value, list):
         return f"[{', '.join(map(_shown, value))}]"
     return repr(value)
@@ -379,6 +371,10 @@ def _site(coords) -> tuple:
     site = tuple(int(c) for c in coords)
     if not all(_is_int(c) for c in coords):
         raise ValueError(f"site coordinates must be integers, got {_shown(coords)}")
+    if not all(-(2**63) <= c < 2**63 for c in site):
+        raise ValueError(
+            f"site coordinates must lie in [-2^63, 2^63), got {_shown(coords)}"
+        )
     return site
 
 
@@ -477,6 +473,12 @@ def validate(config) -> list:
         if name == "ensemble":
             schema = {**schema, "count": (None, count)}
         out += _fields(schema)(name, getattr(config, name))
+    base, count = config.ensemble["base_seed"], config.ensemble["count"]
+    if _is_int(base) and _is_int(count) and base + count > 2**64:
+        out.append(
+            "ensemble.base_seed + ensemble.count - 1, the last seed, must be "
+            f"below 2^64, got {magnitude(base + count - 1)}"
+        )
     if out:
         # structural problems make the model unbuildable; stop here
         return out
@@ -492,12 +494,20 @@ def validate(config) -> list:
     kind.check(config, spec, out)
     for scale in kind.budget_sides:
         side = scale * int(config.model["L"])
-        dim = config.operator_spec(side).dim
-        if dim > DENSE_DIAG_CAP:
-            out.append(
-                f"budget: configuration space dimension {_magnitude(dim)} at box "
-                f"side {side} exceeds the dense-diagonalization cap {DENSE_DIAG_CAP}"
-            )
+        index = config.operator_spec(side).config_index
+        # from 10^21 on, the dimension is spelled from its logarithm and
+        # never built
+        log_dim = index.log10_size()
+        if log_dim >= 21:
+            dim = f"~10^{math.floor(log_dim) if log_dim < math.inf else log_dim}"
+        elif index.size > DENSE_DIAG_CAP:
+            dim = magnitude(index.size)
+        else:
+            continue
+        out.append(
+            f"budget: configuration space dimension {dim} at box side "
+            f"{magnitude(side)} exceeds the dense-diagonalization cap {DENSE_DIAG_CAP}"
+        )
     return out
 
 
@@ -619,7 +629,7 @@ def _check_blocks(config, spec, out: list) -> None:
         )
     if cap * cap > DENSE_DIAG_CAP:
         out.append(
-            f"budget: composite dimension up to {_magnitude(cap * cap)} exceeds "
+            f"budget: composite dimension up to {magnitude(cap * cap)} exceeds "
             f"the dense-diagonalization cap {DENSE_DIAG_CAP}"
         )
 
@@ -684,71 +694,42 @@ def emit(table: ResultTable, directory, basename: str, formats=("csv", "json")):
     CRLF row endings; floats carry 17 significant digits with a '.'
     decimal point, enough to reproduce the binary values exactly. Both
     JSON files are strict JSON: non-finite floats are written as the
-    strings "inf", "-inf" and "nan", spelled as in the CSV. Returns the
-    list of written paths.
+    strings "inf", "-inf" and "nan", spelled as in the CSV. Every file is
+    rendered before the first is written, so a table that JSON cannot hold
+    leaves no file behind. Returns the list of written paths.
     """
+    head = {"columns": table.columns, "dtypes": table.dtypes}
+    texts = {}
+    if "csv" in formats:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(table.columns)
+        writer.writerows([_format_cell(v) for v in row] for row in table.rows)
+        texts["csv"] = buf.getvalue()
+    if "json" in formats:
+        texts["json"] = _json_text({**head, "rows": table.rows}, sort_keys=False)
+    meta = {**head, "metadata": table.metadata}
+    texts["meta.json"] = _json_text(meta, sort_keys=True)
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise OSError(f"cannot create output directory {directory}: {err}") from err
     written = []
-
-    def _write(path, writer):
+    for suffix, text in texts.items():
+        path = directory / f"{basename}.{suffix}"
         try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer(fh)
+            path.write_text(text, encoding="utf-8", newline="")
         except OSError as err:
             raise OSError(f"cannot write {path}: {err}") from err
         written.append(str(path))
-
-    if "csv" in formats:
-
-        def _csv(fh):
-            w = csv.writer(fh)
-            w.writerow(table.columns)
-            for row in table.rows:
-                w.writerow([_format_cell(v) for v in row])
-
-        _write(directory / f"{basename}.csv", _csv)
-
-    if "json" in formats:
-
-        def _json(fh):
-            json.dump(
-                _jsonable(
-                    {
-                        "columns": table.columns,
-                        "dtypes": table.dtypes,
-                        "rows": table.rows,
-                    }
-                ),
-                fh,
-                indent=1,
-                allow_nan=False,
-            )
-            fh.write("\n")
-
-        _write(directory / f"{basename}.json", _json)
-
-    def _meta(fh):
-        json.dump(
-            _jsonable(
-                {
-                    "columns": table.columns,
-                    "dtypes": table.dtypes,
-                    "metadata": table.metadata,
-                }
-            ),
-            fh,
-            indent=1,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        fh.write("\n")
-
-    _write(directory / f"{basename}.meta.json", _meta)
     return written
+
+
+def _json_text(obj, sort_keys: bool) -> str:
+    """obj as strict JSON text, one space per indent level, newline-ended."""
+    text = json.dumps(_jsonable(obj), indent=1, allow_nan=False, sort_keys=sort_keys)
+    return text + "\n"
 
 
 # strict JSON has no literal for these; emit spells them as the CSV does

@@ -35,6 +35,7 @@ from .configspace import (
     site_dist,
 )
 from .disorder import DensitySpec, DisorderRealization
+from .errors import magnitude
 
 
 def _pair_nn_term(pattern, occs):
@@ -220,8 +221,8 @@ class OperatorSpec:
             raise ValueError(f"disorder strength must be >= 0, got {self.lam}")
         if not self.interaction.is_trivial and self.interaction.range >= self.box.side:
             raise ValueError(
-                f"interaction range {self.interaction.range} >= box side "
-                f"{self.box.side}; patterns would wrap the whole box"
+                f"interaction range {magnitude(self.interaction.range)} >= box "
+                f"side {magnitude(self.box.side)}; patterns would wrap the whole box"
             )
         # instantiating the index validates n against the sector
         ConfigIndex(self.box, self.n, self.sector)

@@ -33,7 +33,11 @@ _PHILOX_ROUNDS = 10
 # numpy scalars, not Python ints: each ufunc call then skips a conversion
 _LOW32, _32, _11 = np.uint64(_MASK32), np.uint64(32), np.uint64(11)
 # Below this many draws, Python's integers beat the about 200 ufunc calls
-# of the array rounds, whose cost is fixed per call.
+# of the array rounds, whose cost is fixed per call. The Python-integer
+# rounds stay for that reason: the composite_check benchmark workload
+# (perfbench `contour`, two block pairs) draws 13 sites in four `sample`
+# calls, and an array-only prototype raised its wall time from 9.0/9.7 ms
+# to 10.7/11.2 ms in two alternating 15 s pairs on a 2-vCPU host.
 _ARRAY_MIN = 20
 
 
@@ -83,12 +87,14 @@ def philox_u01(seed: int, keys, tags) -> np.ndarray:
 
     numpy increments the counter before the first block, carrying into
     word 1 when the tag is 2^64 - 1, and maps the block's first word to
-    (word >> 11) * 2^-53. Keys and tags are integers in [0, 2^64).
+    (word >> 11) * 2^-53. Seeds, keys and tags are integers in [0, 2^64):
+    a seed outside is rejected, not reduced, so that no two seeds alias.
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must lie in [0, 2^64)")
     keys = np.asarray(keys, dtype=np.uint64)
     tags = np.asarray(tags, dtype=np.uint64)
     pairs = np.broadcast(keys, tags)
-    seed &= _MASK64
     if pairs.size < _ARRAY_MIN:
         u = [(_philox_word(seed, int(k), int(t)) >> 11) * 2.0**-53 for k, t in pairs]
         return np.array(u, dtype=np.float64).reshape(pairs.shape)

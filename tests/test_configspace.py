@@ -311,6 +311,25 @@ def test_hardcore_index_ignores_order():
     assert ix.index_of(shuffled) == 17
 
 
+@pytest.mark.parametrize("sector", ["distinguishable", "boson", "fermion", "hardcore"])
+@pytest.mark.parametrize(
+    "d,side,n",
+    [(1, 1, 1), (1, 4, 4), (1, 8, 3), (2, 9, 40), (3, 100, 4), (1, 8, 5000),
+     (1, 1000, 400), (1, 10**40, 3), (1, 10**40, 150), (1, 2**1100, 120)],
+    ids=lambda v: f"~10^{int(math.log10(v))}" if v > 10**6 else None,
+)
+def test_log10_size_matches_the_exact_size(sector, d, side, n):
+    if sector in ("fermion", "hardcore") and n > side**d:
+        return
+    ix = ConfigIndex(Box(d=d, side=side), n=n, sector=sector)
+    assert math.isclose(ix.log10_size(), math.log10(ix.size), rel_tol=1e-12, abs_tol=1e-8)
+
+
+def test_log10_size_past_the_float_range_is_inf():
+    assert ConfigIndex(Box(d=1, side=1), n=10**400).log10_size() == 0.0
+    assert ConfigIndex(Box(d=1, side=8), n=10**400).log10_size() == math.inf
+
+
 def test_too_many_excluding_particles_rejected():
     with pytest.raises(ValueError):
         ConfigIndex(Box(d=1, side=3), n=4, sector="fermion")

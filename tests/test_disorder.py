@@ -186,6 +186,15 @@ def test_resample_subseed_zero_differs_from_base():
     assert r.values[1] != base.values[1]
 
 
+def test_resample_rejects_the_subseed_whose_tag_wraps_to_the_base():
+    # subseed 2^64 - 1 would draw at tag 2^64, which once wrapped to 0
+    base = sample(Box(d=1, side=4), UNIFORM_HALF, seed=13)
+    with pytest.raises(ValueError, match=r"subseed must lie in \[0, 2\^64 - 1\)"):
+        resample_at(base, [(1,)], subseed=2**64 - 1)
+    last = resample_at(base, [(1,)], subseed=2**64 - 2)
+    assert last.values[1] != base.values[1]
+
+
 def test_resampled_values_follow_density():
     box = Box(d=1, side=2)
     base = sample(box, UNIFORM_HALF, seed=1)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +535,109 @@ _VALIDATE_CORPUS = [
             'budget: configuration space dimension 64000 at box side 40 exceeds the dense-diagonalization cap 20000',
         ],
         id="wegner_budget",
+    ),
+    # site coordinates lie in int64, the range the stream keys pack, and
+    # every other integer of 5000 digits is spelled ~10^k in its message
+    pytest.param(
+        _cfg("wegner", params={"u1": [10**5000]}),
+        [
+            'params: site coordinates must lie in [-2^63, 2^63), got [~10^5000]',
+        ],
+        id="wegner_u1_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"u2": [10**5000]}),
+        [
+            'params: site coordinates must lie in [-2^63, 2^63), got [~10^5000]',
+        ],
+        id="wegner_u2_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"x": [[-(10**5000)]]}),
+        [
+            'params: site coordinates must lie in [-2^63, 2^63), got [-~10^5000]',
+        ],
+        id="wegner_x_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"L": 12, "lambda": 8.0},
+             params={"pairs": [[[[10**5000]], [[0]]]]}),
+        [
+            'params.pairs: site coordinates must lie in [-2^63, 2^63), got [~10^5000]',
+        ],
+        id="pair_site_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"L": 12, "lambda": 8.0},
+             params={"pairs": [[[[2**63]], [[0]]], [[[0]], [[2]]], [[[0]], [[4]]]]}),
+        [
+            'params.pairs: site coordinates must lie in [-2^63, 2^63), got '
+            '[9223372036854775808]',
+        ],
+        id="pair_site_past_int64",
+    ),
+    pytest.param(
+        _cfg(
+            "decay_probe",
+            {"interaction": {"builtin": "pair_nn", "coupling": 0.5, "range": 10**5000}},
+        ),
+        [
+            'model: interaction range ~10^5000 >= box side 8; patterns would wrap the whole box',
+        ],
+        id="interaction_range_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"n": 10**5000, "sector": "fermion"}),
+        [
+            'model: cannot place ~10^5000 mutually excluding particles on 8 sites',
+        ],
+        id="fermion_n_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"L": 10**5000}),
+        [
+            'budget: configuration space dimension ~10^5000 at box side ~10^5000 exceeds the dense-diagonalization cap 20000',
+        ],
+        id="side_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("rescaling", {"L": 4 * 10**5000, "n": 2, "sector": "boson"}),
+        [
+            'budget: configuration space dimension ~10^10001 at box side ~10^5000 exceeds the dense-diagonalization cap 20000',
+        ],
+        id="boson_side_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("b_monitor", {"n": 10**8}),
+        [
+            'budget: configuration space dimension ~10^90308998 at box side 8 exceeds the dense-diagonalization cap 20000',
+        ],
+        id="dimension_of_90_million_digits",
+    ),
+    # the seeds base_seed .. base_seed + count - 1 are Philox keys of 64 bits
+    pytest.param(
+        _cfg("decay_probe", {"L": 12, "lambda": 8.0}, {"base_seed": 2**64, "count": 2}),
+        [
+            'ensemble.base_seed + ensemble.count - 1, the last seed, must be below '
+            '2^64, got 18446744073709551617',
+        ],
+        id="base_seed_past_64_bits",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"L": 12, "lambda": 8.0}, {"base_seed": 2**64 - 2, "count": 3}),
+        [
+            'ensemble.base_seed + ensemble.count - 1, the last seed, must be below '
+            '2^64, got 18446744073709551616',
+        ],
+        id="last_seed_past_64_bits",
+    ),
+    pytest.param(
+        _cfg("composite_check", {"L": 4}, {"base_seed": 10**5000, "count": 1}),
+        [
+            'ensemble.base_seed + ensemble.count - 1, the last seed, must be below '
+            '2^64, got ~10^5000',
+        ],
+        id="base_seed_of_5000_digits",
     ),
     # monitor kinds
     pytest.param(
@@ -1090,6 +1194,40 @@ def test_quoting_survives_round_trip(tmp_path):
     assert read_table("%s/quoted.csv" % tmp_path).rows == table.rows
 
 
+def _one_row(metadata):
+    return ResultTable(columns=("a",), dtypes=("int",), rows=((1,),), metadata=metadata)
+
+
+def test_emit_returns_the_written_paths_in_order(tmp_path):
+    assert emit(_one_row({}), tmp_path, "t", ("json", "csv")) == [
+        str(tmp_path / name) for name in ("t.csv", "t.json", "t.meta.json")
+    ]
+    assert emit(_one_row({}), tmp_path, "u", ("json",)) == [
+        str(tmp_path / name) for name in ("u.json", "u.meta.json")
+    ]
+
+
+def test_emit_reports_an_output_directory_it_cannot_create(tmp_path):
+    (tmp_path / "taken").write_text("")
+    with pytest.raises(OSError, match="cannot create output directory .*taken"):
+        emit(_one_row({}), tmp_path / "taken", "t")
+
+
+def test_emit_reports_a_file_it_cannot_write(tmp_path):
+    (tmp_path / "t.csv").mkdir()
+    with pytest.raises(OSError, match=r"cannot write .*t\.csv"):
+        emit(_one_row({}), tmp_path, "t")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_emit_renders_every_file_before_writing_any(tmp_path):
+    """Metadata that is not JSON raises before any file exists: the CSV and
+    the JSON mirror were once written, and the sidecar left empty."""
+    with pytest.raises(TypeError, match="not JSON-serializable"):
+        emit(_one_row({"when": object()}), tmp_path / "out", "t")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _strict_loads(text):
     def reject(name):
         raise ValueError(f"non-strict JSON constant {name}")
@@ -1359,6 +1497,29 @@ def test_cli_budget_exit_code_for_a_huge_dimension(tmp_path, capsys):
         "invalid: budget: configuration space dimension ~10^4515 at box side 8 "
         "exceeds the dense-diagonalization cap 20000"
     ]
+
+
+def test_validate_does_not_build_a_huge_dimension():
+    """The budget of 8^(10^8) is decided from its logarithm; the integer
+    itself would take 37 MB."""
+    tracemalloc.start()
+    try:
+        (violation,) = validate({"kind": "b_monitor", "model": {"L": 8, "n": 10**8}})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "dimension ~10^90308998 at box side 8" in violation
+    assert peak < 10 * 2**20
+
+
+def test_seeds_past_64_bits_are_rejected(tmp_path):
+    """base_seed 2^64 once ran as base_seed 0, since Philox reduced its key
+    modulo 2^64, while the seeds column named the seeds unreduced."""
+    cfg = probe_config(tmp_path / "out")
+    cfg["ensemble"] = {"base_seed": 2**64, "count": 2}
+    with pytest.raises(ConfigError, match=r"must be below 2\^64"):
+        run(cfg, workers=1)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_file(tmp_path, capsys):

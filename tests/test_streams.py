@@ -55,6 +55,14 @@ def test_philox_takes_scalars_and_empty_arrays():
     assert philox_u01(5, np.zeros(0, dtype=np.uint64), 0).shape == (0,)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+@pytest.mark.parametrize("count", [1, 40])
+def test_philox_rejects_seeds_outside_64_bits(seed, count):
+    """A seed was once reduced modulo 2^64, so 2^64 drew what 0 draws."""
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        philox_u01(seed, np.arange(count, dtype=np.uint64), 0)
+
+
 def _entropies(rng):
     """Entropy of one to six words, some past 2^32, 2^64 and up to 2^100,
     and plain integers."""
