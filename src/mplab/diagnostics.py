@@ -35,7 +35,7 @@ import numpy as np
 
 from .configspace import Box, ConfigIndex, Configuration
 from .disorder import UNIFORM_HALF, DensitySpec, resample_batch, sample
-from .errors import BudgetError, SingularityError
+from .errors import BudgetError, SingularityError, magnitude
 from .operator import OperatorSpec, _template_for, gershgorin_interval
 from .spectral import (
     DENSE_DIAG_CAP,
@@ -470,11 +470,15 @@ def check_monitor_box(spec: OperatorSpec) -> None:
     under L/2), and for distinct-site sectors above 4(n - 1)."""
     side, n = spec.box.side, spec.n
     if side % 4 != 0:
-        raise ValueError(f"monitor boxes need a side divisible by 4, got {side}")
-    if spec.sector in ("fermion", "hardcore") and side <= 4 * (n - 1):
         raise ValueError(
-            f"side {side} leaves no cluster of {n} distinct particles with "
-            f"diameter under {side / 4}"
+            f"monitor boxes need a side divisible by 4, got {magnitude(side)}"
+        )
+    if spec.sector in ("fermion", "hardcore") and side <= 4 * (n - 1):
+        # a float quarter overflows past 10^308; past 10^20 it is spelled ~10^k
+        quarter = side / 4 if side < 10**20 else magnitude(side // 4)
+        raise ValueError(
+            f"side {magnitude(side)} leaves no cluster of {magnitude(n)} distinct "
+            f"particles with diameter under {quarter}"
         )
 
 

@@ -16,9 +16,10 @@ violations. The keys of a schema are the allowed fields.
 
 Each kind is described once, by its record in the kind table `_KINDS`:
 params entries `(default, rule)`, least ensemble count, the box sides its
-budget covers, result columns with their dtypes, the check of the rules
-that need the model or another field, and runner. `KINDS` and the runner
-dict `_RUNNERS`, through which `run` dispatches, derive from it.
+budget covers, the field of its node grid, result columns with their
+dtypes, the check of the rules that need the model or another field, and
+runner. `KINDS` and the runner dict `_RUNNERS`, through which `run`
+dispatches, derive from it.
 
 Every result table comes out of one path, units -> map -> fold -> table:
 a runner maps its units through `_chunked_map` (per seed with
@@ -492,6 +493,7 @@ def validate(config) -> list:
 
     out += _fields(kind.params, f" for kind {config.kind}")("params", config.params)
     kind.check(config, spec, out)
+    dim = config.params.get("dim_cap")  # without a budget side, the block cap
     for scale in kind.budget_sides:
         side = scale * int(config.model["L"])
         index = config.operator_spec(side).config_index
@@ -499,14 +501,24 @@ def validate(config) -> list:
         # never built
         log_dim = index.log10_size()
         if log_dim >= 21:
-            dim = f"~10^{math.floor(log_dim) if log_dim < math.inf else log_dim}"
+            shown = f"~10^{math.floor(log_dim) if log_dim < math.inf else log_dim}"
         elif index.size > DENSE_DIAG_CAP:
-            dim = magnitude(index.size)
+            shown = magnitude(index.size)
         else:
+            dim = index.size
             continue
         out.append(
-            f"budget: configuration space dimension {dim} at box side "
+            f"budget: configuration space dimension {shown} at box side "
             f"{magnitude(side)} exceeds the dense-diagonalization cap {DENSE_DIAG_CAP}"
+        )
+    # a run holds its node grid against the dimension in dense arrays, which
+    # may hold no more entries than the largest matrix the dense cap admits
+    field, nodes = kind.nodes(config) if kind.nodes else (None, None)
+    if _is_int(nodes) and _is_int(dim) and nodes * dim > DENSE_DIAG_CAP**2:
+        out.append(
+            f"budget: {field} {magnitude(nodes)} times dimension {dim} exceeds "
+            f"{DENSE_DIAG_CAP}^2 entries, the largest dense matrix under "
+            "the dense-diagonalization cap"
         )
     return out
 
@@ -1187,6 +1199,20 @@ def _run_subadditivity(config: ExperimentConfig, workers):
 # ---------------------------------------------------------------- kind table
 
 
+def _quad_nodes(config: ExperimentConfig) -> tuple:
+    # the monitor kinds hold quad_points nodes in each tile
+    return "numerics.quad_points", config.numerics["quad_points"]
+
+
+def _z_nodes(config: ExperimentConfig) -> tuple:
+    p = config.params  # an explicit z_grid leaves z_count unread
+    return "params.z_count", p["z_count"] if p["z_grid"] is None else None
+
+
+def _contour_nodes(config: ExperimentConfig) -> tuple:
+    return "params.quadrature_points", config.params["quadrature_points"]
+
+
 @dataclass(frozen=True)
 class _Kind:
     """Everything validate and run know about one experiment kind."""
@@ -1194,6 +1220,9 @@ class _Kind:
     params: dict  # field -> (default, rule), as in _SECTIONS; the allowed fields
     min_count: int  # least ensemble.count
     budget_sides: tuple  # box sides under the dense cap, as multiples of L
+    # nodes(config) -> (field, value): the node count (or a lower bound of
+    # it) that a run holds against the dimension; None for no node grid
+    nodes: Callable
     columns: tuple  # (name, dtype) per result column, dtypes as in ResultTable
     check: Callable  # check(config, spec, out) appends the rules that need the model
     runner: Callable  # runner(config, workers) -> (rows in column order, metadata)
@@ -1202,7 +1231,7 @@ class _Kind:
 _PROBE_KIND = _Kind(
     params={"max_points": (6, _at_least(3)), "pairs": (None, None),
             "interval": (None, None)},
-    min_count=2, budget_sides=(1,),
+    min_count=2, budget_sides=(1,), nodes=_quad_nodes,
     columns=(("dist_H", "int"), ("EQ_mean", "float"), ("EQ_stderr", "float"),
              ("moment_mean", "float"), ("moment_stderr", "float"), ("seeds", "str")),
     check=_check_probe, runner=_run_probe,
@@ -1215,7 +1244,7 @@ _KINDS = {
         params={"x": (None, None), "y": (None, None), "u1": (None, None),
                 "u2": (None, None), "z_grid": (None, None), "z_count": (8, None),
                 "z_im": (0.0, None)},
-        min_count=2, budget_sides=(1,),
+        min_count=2, budget_sides=(1,), nodes=_z_nodes,
         columns=(("z_re", "float"), ("z_im", "float"), ("mean", "float"),
                  ("stderr", "float"), ("count", "int"), ("seeds", "str")),
         check=_check_wegner, runner=_run_wegner,
@@ -1223,7 +1252,7 @@ _KINDS = {
     "equivalence": _PROBE_KIND,
     "b_monitor": _Kind(
         params={"omega_samples": (0, _NONNEGATIVE_INT)},
-        min_count=2, budget_sides=(1,),
+        min_count=2, budget_sides=(1,), nodes=_quad_nodes,
         columns=(("tile_lo", "float"), ("tile_hi", "float"), ("mean", "float"),
                  ("stderr", "float"), ("count", "int"), ("seeds", "str")),
         check=_check_monitor_box, runner=_run_b_monitor,
@@ -1232,7 +1261,7 @@ _KINDS = {
         params={"omega_samples": (0, _NONNEGATIVE_INT), "a": (1.0, _NONNEGATIVE),
                 "A": (0.0, _NONNEGATIVE), "nu": (0.0, _NONNEGATIVE),
                 "p": (0.0, _NONNEGATIVE)},
-        min_count=2, budget_sides=(2,),
+        min_count=2, budget_sides=(2,), nodes=_quad_nodes,
         columns=(("scale", "str"), ("side", "int"), ("value", "float"),
                  ("full_mean", "float"), ("full_stderr", "float"), ("count", "int"),
                  ("seeds", "str")),
@@ -1254,7 +1283,7 @@ _KINDS = {
             "xi_max": (None, _NULL_OR_POSITIVE),
             "monitor_eta": (None, _NULL_OR_POSITIVE),
         },
-        min_count=2, budget_sides=(2,),
+        min_count=2, budget_sides=(2,), nodes=_quad_nodes,
         columns=(("lambda", "float"), ("alpha", "float"), ("b_small", "float"),
                  ("b_small_stderr", "float"), ("b_large", "float"),
                  ("b_large_stderr", "float"), ("gap", "float"), ("noise", "float"),
@@ -1264,7 +1293,7 @@ _KINDS = {
     "composite_check": _Kind(
         params={"instances": (20, _POSITIVE_INT), "dim_cap": (10, _POSITIVE_INT),
                 "quadrature_points": (512, None)},
-        min_count=1, budget_sides=(),
+        min_count=1, budget_sides=(), nodes=_contour_nodes,
         columns=(("instance", "int"), ("seed_left", "int"), ("seed_right", "int"),
                  ("dim_left", "int"), ("dim_right", "int"), ("z_re", "float"),
                  ("z_im", "float"), ("gap", "float"), ("gap_2x", "float"),
@@ -1273,7 +1302,7 @@ _KINDS = {
     ),
     "subadditivity": _Kind(
         params={"instances": (500, _POSITIVE_INT), "dim_cap": (12, _POSITIVE_INT)},
-        min_count=1, budget_sides=(),
+        min_count=1, budget_sides=(), nodes=None,
         columns=(("instance", "int"), ("seed_left", "int"), ("seed_right", "int"),
                  ("lhs", "float"), ("rhs", "float"), ("q_left", "float"),
                  ("q_right", "float"), ("satisfied", "bool"), ("seeds", "str")),

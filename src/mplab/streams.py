@@ -1,5 +1,5 @@
-"""mplab's random streams, computed with integer arithmetic in numpy and
-Python and equal bit for bit to numpy's.
+"""mplab's random streams, computed with Python's integer arithmetic and
+equal bit for bit to numpy's.
 
 - philox_u01(seed, keys, tags) is the first double of numpy's Philox4x64-10
   stream keyed by (seed, key) at counter (tag, 0, 0, 0) (Salmon, Moraes,
@@ -25,24 +25,13 @@ _MASK128 = (1 << 128) - 1
 # ------------------------------------------------------------ Philox4x64-10
 
 # Round multipliers and Weyl key increments, as in Random123 and numpy.
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
-(_M0,), (_M1,) = _PHILOX_M.tolist()
-(_W0,), (_W1,) = _PHILOX_W.tolist()
-# numpy scalars, not Python ints: each ufunc call then skips a conversion
-_LOW32, _32, _11 = np.uint64(_MASK32), np.uint64(32), np.uint64(11)
-# Below this many draws, Python's integers beat the about 200 ufunc calls
-# of the array rounds, whose cost is fixed per call. The Python-integer
-# rounds stay for that reason: the composite_check benchmark workload
-# (perfbench `contour`, two block pairs) draws 13 sites in four `sample`
-# calls, and an array-only prototype raised its wall time from 9.0/9.7 ms
-# to 10.7/11.2 ms in two alternating 15 s pairs on a 2-vCPU host.
-_ARRAY_MIN = 20
 
 
 def _philox_word(seed: int, key: int, tag: int) -> int:
-    """The first output word of one block, in Python integers."""
+    """The first output word of one block."""
     c0 = (tag + 1) & _MASK64
     c1, c2, c3 = int(c0 == 0), 0, 0
     k0, k1 = seed, key
@@ -53,32 +42,6 @@ def _philox_word(seed: int, key: int, tag: int) -> int:
         c0, c1 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64
         c2, c3 = (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
     return c0
-
-
-def _philox_words(seed: int, keys: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    """_philox_word over 1-d arrays of keys and tags, in numpy's uint64."""
-    first = tags + np.uint64(1)
-    zero = np.zeros_like(first)
-    # Counter words 0 and 2 are multiplied, 1 and 3 xored in, so each round
-    # works on two rows at once. The constants are spread to full rows:
-    # broadcasting a column costs more per call than the call's own work.
-    m = np.repeat(_PHILOX_M, first.size, axis=1)
-    m_lo, m_hi = m & _LOW32, m >> _32
-    bump = np.repeat(_PHILOX_W, first.size, axis=1)
-    even = np.stack([first, zero])
-    odd = np.stack([(first == 0).astype(np.uint64), zero])
-    key = np.stack([np.full_like(first, seed), keys])
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key = key + bump
-        # the high words of the 128-bit products m * even, in 32-bit halves
-        lo, hi = even & _LOW32, even >> _32
-        lo_lo, hi_lo, lo_hi = m_lo * lo, m_hi * lo, m_lo * hi
-        hi_lo += lo_lo >> _32
-        lo_hi += hi_lo & _LOW32
-        high = m_hi * hi + (hi_lo >> _32) + (lo_hi >> _32)
-        even, odd = high[::-1] ^ odd ^ key, (m * even)[::-1]
-    return even[0]
 
 
 def philox_u01(seed: int, keys, tags) -> np.ndarray:
@@ -95,12 +58,8 @@ def philox_u01(seed: int, keys, tags) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
     tags = np.asarray(tags, dtype=np.uint64)
     pairs = np.broadcast(keys, tags)
-    if pairs.size < _ARRAY_MIN:
-        u = [(_philox_word(seed, int(k), int(t)) >> 11) * 2.0**-53 for k, t in pairs]
-        return np.array(u, dtype=np.float64).reshape(pairs.shape)
-    keys, tags = np.broadcast_arrays(keys, tags)
-    words = _philox_words(seed, keys.ravel(), tags.ravel())
-    return ((words >> _11).astype(np.float64) * 2.0**-53).reshape(pairs.shape)
+    u = [(_philox_word(seed, int(k), int(t)) >> 11) * 2.0**-53 for k, t in pairs]
+    return np.array(u, dtype=np.float64).reshape(pairs.shape)
 
 
 # ------------------------------------------------ SeedSequence and PCG64

@@ -183,6 +183,20 @@ def test_eigenvalue_hit_is_nudged_in_fractional_moment(caplog):
     assert est == Estimate.from_samples(expected, [4, 5])
 
 
+def test_singular_solve_is_retried_in_fractional_moment(caplog, monkeypatch):
+    # the same hit as above, down the solve path: its LU factorization is
+    # exactly singular, and the solve is retried once above the real axis
+    sp = spec1d(5, lam=3.0)
+    S = spectral_data(assemble(sp, sample(sp.box, UNIFORM_HALF, 4)))
+    z = complex(S.energies[2])
+    monkeypatch.setattr(diag, "DENSE_DIAG_CAP", sp.dim - 1)
+    with caplog.at_level(logging.WARNING, logger="mplab.diagnostics"):
+        est = fractional_moment([4, 5], sp, c1(0), c1(1), z, 0.5)
+    retries = [r for r in caplog.records if "retrying at +1e-10i" in r.getMessage()]
+    assert len(retries) == 1
+    assert math.isfinite(est.mean)
+
+
 def test_eigenvalue_hit_is_nudged_in_wegner_samples(caplog):
     # the first grid point is exactly an eigenvalue of subseed 1 only
     sp, x, s = spec1d(5, lam=3.0), c1(0), 0.5

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mplab import cli, harness
+from mplab import cli, diagnostics, harness
 from mplab.disorder import DensitySpec
 from mplab.errors import BudgetError
 from mplab.operator import INTERACTION_FIELDS, InteractionSpec
@@ -536,6 +536,41 @@ _VALIDATE_CORPUS = [
         ],
         id="wegner_budget",
     ),
+    # a node grid held against the dimension may hold no more entries than
+    # a dense matrix at the cap: these validated and then crashed the run
+    pytest.param(
+        _cfg("decay_probe", numerics={"quad_points": 10**30}),
+        [
+            'budget: numerics.quad_points ~10^30 times dimension 8 exceeds 20000^2 '
+            'entries, the largest dense matrix under the dense-diagonalization cap',
+        ],
+        id="probe_quad_points_of_31_digits",
+    ),
+    pytest.param(
+        _cfg("b_monitor", numerics={"quad_points": 50_000_001}),
+        [
+            'budget: numerics.quad_points 50000001 times dimension 8 exceeds 20000^2 '
+            'entries, the largest dense matrix under the dense-diagonalization cap',
+        ],
+        id="monitor_quad_points_one_past_the_budget",
+    ),
+    pytest.param(
+        _cfg("wegner", {"L": 4}, params={"z_count": 10**30}),
+        [
+            'budget: params.z_count ~10^30 times dimension 4 exceeds 20000^2 '
+            'entries, the largest dense matrix under the dense-diagonalization cap',
+        ],
+        id="wegner_z_count_of_31_digits",
+    ),
+    pytest.param(
+        _cfg("composite_check", params={"quadrature_points": 10**30}),
+        [
+            'budget: params.quadrature_points ~10^30 times dimension 10 exceeds '
+            '20000^2 entries, the largest dense matrix under the '
+            'dense-diagonalization cap',
+        ],
+        id="composite_quadrature_points_of_31_digits",
+    ),
     # site coordinates lie in int64, the range the stream keys pack, and
     # every other integer of 5000 digits is spelled ~10^k in its message
     pytest.param(
@@ -654,6 +689,23 @@ _VALIDATE_CORPUS = [
             'model.L: side 4 leaves no cluster of 2 distinct particles with diameter under 1.0',
         ],
         id="b_monitor_distinct_sites",
+    ),
+    pytest.param(
+        _cfg("b_monitor", {"L": 4 * 10**5000 + 2}),
+        [
+            'model.L: monitor boxes need a side divisible by 4, got ~10^5000',
+            'budget: configuration space dimension ~10^5000 at box side ~10^5000 exceeds the dense-diagonalization cap 20000',
+        ],
+        id="b_monitor_side_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("b_monitor", {"L": 4 * 10**5000, "n": 10**5000 + 2, "sector": "fermion"}),
+        [
+            'model.L: side ~10^5000 leaves no cluster of ~10^5000 distinct particles '
+            'with diameter under ~10^5000',
+            'budget: configuration space dimension ~10^inf at box side ~10^5000 exceeds the dense-diagonalization cap 20000',
+        ],
+        id="b_monitor_fermions_of_5000_digits",
     ),
     pytest.param(
         _cfg("b_monitor", {"L": 40, "n": 3}),
@@ -1275,6 +1327,26 @@ def test_region_scan_without_disorder_writes_strict_json(tmp_path):
     assert back.rows == t.rows
 
 
+def test_bool_column_round_trips(tmp_path):
+    raw = {
+        "kind": "subadditivity",
+        "model": {"L": 4, "n": 2, "lambda": 2.0,
+                  "interaction": {"builtin": "pair_nn", "coupling": 0.2}},
+        "ensemble": {"count": 1},
+        "params": {"instances": 6, "dim_cap": 6},
+        "output": {"directory": str(tmp_path)},
+    }
+    t = run(raw, workers=1)
+    back = read_table(tmp_path / "subadditivity.csv")
+    assert back.dtypes[t.columns.index("satisfied")] == "bool"
+    assert back.rows == t.rows
+    # every instance above satisfies the bound, so write a false one too
+    flags = ResultTable(columns=("ok",), dtypes=("bool",), rows=((True,), (False,)),
+                        metadata={})
+    emit(flags, tmp_path, "flags")
+    assert read_table(tmp_path / "flags.csv").rows == flags.rows
+
+
 def test_json_mirror_matches(tmp_path):
     t = run(probe_config(tmp_path), workers=1)
     mirror = json.loads((tmp_path / "decay_probe.json").read_text())
@@ -1486,6 +1558,28 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     path = write_cfg(tmp_path, probe_config(tmp_path, d=2, L=10, n=3))
     assert cli.main(["run", path]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_cli_run_exit_code_for_a_huge_node_grid(tmp_path, capsys):
+    """Such a grid validated and then crashed the run with exit 1."""
+    cfg = {"kind": "decay_probe", "numerics": {"quad_points": 10**30},
+           "output": {"directory": str(tmp_path)}}
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--workers", "1"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid: budget: numerics.quad_points ~10^30 times dimension 8 exceeds "
+        "20000^2 entries, the largest dense matrix under the dense-diagonalization cap"
+    ]
+
+
+def test_cli_run_exit_code_for_a_budget_error_in_the_run(tmp_path, capsys, monkeypatch):
+    """validate passes; the monitor plan then counts more boundary pairs
+    than the budget admits."""
+    monkeypatch.setattr(diagnostics, "B_PAIR_BUDGET", 1)
+    cfg = {"kind": "b_monitor", "model": {"L": 4}, "ensemble": {"count": 2},
+           "output": {"directory": str(tmp_path)}}
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--workers", "1"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("budget failure: boundary pair count ")
 
 
 def test_cli_budget_exit_code_for_a_huge_dimension(tmp_path, capsys):
