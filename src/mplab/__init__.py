@@ -29,7 +29,7 @@ from .diagnostics import (
     probe_pairs,
     rescaling_check,
 )
-from .disorder import UNIFORM_HALF, DensitySpec, DisorderRealization, resample_at, sample
+from .disorder import UNIFORM_HALF, DensitySpec, DisorderRealization, sample
 from .errors import BudgetError, ContourGeometryError, SingularityError
 from .harness import (
     ExperimentConfig,
@@ -47,7 +47,6 @@ from .operator import (
     SparseHamiltonian,
     assemble,
     gershgorin_interval,
-    number_operator,
 )
 from .spectral import (
     EnergyInterval,

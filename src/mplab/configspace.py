@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -122,12 +121,6 @@ class Box:
         on_face = ((sites == lo) | (sites == lo + self.side - 1)).any(axis=1)
         return tuple(map(tuple, sites[on_face].tolist()))
 
-    def is_subbox_of(self, other: "Box") -> bool:
-        return self.d == other.d and all(
-            oo <= so and so + self.side <= oo + other.side
-            for so, oo in zip(self.origin, other.origin)
-        )
-
 
 def _validate_sector_order(sites: tuple[Site, ...], sector: str) -> None:
     if sector == "fermion":
@@ -178,18 +171,6 @@ class Configuration:
 
     def support(self) -> frozenset[Site]:
         return frozenset(self.sites)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"sites": [list(s) for s in self.sites], "sector": self.sector}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Configuration":
-        obj = json.loads(text)
-        return cls(
-            sites=tuple(tuple(s) for s in obj["sites"]), sector=obj["sector"]
-        )
 
 
 def occupation(config: Configuration, u: Site) -> int:

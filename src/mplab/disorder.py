@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .configspace import Box, Site
+from .configspace import Box
 from .streams import philox_u01
 
 # Exact injective packing of coordinates into the 64-bit Philox key lane is
@@ -52,20 +51,13 @@ def site_keys(coords) -> np.ndarray:
     return keys
 
 
-def site_key(site: Site) -> int:
-    """Deterministic 64-bit stream key for a lattice site (absolute coords)."""
-    return int(site_keys([site])[0])
-
-
 # The truncated Gaussian is scipy's truncnorm(-c/sigma, c/sigma, loc=0,
 # scale=sigma), written with scipy.special alone: importing scipy's stats
 # subpackage costs about a second and 33 MB per process. The code repeats
-# scipy 1.17's operations in the same order (rv_continuous.pdf/cdf/ppf,
+# scipy 1.17's operations in the same order (rv_continuous.ppf,
 # truncnorm_gen, _log_gauss_mass), so every value agrees with scipy's bit
 # for bit. scipy.special is imported on first use, so `import mplab` stays
 # light.
-
-_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
 def _log_gauss_mass(a, b):
@@ -90,47 +82,13 @@ def _log_gauss_mass(a, b):
 
 
 class _TruncatedGaussian:
-    """Density, distribution and quantile of N(0, sigma^2) cut to
-    [-cutoff, cutoff]; a and b are the cut points in units of sigma."""
+    """Quantile of N(0, sigma^2) cut to [-cutoff, cutoff], and the log of
+    the mass it keeps; a and b are the cut points in units of sigma."""
 
     def __init__(self, sigma: float, cutoff: float):
         self.sigma = sigma
         self.a, self.b = -cutoff / sigma, cutoff / sigma
         self.log_mass = _log_gauss_mass(np.array([self.a]), np.array([self.b]))[0]
-
-    def pdf(self, v: np.ndarray) -> np.ndarray:
-        x = np.asarray(v / self.sigma)
-        out = np.zeros(x.shape)
-        out[np.isnan(x)] = np.nan
-        inside = (self.a <= x) & (x <= self.b)
-        x = x[inside]
-        out[inside] = np.exp(-x**2 / 2.0 - _LOG_SQRT_2PI - self.log_mass) / self.sigma
-        return out
-
-    def cdf(self, v: np.ndarray) -> np.ndarray:
-        x = np.asarray(v / self.sigma)
-        out = np.zeros(x.shape)
-        out[np.isnan(x)] = np.nan
-        out[x >= self.b] = 1.0
-        inside = (self.a < x) & (x < self.b)
-        out[inside] = np.exp(self._logcdf(x[inside]))
-        return out
-
-    # Near 1 the log-cdf is taken from the log-survival and vice versa, to
-    # avoid cancellation (the branch point -0.1 is scipy's).
-    def _logcdf(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(_log_gauss_mass(self.a, x) - self.log_mass)
-        near_one = out > -0.1
-        if np.any(near_one):
-            out[near_one] = np.log1p(-np.exp(self._logsf(x[near_one])))
-        return out
-
-    def _logsf(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(_log_gauss_mass(x, self.b) - self.log_mass)
-        near_one = out > -0.1
-        if np.any(near_one):
-            out[near_one] = np.log1p(-np.exp(self._logcdf(x[near_one])))
-        return out
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         import scipy.special as sc
@@ -243,57 +201,9 @@ class DensitySpec:
         breaks, _ = self.params
         return (breaks[0], breaks[-1])
 
-    @property
-    def bound(self) -> float:
-        """sup of the density (enters Wegner-type constants)."""
-        if self.kind == "uniform":
-            a, b = self.params
-            return 1.0 / (b - a)
-        if self.kind == "truncated_gaussian":
-            return float(self.pdf(0.0))
-        _, dens = self.params
-        return max(dens)
-
     @staticmethod
     def _as_result(x, scalar: bool):
         return float(x) if scalar else np.asarray(x, dtype=float)
-
-    def pdf(self, v):
-        """Density at v; accepts scalars or arrays."""
-        scalar = np.isscalar(v) or np.ndim(v) == 0
-        v = np.asarray(v, dtype=float)
-        if self.kind == "uniform":
-            a, b = self.params
-            out = np.where((v >= a) & (v <= b), 1.0 / (b - a), 0.0)
-        elif self.kind == "truncated_gaussian":
-            out = self._gauss.pdf(v)
-        else:
-            breaks, dens = self.params
-            table = np.asarray(dens + (0.0,))
-            idx = np.clip(np.searchsorted(breaks, v, side="right") - 1, 0, len(dens))
-            out = np.where((v >= breaks[0]) & (v <= breaks[-1]), table[idx], 0.0)
-            # right edge of the last bin still carries its density
-            out = np.where(v == breaks[-1], dens[-1], out)
-        return self._as_result(out, scalar)
-
-    def cdf(self, v):
-        """Distribution function at v; accepts scalars or arrays."""
-        scalar = np.isscalar(v) or np.ndim(v) == 0
-        v = np.asarray(v, dtype=float)
-        if self.kind == "uniform":
-            a, b = self.params
-            out = np.clip((v - a) / (b - a), 0.0, 1.0)
-        elif self.kind == "truncated_gaussian":
-            out = self._gauss.cdf(v)
-        else:
-            breaks, dens = self.params
-            lo = np.asarray(breaks[:-1])
-            hi = np.asarray(breaks[1:])
-            rho = np.asarray(dens)
-            vv = v[..., None]
-            out = np.sum(rho * np.clip(vv - lo, 0.0, hi - lo), axis=-1)
-            out = np.clip(out, 0.0, 1.0)
-        return self._as_result(out, scalar)
 
     def ppf(self, u):
         """Quantile function on [0, 1]; accepts scalars or arrays."""
@@ -359,9 +269,6 @@ class DisorderRealization:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def value_at(self, site: Site) -> float:
-        return float(self.values[self.box.encode(site)])
-
 
 def _draw(density: DensitySpec, seed: int, coords, tags) -> np.ndarray:
     """One value per site and tag, each from that site's own substream at
@@ -380,7 +287,7 @@ def sample(box: Box, density: DensitySpec, seed: int) -> DisorderRealization:
     """Draw the base field: one independent substream per site, tag 0.
 
     Site k takes density.ppf of the first uniform of the Philox stream keyed
-    by (seed, site_key(site k)); the quantile is evaluated for all sites in
+    by (seed, site_keys(site k)); the quantile is evaluated for all sites in
     one call, which gives the same values as one call per site.
     """
     if seed < 0:
@@ -390,9 +297,13 @@ def sample(box: Box, density: DensitySpec, seed: int) -> DisorderRealization:
 
 
 def resample_batch(real: DisorderRealization, sites, subseeds):
-    """resample_at(real, sites, k) for each k in subseeds, in order.
+    """Redraw the marked sites once per subseed, in order; subseed k draws
+    from substream tag k + 1 and leaves every other site untouched.
 
-    The marked sites of every subseed are drawn in one Philox pass and one
+    Tag 0 is the base draw, so subseed 0 already yields fresh values. A
+    subseed lies in [0, 2^64 - 1), so that its tag fits in 64 bits.
+    Different subseeds give independent redraws of the same sites. The
+    marked sites of every subseed are drawn in one Philox pass and one
     quantile call, and each row is written over a copy of the frozen base.
     """
     subseeds = [int(k) for k in subseeds]
@@ -416,14 +327,3 @@ def resample_batch(real: DisorderRealization, sites, subseeds):
             history=real.history + ((tuple(ranks), subseed),),
         )
 
-
-def resample_at(
-    real: DisorderRealization, sites, subseed: int
-) -> DisorderRealization:
-    """Redraw the marked sites from substream tag subseed+1; rest untouched.
-
-    Tag 0 is the base draw, so subseed 0 already yields fresh values.
-    subseed lies in [0, 2^64 - 1), so that its tag fits in 64 bits.
-    Different subseeds give independent redraws of the same sites.
-    """
-    return next(resample_batch(real, sites, [subseed]))

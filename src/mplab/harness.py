@@ -107,6 +107,7 @@ from .spectral import (
 )
 from .streams import Stream
 
+
 class ConfigError(ValueError):
     """A config failed validation; `violations` lists every problem."""
 

@@ -13,9 +13,9 @@ distinguishable moves one labelled particle with amplitude -1; bosons move
 one particle u -> t with amplitude -sqrt(m_u * (m_t + 1)); fermions carry
 -(-1)^(number of occupied sites strictly between u and t in site-rank
 order); hardcore particles hop with amplitude -1 and hops into occupied
-sites are dropped. Interactions and number operators are diagonal in every
-sector. All of this is cross-checked in the tests against explicit
-symmetrization isometries applied to the distinguishable operator.
+sites are dropped. Interactions are diagonal in every sector. All of this
+is cross-checked in the tests against explicit symmetrization isometries
+applied to the distinguishable operator.
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ class SparseHamiltonian:
     def matrix(self):
         """The matrix in scipy CSR form (imports scipy.sparse). A diagonal
         entry that is exactly 0.0 is not stored, as in the CSR sum kinetic
-        + diag that SuperLU's ordering and the MatrixMarket export see."""
+        + diag that SuperLU's ordering sees."""
         import scipy.sparse as sp
 
         rows, cols, vals = self.hops
@@ -421,18 +421,6 @@ class SparseHamiltonian:
 
     def rank_of(self, config: Configuration) -> int:
         return self.index.index_of(config)
-
-    def to_matrix_market(self, path) -> None:
-        """Write the matrix in MatrixMarket coordinate format."""
-        import scipy.io  # slow to import, used only here
-
-        s = self.spec
-        comment = (
-            f"n={s.n} sector={s.sector} d={s.box.d} side={s.box.side} "
-            f"lambda={s.lam} interaction={s.interaction.label} seed="
-            f"{self.realization.seed}"
-        )
-        scipy.io.mmwrite(path, self.matrix.tocoo(), comment=comment)
 
 
 def _template_for(spec: OperatorSpec) -> OperatorTemplate:
@@ -453,18 +441,6 @@ def assemble(spec: OperatorSpec, real: DisorderRealization) -> SparseHamiltonian
     """Hamiltonian of one realization; calls on one spec share one cached
     template, so an ensemble assembles its fixed parts once."""
     return _template_for(spec).hamiltonian(real)
-
-
-def number_operator(index: ConfigIndex, u: Site):
-    """Diagonal operator counting the particles on site u, as a scipy CSR
-    matrix; zero for a site outside the box."""
-    import scipy.sparse as sp
-
-    u = tuple(u)
-    diag = np.zeros(index.size)
-    if index.box.contains(u):
-        diag += (index.site_ranks == index.box.encode(u)).sum(axis=1)
-    return sp.diags(diag, format="csr")
 
 
 def gershgorin_interval(

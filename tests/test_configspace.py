@@ -73,12 +73,6 @@ def test_boundary_sites_2d_count():
     assert len(box.boundary_sites()) == 16 - 4
 
 
-def test_subbox_relation():
-    big = Box.centered(d=1, side=8)
-    assert Box(d=1, side=3, origin=(-1,)).is_subbox_of(big)
-    assert not Box(d=1, side=3, origin=(3,)).is_subbox_of(big)
-
-
 def test_box_rejects_bad_sizes():
     with pytest.raises(ValueError):
         Box(d=0, side=3)
@@ -355,10 +349,3 @@ def test_index_roundtrip_random(sector, side, n, k):
     ix = ConfigIndex(box, n=n, sector=sector)
     k = k % ix.size
     assert ix.index_of(ix.config_at(k)) == k
-
-
-def test_configuration_json_roundtrip():
-    c = Configuration(sites=((0, 1), (2, 2)), sector="boson")
-    c2 = Configuration.from_json(c.to_json())
-    assert c2 == c
-    assert '"sector"' in c.to_json() and '"sites"' in c.to_json()

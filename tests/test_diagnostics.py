@@ -18,7 +18,7 @@ from mplab.configspace import (
     hausdorff_dist,
     symmetrized_dist,
 )
-from mplab.disorder import UNIFORM_HALF, resample_at, sample
+from mplab.disorder import UNIFORM_HALF, resample_batch, sample
 from mplab.errors import BudgetError
 from mplab.operator import InteractionSpec, OperatorSpec, OperatorTemplate, assemble
 from mplab.spectral import EnergyInterval, green_entries, spectral_data
@@ -203,7 +203,8 @@ def test_eigenvalue_hit_is_nudged_in_wegner_samples(caplog):
     marked = ((0,),)
     ix = sp.config_index.index_of(x)
     base = sample(sp.box, UNIFORM_HALF, 7)
-    S1 = spectral_data(assemble(sp, resample_at(base, marked, subseed=1)))
+    (re,) = resample_batch(base, marked, [1])
+    S1 = spectral_data(assemble(sp, re))
     zs = np.array([complex(S1.energies[1]), 0.5 + 0.2j])
     with caplog.at_level(logging.WARNING, logger="mplab.diagnostics"):
         values = wegner_samples(sp, 7, x, x, marked, zs, s, [0, 1, 2])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,10 +8,9 @@ from mplab.configspace import Box
 from mplab.disorder import (
     UNIFORM_HALF,
     DensitySpec,
-    resample_at,
     resample_batch,
     sample,
-    site_key,
+    site_keys,
 )
 from mplab.harness import validate
 
@@ -17,36 +18,54 @@ from mplab.harness import validate
 # ---------------------------------------------------------------- densities
 
 
-def test_uniform_pdf_cdf_ppf():
+def test_uniform_support_and_ppf():
     d = DensitySpec.uniform(-0.5, 0.5)
     assert d.support == (-0.5, 0.5)
-    assert d.bound == 1.0
-    assert d.pdf(0.0) == 1.0
-    assert d.pdf(0.7) == 0.0
-    assert d.cdf(-0.5) == 0.0
-    assert d.cdf(0.0) == 0.5
+    assert d.ppf(0.0) == -0.5 and d.ppf(1.0) == 0.5
+    assert d.ppf(0.5) == 0.0
     assert d.ppf(0.25) == -0.25
 
 
 def test_truncated_gaussian_properties():
     d = DensitySpec.truncated_gaussian(sigma=1.0, cutoff=2.0)
     assert d.support == (-2.0, 2.0)
-    assert d.cdf(2.0) == pytest.approx(1.0, abs=1e-12)
-    assert d.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
-    assert d.pdf(0.0) == pytest.approx(d.bound)
-    assert d.pdf(3.0) == 0.0
-    # quantile inverts the cdf
-    for u in (0.1, 0.5, 0.9):
-        assert d.cdf(d.ppf(u)) == pytest.approx(u, abs=1e-9)
+    assert d.ppf(0.0) == -2.0 and d.ppf(1.0) == 2.0
+    assert d.ppf(0.5) == pytest.approx(0.0, abs=1e-12)
+    # the density is even, so the quantile is odd about u = 1/2
+    for u in (0.1, 0.25, 0.4):
+        assert d.ppf(1.0 - u) == pytest.approx(-d.ppf(u), abs=1e-12)
 
 
 def test_piecewise_table():
     d = DensitySpec.piecewise(breaks=(-1, 0, 1), densities=(1, 3))
-    assert d.cdf(0.0) == pytest.approx(0.25)
+    assert d.params == ((-1.0, 0.0, 1.0), (0.25, 0.75))
     assert d.ppf(0.25) == pytest.approx(0.0)
     assert d.ppf(0.125) == pytest.approx(-0.5)
-    assert d.pdf(0.5) == pytest.approx(0.75)
-    assert d.bound == pytest.approx(0.75)
+    assert d.ppf(0.625) == pytest.approx(0.5)
+    assert d.ppf(1.0) == 1.0
+
+
+# the bins [-1, 0], [0, 1], [1, 2] with one zero-density bin, and the
+# quantiles at u = 0, just past 0, 0.5 (the inner cumulative edge), just
+# past 0.5, and 1
+_ZERO_BIN_TABLES = {
+    "leading": ((0, 1, 1), [0.0, 1e-323, 1.0, 1.0 + 2.0**-52, 2.0]),
+    "inner": ((1, 0, 1), [-1.0, -1.0, 0.0, 1.0 + 2.0**-52, 2.0]),
+    "trailing": ((1, 1, 0), [-1.0, -1.0, 0.0, 2.0**-52, 1.0]),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_ZERO_BIN_TABLES))
+def test_piecewise_ppf_skips_zero_density_bins(where):
+    """No quantile falls inside a zero-density bin: u = 0 maps to the left
+    end of the first bin with mass, u at a cumulative edge to the right end
+    of the bin below it, and u just past an edge into the next bin with
+    mass."""
+    dens, expect = _ZERO_BIN_TABLES[where]
+    d = DensitySpec.piecewise((-1, 0, 1, 2), dens)
+    u = [0.0, np.nextafter(0.0, 1.0), 0.5, np.nextafter(0.5, 1.0), 1.0]
+    assert d.ppf(np.array(u)).tolist() == expect
+    assert [d.ppf(x) for x in u] == expect
 
 
 @pytest.mark.parametrize(
@@ -79,7 +98,8 @@ def test_truncated_gaussian_without_mass_rejected():
     assert len(violations) == 1
     assert violations[0].startswith("model.density: truncated gaussian")
     # a small but representable mass still validates
-    assert DensitySpec.truncated_gaussian(sigma=1.0, cutoff=1e-8).bound > 0
+    cfg["model"]["density"]["params"] = [1.0, 1e-8]
+    assert validate(cfg) == []
 
 
 def test_unnormalized_table_rejected_by_raw_constructor():
@@ -120,7 +140,7 @@ def test_sample_mean_satisfies_clt_envelope():
 def test_sample_uniformity_ks():
     box = Box(d=1, side=20_000)
     r = sample(box, UNIFORM_HALF, seed=5)
-    stat = stats.kstest(r.values, UNIFORM_HALF.cdf).statistic
+    stat = stats.kstest(r.values, stats.uniform(loc=-0.5, scale=1).cdf).statistic
     assert stat < 0.02
 
 
@@ -141,7 +161,7 @@ def test_subbox_values_match_parent():
     rp = sample(parent, UNIFORM_HALF, seed=21)
     rc = sample(child, UNIFORM_HALF, seed=21)
     for s in child.sites():
-        assert rc.value_at(s) == rp.value_at(s)
+        assert rc.values[child.encode(s)] == rp.values[parent.encode(s)]
 
 
 def test_independence_across_sites():
@@ -168,13 +188,12 @@ def test_resample_touches_only_marked_sites():
     box = Box(d=1, side=12)
     base = sample(box, UNIFORM_HALF, seed=2)
     marked = [(3,), (7,)]
-    r = resample_at(base, marked, subseed=0)
+    r, again, r1 = resample_batch(base, marked, [0, 0, 1])
     changed = set(np.nonzero(r.values != base.values)[0].tolist())
     assert changed == {3, 7}
     assert r.history == (((3, 7), 0),)
     # same subseed reproduces, different subseed differs
-    assert np.array_equal(resample_at(base, marked, subseed=0).values, r.values)
-    r1 = resample_at(base, marked, subseed=1)
+    assert np.array_equal(again.values, r.values)
     assert r1.values[3] != r.values[3]
 
 
@@ -182,7 +201,7 @@ def test_resample_subseed_zero_differs_from_base():
     # base draw is tag 0, subseed k is tag k+1, so no subseed replays the base
     box = Box(d=1, side=4)
     base = sample(box, UNIFORM_HALF, seed=13)
-    r = resample_at(base, [(1,)], subseed=0)
+    (r,) = resample_batch(base, [(1,)], [0])
     assert r.values[1] != base.values[1]
 
 
@@ -190,28 +209,25 @@ def test_resample_rejects_the_subseed_whose_tag_wraps_to_the_base():
     # subseed 2^64 - 1 would draw at tag 2^64, which once wrapped to 0
     base = sample(Box(d=1, side=4), UNIFORM_HALF, seed=13)
     with pytest.raises(ValueError, match=r"subseed must lie in \[0, 2\^64 - 1\)"):
-        resample_at(base, [(1,)], subseed=2**64 - 1)
-    last = resample_at(base, [(1,)], subseed=2**64 - 2)
+        list(resample_batch(base, [(1,)], [2**64 - 1]))
+    (last,) = resample_batch(base, [(1,)], [2**64 - 2])
     assert last.values[1] != base.values[1]
 
 
 def test_resampled_values_follow_density():
     box = Box(d=1, side=2)
     base = sample(box, UNIFORM_HALF, seed=1)
-    draws = np.array(
-        [resample_at(base, [(0,)], subseed=k).values[0] for k in range(10_000)]
-    )
-    assert stats.kstest(draws, UNIFORM_HALF.cdf).statistic < 0.02
+    draws = np.array([r.values[0] for r in resample_batch(base, [(0,)], range(10_000))])
+    assert stats.kstest(draws, stats.uniform(loc=-0.5, scale=1).cdf).statistic < 0.02
 
 
 def test_resample_pair_joint_independence():
     box = Box(d=1, side=3)
     base = sample(box, UNIFORM_HALF, seed=6)
-    u = np.empty(10_000)
-    v = np.empty(10_000)
-    for k in range(10_000):
-        r = resample_at(base, [(0,), (2,)], subseed=k)
-        u[k], v[k] = r.values[0], r.values[2]
+    pairs = np.array(
+        [r.values[[0, 2]] for r in resample_batch(base, [(0,), (2,)], range(10_000))]
+    )
+    u, v = pairs.T
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.03
     # and independent of the untouched middle value
     assert np.all(base.values[1] == base.values[1])
@@ -221,11 +237,11 @@ def test_resample_argument_validation():
     box = Box(d=1, side=4)
     base = sample(box, UNIFORM_HALF, seed=0)
     with pytest.raises(ValueError):
-        resample_at(base, [], subseed=0)
+        list(resample_batch(base, [], [0]))
     with pytest.raises(ValueError):
-        resample_at(base, [(0,)], subseed=-2)
+        list(resample_batch(base, [(0,)], [-2]))
     with pytest.raises(ValueError):
-        resample_at(base, [(99,)], subseed=0)
+        list(resample_batch(base, [(99,)], [0]))
 
 
 def test_realization_values_are_readonly():
@@ -238,18 +254,15 @@ def test_realization_values_are_readonly():
 
 
 def test_site_keys_injective_for_small_dims():
-    keys = set()
-    count = 0
-    for a in range(-20, 21):
-        for b in range(-20, 21):
-            keys.add(site_key((a, b)))
-            count += 1
-    assert len(keys) == count
+    sites = list(itertools.product(range(-20, 21), repeat=2))
+    keys = site_keys(sites)
+    assert keys.shape == (len(sites),)
+    assert len(set(keys.tolist())) == len(sites)
 
 
 def test_site_key_range_check():
     with pytest.raises(ValueError):
-        site_key((1 << 40, 0))  # too wide for the 2d packing
+        site_keys([(1 << 40, 0)])  # too wide for the 2d packing
 
 
 # ------------------------------------------- batched draw vs per-site path
@@ -261,10 +274,10 @@ _DENSITY_KINDS = {
 }
 
 
-def _u01(seed: int, key: int, tag: int) -> float:
+def _u01(seed: int, site, tag: int) -> float:
     """The first uniform of numpy's own Philox stream of one site."""
     bg = np.random.Philox(
-        key=np.array([seed, key], dtype=np.uint64),
+        key=np.array([seed, site_keys([site])[0]], dtype=np.uint64),
         counter=np.array([tag, 0, 0, 0], dtype=np.uint64),
     )
     return np.random.Generator(bg).random()
@@ -273,19 +286,19 @@ def _u01(seed: int, key: int, tag: int) -> float:
 @pytest.mark.parametrize("kind", sorted(_DENSITY_KINDS))
 @pytest.mark.parametrize("d, side", [(1, 17), (2, 6)])
 def test_draws_equal_per_site_quantiles(kind, d, side):
-    """sample and resample_at give, bit for bit, one density.ppf call per
+    """sample and resample_batch give, bit for bit, one density.ppf call per
     site on that site's own uniform."""
     density = _DENSITY_KINDS[kind]
     box = Box(d=d, side=side, origin=(-3,) * d)
     real = sample(box, density, seed=11)
-    ref = [density.ppf(_u01(11, site_key(box.decode(k)), tag=0)) for k in range(box.volume)]
+    ref = [density.ppf(_u01(11, box.decode(k), tag=0)) for k in range(box.volume)]
     assert real.values.tobytes() == np.array(ref).tobytes()
 
     marked = [box.decode(k) for k in (0, 5, box.volume - 1, 5)]
-    redrawn = resample_at(real, marked, subseed=3)
+    (redrawn,) = resample_batch(real, marked, [3])
     ref = np.array(real.values)
     for s in marked:
-        ref[box.encode(s)] = density.ppf(_u01(11, site_key(s), tag=4))
+        ref[box.encode(s)] = density.ppf(_u01(11, s, tag=4))
     assert redrawn.values.tobytes() == ref.tobytes()
 
 
@@ -300,8 +313,9 @@ def _bits(x) -> np.ndarray:
     "sigma, cutoff", [(0.5, 1.0), (1.0, 3.0), (0.3, 0.1), (1.0, 8.0), (2.0, 0.7)]
 )
 def test_truncated_gaussian_matches_scipy_stats(sigma, cutoff):
-    """pdf, cdf, ppf and bound equal scipy.stats.truncnorm bit for bit, on
-    random points, in both tails, at the support edges and at inf and NaN."""
+    """ppf and the log mass within the cutoff equal scipy.stats.truncnorm's
+    bit for bit: the quantile on random points, in both tails, at 0 and 1
+    and at NaN; the log mass through truncnorm's density at 0."""
     d = DensitySpec.truncated_gaussian(sigma, cutoff)
     ref = stats.truncnorm(-cutoff / sigma, cutoff / sigma, loc=0.0, scale=sigma)
     rng = np.random.default_rng(17)
@@ -315,31 +329,20 @@ def test_truncated_gaussian_matches_scipy_stats(sigma, cutoff):
     ])
     np.testing.assert_array_equal(_bits(d.ppf(u)), _bits(ref.ppf(u)))
 
-    edges = []
-    for c in (-cutoff, cutoff):
-        edges += [c, np.nextafter(c, 0.0), np.nextafter(c, 2.0 * c)]
-    x = np.concatenate([
-        rng.uniform(-1.2 * cutoff, 1.2 * cutoff, 20_000),
-        rng.uniform(-cutoff, cutoff, 20_000) * 1e-6,
-        edges,
-        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324],
-    ])
-    np.testing.assert_array_equal(_bits(d.pdf(x)), _bits(ref.pdf(x)))
-    np.testing.assert_array_equal(_bits(d.cdf(x)), _bits(ref.cdf(x)))
-
     # scalar calls take the same path
-    for v in np.concatenate([edges, [0.0, np.inf, -np.inf, np.nan]]):
-        assert _bits(d.pdf(float(v))) == _bits(ref.pdf(v))
-        assert _bits(d.cdf(float(v))) == _bits(ref.cdf(v))
     for q in (0.0, 1.0, 1e-300, 1.0 - 2.0**-53, 0.25, np.nan):
         assert _bits(d.ppf(q)) == _bits(ref.ppf(q))
-    assert _bits(d.bound) == _bits(ref.pdf(0.0))
+
+    # truncnorm's density at 0 is exp(-log sqrt(2 pi) - log mass) / sigma
+    peak = np.exp(-np.log(np.sqrt(2 * np.pi)) - d._gauss.log_mass) / sigma
+    assert _bits(peak) == _bits(ref.pdf(0.0))
 
 
 @pytest.mark.parametrize("kind", sorted(_DENSITY_KINDS))
-def test_resample_batch_equals_resample_at_per_subseed(kind):
-    """One batched redraw gives, row for row, resample_at's realization,
-    history included; the tag 2^64 - 1 of the last subseed carries."""
+def test_resample_batch_equals_one_subseed_batches(kind):
+    """One batched redraw gives, row for row, the realization of a
+    one-subseed batch, history included; the tag 2^64 - 1 of the last
+    subseed carries."""
     box = Box(d=2, side=5)
     base = sample(box, _DENSITY_KINDS[kind], seed=4)
     marked = [box.decode(k) for k in (3, 0, 24, 3)]
@@ -347,9 +350,9 @@ def test_resample_batch_equals_resample_at_per_subseed(kind):
     batch = list(resample_batch(base, marked, subseeds))
     assert len(batch) == len(subseeds)
     for k, real in zip(subseeds, batch):
-        ref = resample_at(base, marked, subseed=k)
+        (ref,) = resample_batch(base, marked, [k])
         assert real.values.tobytes() == ref.values.tobytes()
         assert real.history == ref.history
-    u = _u01(4, site_key(marked[0]), tag=2**64 - 1)
+    u = _u01(4, marked[0], tag=2**64 - 1)
     got = batch[-1].values[box.encode(marked[0])]
     assert got.tobytes() == _DENSITY_KINDS[kind].ppf(np.array([u])).tobytes()

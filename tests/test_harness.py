@@ -1062,8 +1062,9 @@ _SLOW_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.io")
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
-    """scipy.stats, scipy.optimize and scipy.io load only where used (the
-    truncated Gaussian, the symmetrized distance, the MatrixMarket export)."""
+    """`import mplab` loads none of scipy.stats, scipy.optimize and scipy.io:
+    mplab uses scipy.optimize only in the symmetrized distance, and never
+    imports the other two."""
     script = (
         "import json, sys, mplab, mplab.cli; "
         f"print(json.dumps([m for m in {_SLOW_SCIPY!r} if m in sys.modules]))"

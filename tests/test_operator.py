@@ -5,11 +5,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 
 from mplab.configspace import Box, ConfigIndex, Configuration
-from mplab.disorder import UNIFORM_HALF, DensitySpec, resample_at, sample
+from mplab.disorder import UNIFORM_HALF, DensitySpec, resample_batch, sample
 from mplab.diagnostics import (
     default_probe_interval,
     monitor_plan,
@@ -26,7 +25,6 @@ from mplab.operator import (
     assemble,
     gershgorin_interval,
     interaction_energy,
-    number_operator,
 )
 
 
@@ -175,7 +173,8 @@ def test_diagonal_entry_formula():
     H = assemble(spec, real)
     cfg = Configuration(sites=((1,), (2,)))
     k = H.rank_of(cfg)
-    expect = 4.0 + real.value_at((1,)) + real.value_at((2,)) + 0.5
+    v = real.values
+    expect = 4.0 + v[box.encode((1,))] + v[box.encode((2,))] + 0.5
     assert H.matrix[k, k] == pytest.approx(expect)
 
 
@@ -541,41 +540,30 @@ def test_resample_decomposition_identity():
     lam = 2.5
     spec = OperatorSpec(box=box, n=2, lam=lam)
     base = sample(box, UNIFORM_HALF, 3)
-    re = resample_at(base, [(2,)], subseed=4)
+    (re,) = resample_batch(base, [(2,)], [4])
     H0 = assemble(spec, base).matrix
     H1 = assemble(spec, re).matrix
-    dv = re.value_at((2,)) - base.value_at((2,))
-    Nu = number_operator(spec.config_index, (2,))
+    u = box.encode((2,))
+    dv = re.values[u] - base.values[u]
+    # N_u counts, per configuration, the particles on site u
+    occ = (spec.config_index.site_ranks == u).sum(axis=1)
+    Nu = sp.diags(occ, format="csr", dtype=float)
     assert abs((H1 - H0) - lam * dv * Nu).max() < 1e-13
-
-
-def test_number_operator_trace():
-    # sum over configurations of the occupation of a fixed site:
-    # distinguishable, n=2, side 2: trace N_(0) = n * V^(n-1) * ... = 4
-    ix = ConfigIndex(Box(d=1, side=2), n=2)
-    Nu = number_operator(ix, (0,))
-    assert Nu.diagonal().sum() == pytest.approx(4.0)
-
-
-def test_number_operator_single_particle_projection():
-    ix = ConfigIndex(Box(d=1, side=3), n=1)
-    Nu = number_operator(ix, (1,)).toarray()
-    expect = np.zeros((3, 3))
-    expect[1, 1] = 1.0
-    assert np.array_equal(Nu, expect)
 
 
 @pytest.mark.parametrize("sector", ["distinguishable", "boson", "fermion", "hardcore"])
 def test_number_operator_counts_occupation_and_vanishes_off_box(sector):
+    # N_u read from site_ranks, as in the redraw identity above, counts the
+    # particles on u in every sector; no configuration occupies a site off
+    # the box, so there N_u = 0
     ix = ConfigIndex(Box(d=2, side=3, origin=(1, -1)), n=2, sector=sector)
     cfgs = list(ix.enumerate())
     for u in ((1, -1), (2, 0), (3, 1)):
         expect = [sum(s == u for s in c.sites) for c in cfgs]
-        assert number_operator(ix, u).diagonal().tolist() == expect
+        assert (ix.site_ranks == ix.box.encode(u)).sum(axis=1).tolist() == expect
     for u in ((0, 0), (4, 0), (1, 2), (2, -2)):
-        Nu = number_operator(ix, u)
-        assert Nu.shape == (ix.size, ix.size)
-        assert abs(Nu).max() == 0.0
+        assert not ix.box.contains(u)
+        assert all(u not in c.sites for c in cfgs)
 
 
 def test_operator_spec_validation():
@@ -599,15 +587,3 @@ def test_gershgorin_encloses_ensemble_spectra():
             assemble(spec, sample(box, UNIFORM_HALF, seed)).matrix.toarray()
         )
         assert lo <= ev.min() and ev.max() <= hi
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    box = Box(d=1, side=4)
-    spec = OperatorSpec(box=box, n=2, lam=1.5)
-    H = assemble(spec, sample(box, UNIFORM_HALF, 9))
-    path = tmp_path / "h.mtx"
-    H.to_matrix_market(path)
-    back = scipy.io.mmread(path)
-    assert abs(back.tocsr() - H.matrix).max() < 1e-15
-    text = path.read_text()
-    assert "lambda=1.5" in text and "seed=9" in text
