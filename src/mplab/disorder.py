@@ -261,8 +261,6 @@ class DisorderRealization:
     density: DensitySpec
     seed: int
     values: np.ndarray
-    # chain of (marked site ranks, subseed) applied on top of the base draw
-    history: tuple = ()
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -316,7 +314,7 @@ def resample_batch(real: DisorderRealization, sites, subseeds):
     ranks = [real.box.encode(s) for s in marked]
     tags = np.array([k + 1 for k in subseeds], dtype=np.uint64)
     rows = _draw(real.density, real.seed, real.box.coords(ranks), tags[:, None])
-    for subseed, row in zip(subseeds, rows):
+    for row in rows:
         vals = np.array(real.values)
         vals[ranks] = row
         yield DisorderRealization(
@@ -324,6 +322,5 @@ def resample_batch(real: DisorderRealization, sites, subseeds):
             density=real.density,
             seed=real.seed,
             values=vals,
-            history=real.history + ((tuple(ranks), subseed),),
         )
 

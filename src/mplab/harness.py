@@ -606,7 +606,7 @@ def _check_rescaling(config, spec, out: list) -> None:
 
 def _check_region_scan(config, spec, out: list) -> None:
     L = int(config.model["L"])
-    if config.interaction_spec().label == "onsite":
+    if config.interaction_spec().builtin == "onsite":
         out.append(
             "model.interaction: region_scan sweeps pair couplings; "
             "onsite is not supported here"

@@ -1,7 +1,8 @@
 """Assembly of n-particle lattice Hamiltonians with disorder and interaction.
 
-H = (hopping) + lambda * (site disorder summed over particles) + (short-range
-k-body interaction), acting on the chosen exchange sector over a finite box.
+H = (hopping) + lambda * (site disorder summed over particles) + (nearest-
+neighbour or same-site pair interaction), acting on the chosen exchange
+sector over a finite box.
 
 Boundary convention (easy to get subtly wrong, so stated loudly): the box
 restriction is the Dirichlet restriction of the full-lattice operator. Hops
@@ -20,7 +21,6 @@ applied to the distinguishable operator.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -31,111 +31,59 @@ from .configspace import (
     Box,
     ConfigIndex,
     Configuration,
-    Site,
     site_dist,
 )
 from .disorder import DensitySpec, DisorderRealization
 from .errors import magnitude
 
 
-def _pair_nn_term(pattern, occs):
-    # nearest-neighbour density-density; adjacency is graph adjacency
-    # (l1 distance 1) regardless of the diameter norm in force
-    (u, v) = pattern
-    if site_dist(u, v, "l1") != 1:
-        return 0.0
-    return float(occs[0] * occs[1])
-
-
-def _onsite_pairs_term(pattern, occs):
-    m = occs[0]
-    return 0.5 * m * (m - 1)
-
-
 @dataclass(frozen=True)
 class InteractionSpec:
-    """Translation-invariant finite-range k-body interaction, k <= p.
+    """One of the config's built-in interactions, as plain data.
 
-    The energy of a configuration is sum_k alpha[k-1] * sum_A U_k(A, occs)
-    over site patterns A with |A| = k and diameter <= range. Patterns with
-    all occupations zero contribute nothing by convention, so the sums are
-    finite. `terms` maps k to a callable (pattern_sites, occupations) ->
-    float; patterns arrive lexicographically sorted. Equality compares the
-    declared (p, alpha, range, label) only, never the callables, which is
-    exact for the built-ins and approximate for custom terms.
+    `builtin` is "none", "pair_nn" (coupling * m_u * m_v for each pair of
+    occupied sites at l1 distance 1) or "onsite" (coupling * m(m-1)/2 per
+    site). `range` is the pattern diameter of pair_nn, which only limits the
+    boxes it fits in: pair_nn couples nearest neighbours, so any range of at
+    least 1 gives the same energy. none and onsite carry range 0.
     """
 
-    p: int
-    alpha: tuple[float, ...]
-    range: int
-    label: str = "custom"
-    terms: dict = field(default=None, compare=False, repr=False)
+    builtin: str
+    coupling: float = 0.0
+    range: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        if self.terms is None:
-            object.__setattr__(self, "terms", {})
-        if self.p < 0:
-            raise ValueError(f"pattern size bound must be >= 0, got {self.p}")
-        if len(self.alpha) != self.p:
-            raise ValueError(
-                f"need one coupling per pattern size: got {len(self.alpha)} "
-                f"couplings for p = {self.p}"
-            )
+        if self.builtin not in BUILTIN_INTERACTIONS:
+            raise ValueError(f"unknown built-in interaction {self.builtin!r}")
         if self.range < 0:
             raise ValueError(f"interaction range must be >= 0, got {self.range}")
-        for k in self.terms:
-            if not 1 <= k <= self.p:
-                raise ValueError(f"term for pattern size {k} outside 1..{self.p}")
-        for k, a in enumerate(self.alpha, start=1):
-            if a != 0.0 and k not in self.terms:
-                raise ValueError(
-                    f"coupling alpha_{k} = {a} is nonzero but no size-{k} term "
-                    "was provided"
-                )
 
     @property
     def is_trivial(self) -> bool:
-        return all(a == 0.0 for a in self.alpha)
+        return self.builtin == "none" or self.coupling == 0.0
 
     # ---------------------------------------------------------- factories
 
     @classmethod
     def none(cls) -> "InteractionSpec":
-        return cls(p=0, alpha=(), range=0, label="none")
+        return cls("none")
 
     @classmethod
     def pair_nn(cls, coupling: float, range: int = 1) -> "InteractionSpec":
         """Nearest-neighbour density-density pair interaction."""
-        return cls(
-            p=2,
-            alpha=(0.0, float(coupling)),
-            range=range,
-            label="pair_nn",
-            terms={2: _pair_nn_term},
-        )
+        return cls("pair_nn", float(coupling), range)
 
     @classmethod
     def onsite(cls, coupling: float) -> "InteractionSpec":
-        """Same-site pair counting, alpha * m(m-1)/2 per site."""
-        return cls(
-            p=1,
-            alpha=(float(coupling),),
-            range=0,
-            label="onsite",
-            terms={1: _onsite_pairs_term},
-        )
+        """Same-site pair counting, coupling * m(m-1)/2 per site."""
+        return cls("onsite", float(coupling))
 
     # ------------------------------------------------------ serialization
 
     def to_dict(self) -> dict:
         """The `model.interaction` config object; "range" only for pair_nn."""
-        if self.label not in BUILTIN_INTERACTIONS:
-            raise ValueError(
-                f"only built-in interactions serialize; label {self.label!r}"
-            )
-        out = {"builtin": self.label, "coupling": self.alpha[-1] if self.alpha else 0.0}
-        if self.label == "pair_nn":
+        out = {"builtin": self.builtin, "coupling": self.coupling}
+        if self.builtin == "pair_nn":
             out["range"] = self.range
         return out
 
@@ -161,45 +109,26 @@ BUILTIN_INTERACTIONS = ("none", "pair_nn", "onsite")
 INTERACTION_FIELDS = ("builtin", "coupling", "range")
 
 
-def _ball(center: Site, radius: int, norm: str):
-    d = len(center)
-    for offset in itertools.product(range(-radius, radius + 1), repeat=d):
-        if site_dist(offset, (0,) * d, norm) <= radius:
-            yield tuple(c + o for c, o in zip(center, offset))
-
-
-def interaction_energy(
-    config: Configuration, inter: InteractionSpec, norm: str = "l1"
-) -> float:
+def interaction_energy(config: Configuration, inter: InteractionSpec) -> float:
     """Total interaction energy of a configuration.
 
-    Patterns range over the infinite lattice; only patterns meeting the
-    occupied support can contribute, which keeps the sum finite.
+    The sums run in a fixed order: onsite over the occupied sites in sorted
+    order, pair_nn over the pairs u < v of occupied sites in lexicographic
+    order, each adjacent pair added to a running total from 0.0.
     """
     if inter.is_trivial:
         return 0.0
-    occs = Counter(config.sites)
-    support = set(occs)
+    occs = sorted(Counter(config.sites).items())
+    if inter.builtin == "onsite":
+        return 0.0 + inter.coupling * sum(0.5 * m * (m - 1) for _, m in occs)
     total = 0.0
-    for k, a in enumerate(inter.alpha, start=1):
-        if a == 0.0 or k not in inter.terms:
-            continue
-        f = inter.terms[k]
-        if k == 1:
-            total += a * sum(f((u,), (occs[u],)) for u in sorted(support))
-            continue
-        candidates = set()
-        for u in support:
-            candidates.update(_ball(u, inter.range, norm))
-        for pattern in itertools.combinations(sorted(candidates), k):
-            if not support.intersection(pattern):
-                continue
-            if max(
-                site_dist(pp, qq, norm)
-                for pp, qq in itertools.combinations(pattern, 2)
-            ) > inter.range:
-                continue
-            total += a * f(pattern, tuple(occs[u] for u in pattern))
+    if inter.range == 0:
+        # no two distinct sites fit in a pattern of diameter 0
+        return total
+    for i, (u, m_u) in enumerate(occs):
+        for v, m_v in occs[i + 1 :]:
+            if site_dist(u, v, "l1") == 1:
+                total += inter.coupling * float(m_u * m_v)
     return total
 
 
@@ -315,7 +244,7 @@ class OperatorTemplate:
         self.interaction_diag = np.zeros(dim)
         if not spec.interaction.is_trivial:
             # the energy depends on the occupation multiset up to translation,
-            # which keeps the lexicographic pattern order and so the sums
+            # which keeps the sorted site order and so the sums
             sites = box.coords(occ)
             shapes = (sites - sites.min(axis=1, keepdims=True)).reshape(dim, -1)
             _, first, which = np.unique(
@@ -325,7 +254,6 @@ class OperatorTemplate:
                 interaction_energy(
                     Configuration(sites=tuple(map(tuple, sites[k]))),
                     spec.interaction,
-                    spec.norm,
                 )
                 for k in first
             ]
@@ -350,7 +278,6 @@ class OperatorTemplate:
             diagonal=self.kinetic_diag + diag,
             spec=self.spec,
             index=self.index,
-            realization=real,
         )
 
     def gershgorin_interval(self, density: DensitySpec) -> tuple[float, float]:
@@ -385,7 +312,6 @@ class SparseHamiltonian:
     diagonal: np.ndarray
     spec: OperatorSpec
     index: ConfigIndex
-    realization: DisorderRealization
 
     @property
     def dim(self) -> int:
@@ -423,17 +349,10 @@ class SparseHamiltonian:
         return self.index.index_of(config)
 
 
+@lru_cache(maxsize=32)
 def _template_for(spec: OperatorSpec) -> OperatorTemplate:
     """The shared template of a spec; mplab builds templates only here."""
-    # OperatorSpec equality ignores interaction callables, so the term
-    # functions themselves join the key (built-ins are module-level, so
-    # equal built-in specs still share one template)
-    return _cached_template(spec, tuple(sorted(spec.interaction.terms.items())))
-
-
-@lru_cache(maxsize=32)
-def _cached_template(spec: OperatorSpec, terms: tuple) -> OperatorTemplate:
-    # templates are immutable after assembly; equal keys can share one
+    # templates are immutable after assembly; equal specs can share one
     return OperatorTemplate(spec)
 
 

@@ -191,7 +191,6 @@ def test_resample_touches_only_marked_sites():
     r, again, r1 = resample_batch(base, marked, [0, 0, 1])
     changed = set(np.nonzero(r.values != base.values)[0].tolist())
     assert changed == {3, 7}
-    assert r.history == (((3, 7), 0),)
     # same subseed reproduces, different subseed differs
     assert np.array_equal(again.values, r.values)
     assert r1.values[3] != r.values[3]
@@ -341,7 +340,7 @@ def test_truncated_gaussian_matches_scipy_stats(sigma, cutoff):
 @pytest.mark.parametrize("kind", sorted(_DENSITY_KINDS))
 def test_resample_batch_equals_one_subseed_batches(kind):
     """One batched redraw gives, row for row, the realization of a
-    one-subseed batch, history included; the tag 2^64 - 1 of the last
+    one-subseed batch; the tag 2^64 - 1 of the last
     subseed carries."""
     box = Box(d=2, side=5)
     base = sample(box, _DENSITY_KINDS[kind], seed=4)
@@ -352,7 +351,6 @@ def test_resample_batch_equals_one_subseed_batches(kind):
     for k, real in zip(subseeds, batch):
         (ref,) = resample_batch(base, marked, [k])
         assert real.values.tobytes() == ref.values.tobytes()
-        assert real.history == ref.history
     u = _u01(4, marked[0], tag=2**64 - 1)
     got = batch[-1].values[box.encode(marked[0])]
     assert got.tobytes() == _DENSITY_KINDS[kind].ppf(np.array([u])).tobytes()

@@ -986,10 +986,10 @@ def test_wegner_validate_builds_no_template_over_budget():
     from mplab import operator
 
     cfg = _cfg("wegner", {"d": 1, "L": 60, "n": 3})  # dim 216000
-    before = operator._cached_template.cache_info()
+    before = operator._template_for.cache_info()
     (violation,) = validate(cfg)
     assert violation.startswith("budget: configuration space dimension 216000")
-    after = operator._cached_template.cache_info()
+    after = operator._template_for.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mplab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mplab"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -40,3 +41,69 @@ def test_unused_imports_finds_what_is_never_read():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unread_private_names(source: str, readers: list[str]) -> list[str]:
+    """Top-level private names (`_x`, dunders aside) that `source` defines
+    by def, class or assignment and that no source in `readers` reads, in
+    definition order. A read is a loaded name, an attribute, an imported
+    name or a string constant (for lookups by name)."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            ]
+    read = set()
+    for text in readers:
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    return [
+        name
+        for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_unread_private_names_finds_what_is_never_read():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "_BY_NAME, (_PAIRED, _ALONE) = 3, (4, 5)\n"
+        "__all__ = ['f']\n"
+        "def _helper():\n"
+        "    return _USED + _PAIRED\n"
+        "def _imported(): pass\n"
+        "def _by_attr(): pass\n"
+        "def _dead(): pass\n"
+        "class _Gone: pass\n"
+        "def f():\n"
+        "    return _helper()\n"
+    )
+    reader = (
+        "import m\n"
+        "from m import _imported as alias\n"
+        "m._by_attr()\n"
+        "getattr(m, '_BY_NAME')\n"
+    )
+    want = ["_UNUSED", "_ALONE", "_dead", "_Gone"]
+    assert unread_private_names(source, [source, reader]) == want
+
+
+# perfbench/spans.py reaches into mplab by attribute and by name
+READERS = [p.read_text() for p in [*SRC.glob("*.py"), *ROOT.glob("perfbench/**/*.py")]]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_private_names_are_read(module):
+    assert unread_private_names((SRC / module).read_text(), READERS) == []

@@ -2,12 +2,13 @@ import io
 import itertools
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mplab.configspace import Box, ConfigIndex, Configuration
+from mplab.configspace import Box, ConfigIndex, Configuration, site_dist
 from mplab.disorder import UNIFORM_HALF, DensitySpec, resample_batch, sample
 from mplab.diagnostics import (
     default_probe_interval,
@@ -17,10 +18,10 @@ from mplab.diagnostics import (
     probe_samples,
 )
 from mplab.operator import (
+    INTERACTION_FIELDS,
     InteractionSpec,
     OperatorSpec,
     OperatorTemplate,
-    _cached_template,
     _template_for,
     assemble,
     gershgorin_interval,
@@ -85,15 +86,72 @@ def test_interaction_translation_invariance():
     )
 
 
+def _ball(center, radius, norm):
+    d = len(center)
+    for offset in itertools.product(range(-radius, radius + 1), repeat=d):
+        if site_dist(offset, (0,) * d, norm) <= radius:
+            yield tuple(c + o for c, o in zip(center, offset))
+
+
+def _enumerated_pair_terms(config, irange, norm):
+    """The pair_nn pattern sum, term by term: every lexicographic pair of
+    sites within `irange` of the occupied support, of diameter at most
+    `irange` in `norm`, that meets the support, gives m_u * m_v if its
+    sites are l1 neighbours and 0.0 otherwise."""
+    occs = Counter(config.sites)
+    support = set(occs)
+    candidates = set()
+    for u in support:
+        candidates.update(_ball(u, irange, norm))
+    terms = []
+    for u, v in itertools.combinations(sorted(candidates), 2):
+        if not support.intersection((u, v)) or site_dist(u, v, norm) > irange:
+            continue
+        terms.append(float(occs[u] * occs[v]) if site_dist(u, v, "l1") == 1 else 0.0)
+    return terms
+
+
+def test_interaction_energy_matches_pattern_enumeration():
+    """The closed forms equal, bit for bit, the sums over lattice patterns
+    in either norm, on seeded random configurations with clustered sites
+    (repeats and neighbours are common) and couplings of either sign."""
+    rng = np.random.default_rng(22)
+    couplings = (0.3, -1.7, 1 / 3, 1e-17, -1e-17)
+    cases = 0
+    for d, n, irange, norm in itertools.product(
+        (1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 3), ("l1", "linf")
+    ):
+        # the linf ball at d = 3 and range 3 holds 343 sites; fewer draws
+        draws = 1 if d == 3 and irange == 3 else 4
+        for _ in range(draws):
+            sites = tuple(
+                tuple(int(x) for x in rng.integers(-2, 2, size=d)) for _ in range(n)
+            )
+            config = Configuration(sites=sites)
+            occs = [m for _, m in sorted(Counter(sites).items())]
+            terms = _enumerated_pair_terms(config, irange, norm)
+            for coupling in (*couplings, float(rng.normal())):
+                pair = 0.0
+                for term in terms:
+                    pair += coupling * term
+                onsite = 0.0 + coupling * sum(0.5 * m * (m - 1) for m in occs)
+                got = interaction_energy(
+                    config, InteractionSpec.pair_nn(coupling, range=irange)
+                )
+                assert got.hex() == pair.hex(), (sites, coupling, irange, norm)
+                got = interaction_energy(config, InteractionSpec.onsite(coupling))
+                assert got.hex() == onsite.hex(), (sites, coupling)
+                cases += 1
+    assert cases > 1000
+
+
 def test_interaction_spec_validation():
-    with pytest.raises(ValueError, match="nonzero"):
-        InteractionSpec(p=2, alpha=(0.0, 1.0), range=1)
-    with pytest.raises(ValueError):
-        InteractionSpec(p=1, alpha=(0.0, 0.0), range=1)
-    with pytest.raises(ValueError):
-        InteractionSpec(p=1, alpha=(0.0,), range=-1)
-    with pytest.raises(ValueError):
-        InteractionSpec(p=1, alpha=(0.0,), range=0, terms={3: lambda a, b: 0.0})
+    # the spec holds the config object's fields and nothing else
+    assert tuple(f.name for f in fields(InteractionSpec)) == INTERACTION_FIELDS
+    with pytest.raises(ValueError, match="built-in interaction 'yukawa'"):
+        InteractionSpec("yukawa", 1.0, 1)
+    with pytest.raises(ValueError, match="range must be >= 0"):
+        InteractionSpec.pair_nn(1.0, range=-1)
 
 
 def test_interaction_dict_roundtrip():
@@ -108,9 +166,6 @@ def test_interaction_dict_roundtrip():
         assert interaction_energy(c, back) == pytest.approx(
             interaction_energy(c, inter)
         )
-    custom = InteractionSpec(p=1, alpha=(0.0,), range=0)
-    with pytest.raises(ValueError, match="built-in"):
-        custom.to_dict()
 
 
 def test_interaction_dict_uses_the_config_schema():
@@ -340,7 +395,7 @@ def _reference_template(spec):
             occ_cols.append(box.encode(site))
             occ_vals.append(float(m))
         if not spec.interaction.is_trivial:
-            inter[k] = interaction_energy(cfg, spec.interaction, spec.norm)
+            inter[k] = interaction_energy(cfg, spec.interaction)
         for target, amp in _reference_hops(cfg.sites, spec.sector, box):
             rows.append(k)
             cols.append(index.index_of(Configuration(sites=target, sector=spec.sector)))
@@ -354,18 +409,12 @@ def _reference_template(spec):
     return kinetic, occupation, inter
 
 
-def _range2_pair_term(pattern, occs):
-    # a custom pair term that reads the distance, so it needs range 2
-    return occs[0] * occs[1] / (1.0 + sum(abs(a - b) for a, b in zip(*pattern)))
-
-
 _TEMPLATE_INTERACTIONS = {
     "none": InteractionSpec.none(),
     "pair_nn": InteractionSpec.pair_nn(0.3),
     "onsite": InteractionSpec.onsite(0.7),
-    "custom": InteractionSpec(
-        p=2, alpha=(0.0, 0.45), range=2, terms={2: _range2_pair_term}
-    ),
+    # pair_nn at a custom range, the widest that the side-3 boxes admit
+    "custom": InteractionSpec.pair_nn(0.45, range=2),
 }
 
 
@@ -484,20 +533,6 @@ def test_template_rejects_foreign_box():
 # ----------------------------------------------------------- template cache
 
 
-def _custom_onsite_spec(term):
-    inter = InteractionSpec(p=1, alpha=(1.0,), range=0, terms={1: term})
-    return OperatorSpec(box=Box.centered(1, 4), n=1, lam=1.0, interaction=inter)
-
-
-def test_template_cache_tells_custom_terms_apart():
-    # equal specs by OperatorSpec equality, different interaction callables
-    five = _custom_onsite_spec(lambda pattern, occs: 5.0)
-    one = _custom_onsite_spec(lambda pattern, occs: 1.0)
-    assert five == one
-    assert _template_for(five).interaction_diag.tolist() == [5.0] * 4
-    assert _template_for(one).interaction_diag.tolist() == [1.0] * 4
-
-
 def _pair_spec(side, n, alpha):
     return OperatorSpec(
         box=Box.centered(1, side),
@@ -525,7 +560,7 @@ def test_one_template_per_spec(monkeypatch):
         init(self, spec)
 
     monkeypatch.setattr(OperatorTemplate, "__init__", counting_init)
-    _cached_template.cache_clear()
+    _template_for.cache_clear()
     spec = _pair_spec(8, n=2, alpha=0.2)
     monitor_seed_rows(monitor_plan(spec, range(2)), 0)
     probe_samples(spec, 0, probe_pairs(spec, 3), default_probe_interval(spec))
