@@ -280,9 +280,6 @@ class ConfigIndex:
         except OverflowError:
             return math.inf
 
-    def __len__(self) -> int:
-        return self.size
-
     @cached_property
     def site_ranks(self) -> np.ndarray:
         """(size, n) read-only array: row k holds the site ranks of

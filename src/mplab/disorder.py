@@ -1,7 +1,8 @@
 """Site disorder: single-site densities and per-site random fields on boxes.
 
 Every site of a box gets its own counter-based substream (Philox keyed by
-(ensemble seed, site key)), so realizations are reproducible site by site,
+(ensemble seed, site key), the key an exact packing of the site's at most
+4 coordinates), so realizations are reproducible site by site,
 independent across sites, and stable under box enlargement: sampling a
 sub-box reproduces exactly the values the parent box assigns to the shared
 sites. Conditional resampling redraws marked sites from fresh counter tags
@@ -19,35 +20,31 @@ import numpy as np
 from .configspace import Box
 from .streams import philox_u01
 
-# Exact injective packing of coordinates into the 64-bit Philox key lane is
-# available for d <= 4 (64//d bits per signed coordinate); higher dimensions
-# fall back to a deterministic polynomial mix (collision odds ~ V^2 / 2^64).
-_MIX_MULT = np.uint64(0x9E3779B97F4A7C15)
-
 
 def site_keys(coords) -> np.ndarray:
     """Deterministic 64-bit stream keys of sites in absolute coordinates,
-    given as an integer array of shape (..., d); the keys have shape (...)."""
+    given as an integer array of shape (..., d); the keys have shape (...).
+
+    The packing is exact and injective for d <= 4: each signed coordinate
+    takes 64//d bits of the key. A larger d raises ValueError.
+    """
     coords = np.asarray(coords, dtype=np.int64)
     d = coords.shape[-1]
-    if d <= 4:
-        bits = 64 // d
-        offset = 1 << (bits - 1)
-        outside = (coords < -offset) | (coords >= offset)
-        if outside.any():
-            c = coords[outside].flat[0]
-            raise ValueError(
-                f"coordinate {c} exceeds the +-{offset} packing range for d={d}"
-            )
-        # c + offset, modulo 2^64, is the coordinate's unsigned lane value
-        lanes = coords.astype(np.uint64) + np.uint64(offset)
-        keys = lanes[..., 0]
-        for j in range(1, d):
-            keys = (keys << np.uint64(bits)) | lanes[..., j]
-        return keys
-    keys = np.full(coords.shape[:-1], d, dtype=np.uint64)
-    for j in range(d):
-        keys = keys * _MIX_MULT + (coords[..., j] + (1 << 31)).astype(np.uint64)
+    if d > 4:
+        raise ValueError(f"site keys pack at most 4 coordinates, got d={d}")
+    bits = 64 // d
+    offset = 1 << (bits - 1)
+    outside = (coords < -offset) | (coords >= offset)
+    if outside.any():
+        c = coords[outside].flat[0]
+        raise ValueError(
+            f"coordinate {c} exceeds the +-{offset} packing range for d={d}"
+        )
+    # c + offset, modulo 2^64, is the coordinate's unsigned lane value
+    lanes = coords.astype(np.uint64) + np.uint64(offset)
+    keys = lanes[..., 0]
+    for j in range(1, d):
+        keys = (keys << np.uint64(bits)) | lanes[..., j]
     return keys
 
 
@@ -55,30 +52,10 @@ def site_keys(coords) -> np.ndarray:
 # scale=sigma), written with scipy.special alone: importing scipy's stats
 # subpackage costs about a second and 33 MB per process. The code repeats
 # scipy 1.17's operations in the same order (rv_continuous.ppf,
-# truncnorm_gen, _log_gauss_mass), so every value agrees with scipy's bit
-# for bit. scipy.special is imported on first use, so `import mplab` stays
-# light.
-
-
-def _log_gauss_mass(a, b):
-    """log of the standard normal mass on [a, b], elementwise."""
-    import scipy.special as sc
-
-    a, b = np.broadcast_arrays(a, b)
-    left = b <= 0
-    right = a > 0
-    central = ~(left | right)
-    out = np.full_like(a, np.nan, dtype=np.complex128)
-    # log(Phi(hi) - Phi(lo)) in the left tail, as a complex log-difference;
-    # the right tail is its mirror image
-    for case, lo, hi in ((left, a, b), (right, -b, -a)):
-        if np.any(case):
-            out[case] = sc.logsumexp(
-                [sc.log_ndtr(hi[case]), sc.log_ndtr(lo[case]) + np.pi * 1j], axis=0
-            )
-    if np.any(central):
-        out[central] = sc.log1p(-sc.ndtr(a[central]) - sc.ndtr(-b[central]))
-    return np.real(out)
+# truncnorm_gen, and the central case of truncnorm's log mass, the only
+# case a cut at +-cutoff reaches: a < 0 < b), so every value agrees with
+# scipy's bit for bit. scipy.special is imported on first use, so
+# `import mplab` stays light.
 
 
 class _TruncatedGaussian:
@@ -86,9 +63,12 @@ class _TruncatedGaussian:
     the mass it keeps; a and b are the cut points in units of sigma."""
 
     def __init__(self, sigma: float, cutoff: float):
+        import scipy.special as sc
+
         self.sigma = sigma
         self.a, self.b = -cutoff / sigma, cutoff / sigma
-        self.log_mass = _log_gauss_mass(np.array([self.a]), np.array([self.b]))[0]
+        # -inf when cutoff/sigma underflows to 0: such a density is rejected
+        self.log_mass = sc.log1p(-sc.ndtr(self.a) - sc.ndtr(-self.b))
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         import scipy.special as sc
@@ -136,15 +116,15 @@ class DensitySpec:
                 raise ValueError(
                     f"truncated gaussian needs sigma, cutoff > 0, got {self.params}"
                 )
+            if not (math.isfinite(sigma) and math.isfinite(cutoff)):
+                raise ValueError(
+                    f"truncated gaussian needs finite sigma, cutoff, got {self.params}"
+                )
             gauss = _TruncatedGaussian(sigma, cutoff)
             if not np.isfinite(gauss.log_mass):
                 raise ValueError(
                     f"truncated gaussian {self.params} cannot be normalized: "
                     f"the mass within +-cutoff has log {gauss.log_mass}"
-                )
-            if not (math.isfinite(sigma) and math.isfinite(cutoff)):
-                raise ValueError(
-                    f"truncated gaussian needs finite sigma, cutoff, got {self.params}"
                 )
             object.__setattr__(self, "_gauss", gauss)
         elif self.kind == "piecewise":
@@ -201,13 +181,8 @@ class DensitySpec:
         breaks, _ = self.params
         return (breaks[0], breaks[-1])
 
-    @staticmethod
-    def _as_result(x, scalar: bool):
-        return float(x) if scalar else np.asarray(x, dtype=float)
-
     def ppf(self, u):
-        """Quantile function on [0, 1]; accepts scalars or arrays."""
-        scalar = np.isscalar(u) or np.ndim(u) == 0
+        """Quantile function on [0, 1], elementwise over an array."""
         u = np.asarray(u, dtype=float)
         if np.any((u < 0.0) | (u > 1.0)):
             raise ValueError("quantile argument outside [0, 1]")
@@ -228,7 +203,7 @@ class DensitySpec:
             idx = np.where(u <= 0.0, np.argmax(rho > 0), idx)
             safe_rho = np.where(rho[idx] > 0, rho[idx], 1.0)
             out = lo[idx] + (u - cum[idx]) / safe_rho
-        return self._as_result(out, scalar)
+        return out
 
     # ------------------------------------------------------ serialization
 

@@ -762,12 +762,6 @@ def _jsonable(value):
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return value if math.isfinite(value) else _format_cell(value)
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
-    if isinstance(value, complex):
-        return _jsonable([value.real, value.imag])
     raise TypeError(f"not JSON-serializable: {type(value)}")
 
 

@@ -330,30 +330,9 @@ class ProductBasis:
     left: ConfigIndex
     right: ConfigIndex
 
-    @property
-    def size(self) -> int:
-        return self.left.size * self.right.size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def split(self, config) -> tuple[Configuration, Configuration]:
-        """Split a composite configuration into its block parts.
-
-        Accepts either an explicit (left, right) pair of Configurations or a
-        single Configuration whose first left.n sites belong to the left
-        block (each part must be canonical for its block's sector).
-        """
-        if isinstance(config, tuple) and len(config) == 2:
-            return config
-        nl = self.left.n
-        return (
-            Configuration(sites=config.sites[:nl], sector=self.left.sector),
-            Configuration(sites=config.sites[nl:], sector=self.right.sector),
-        )
-
     def index_of(self, config) -> int:
-        cl, cr = self.split(config)
+        """Rank of a (left, right) pair of block configurations."""
+        cl, cr = config
         return self.left.index_of(cl) * self.right.size + self.right.index_of(cr)
 
 
@@ -422,8 +401,8 @@ def composite_green_check(
     x,
     y,
     z: complex,
-    quadrature_points=512,
-):
+    quadrature_points=(512,),
+) -> tuple:
     """Contour-convolution identity for the composite Green function.
 
     G_JK(x, y; z) = -(r/N) sum_m e^(i theta_m) G_J(x_J, y_J; z - E_m)
@@ -436,15 +415,14 @@ def composite_green_check(
     up to dimension _DENSE_SOLVE_CAP and sparse (SuperLU) above it, so the
     returned gap measures the identity, not a shared code path.
 
-    quadrature_points may also be a sequence of node counts: then one
-    CompositeCheck per count comes back, in order, and the block
-    eigendecompositions, the composite assembly and the direct solve are
-    shared between them.
+    x and y are (left, right) pairs of block configurations. quadrature_points
+    is a sequence of node counts: one CompositeCheck per count comes back, in
+    order, and the block eigendecompositions, the composite assembly and the
+    direct solve are shared between them.
     """
     z = complex(z)
     basis = ProductBasis(left=H_J.index, right=H_K.index)
-    xj, xk = basis.split(x)
-    yj, yk = basis.split(y)
+    (xj, xk), (yj, yk) = x, y
 
     S_J, S_K = spectral_data(H_J), spectral_data(H_K)
     e_j, e_k = S_J.energies, S_K.energies
@@ -457,7 +435,7 @@ def composite_green_check(
             f"pole at distance {pole_dist.min():.6g} from contour center, "
             f"radius {radius:.6g}: move z away from sigma(H_J) + sigma(H_K)"
         )
-    counts = [int(n) for n in np.atleast_1d(quadrature_points)]
+    counts = [int(n) for n in quadrature_points]
     if min(counts) < 2:
         raise ValueError(f"need at least 2 quadrature points, got {min(counts)}")
 
@@ -465,8 +443,8 @@ def composite_green_check(
         matrix, _ = composite_matrix(H_J, H_K)
     else:
         matrix = _composite_csr(H_J, H_K)
-    iy = basis.index_of((yj, yk))
-    ix = basis.index_of((xj, xk))
+    iy = basis.index_of(y)
+    ix = basis.index_of(x)
     direct = complex(_green_column(matrix, iy, z)[ix])
     checks = []
     for n in counts:
@@ -485,7 +463,7 @@ def composite_green_check(
                 quadrature_points=n,
             )
         )
-    return checks[0] if np.ndim(quadrature_points) == 0 else tuple(checks)
+    return tuple(checks)
 
 
 @dataclass(frozen=True)
@@ -514,17 +492,15 @@ def subadditivity_check(
 
     The right side deliberately uses the whole line on each block; the
     inequality is deterministic (holds per realization, not just on
-    average).
+    average). x and y are (left, right) pairs of block configurations.
     """
-    basis = S_JK.index
-    if not isinstance(basis, ProductBasis):
+    if not isinstance(S_JK.index, ProductBasis):
         raise ValueError("S_JK must come from composite_spectral_data")
-    xj, xk = basis.split(x)
-    yj, yk = basis.split(y)
+    (xj, xk), (yj, yk) = x, y
     full = EnergyInterval.full_line()
     q_left = correlator(S_J, xj, yj, full)
     q_right = correlator(S_K, xk, yk, full)
-    lhs = correlator(S_JK, (xj, xk), (yj, yk), interval)
+    lhs = correlator(S_JK, x, y, interval)
     return SubadditivityResult(
         lhs=lhs, rhs=q_left * q_right, q_left=q_left, q_right=q_right
     )

@@ -66,7 +66,7 @@ def philox_u01(seed: int, keys, tags) -> np.ndarray:
 
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MULT_L, _MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -99,7 +99,7 @@ def _seed_pool(words: list) -> list:
         return value ^ (value >> 16)
 
     def mix(x: int, y: int) -> int:
-        out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        out = (_MULT_L * x - _MULT_R * y) & _MASK32
         return out ^ (out >> 16)
 
     pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]

@@ -100,6 +100,17 @@ def test_truncated_gaussian_without_mass_rejected():
     # a small but representable mass still validates
     cfg["model"]["density"]["params"] = [1.0, 1e-8]
     assert validate(cfg) == []
+    # cutoff/sigma underflows to 0: the mass is exactly 0, not a round-off
+    # log mass that would let quantiles fall outside the support +-1e-320
+    with pytest.raises(ValueError, match="cannot be normalized"):
+        DensitySpec.truncated_gaussian(sigma=1e10, cutoff=1e-320)
+    cfg["model"]["density"]["params"] = [1e10, 1e-320]
+    violations = validate(cfg)
+    assert len(violations) == 1
+    assert violations[0].startswith("model.density: truncated gaussian")
+    # an infinite sigma is reported as such, before the mass
+    with pytest.raises(ValueError, match="needs finite sigma, cutoff"):
+        DensitySpec.truncated_gaussian(sigma=float("inf"), cutoff=1.0)
 
 
 def test_unnormalized_table_rejected_by_raw_constructor():
@@ -262,6 +273,13 @@ def test_site_keys_injective_for_small_dims():
 def test_site_key_range_check():
     with pytest.raises(ValueError):
         site_keys([(1 << 40, 0)])  # too wide for the 2d packing
+
+
+def test_site_keys_reject_more_than_four_coordinates():
+    with pytest.raises(ValueError, match="at most 4 coordinates, got d=5"):
+        site_keys(np.zeros((3, 5), dtype=np.int64))
+    with pytest.raises(ValueError, match="at most 4 coordinates, got d=5"):
+        sample(Box(d=5, side=2), UNIFORM_HALF, 0)
 
 
 # ------------------------------------------- batched draw vs per-site path

@@ -345,8 +345,8 @@ def test_composite_scalar_blocks_closed_form():
     a = HJ.matrix[0, 0]
     b = HK.matrix[0, 0]
     z = a + b + 2.0j
-    x = Configuration(sites=((0,), (0,)))
-    res = composite_green_check(HJ, HK, x, x, z, quadrature_points=128)
+    x = (c1(0), c1(0))
+    (res,) = composite_green_check(HJ, HK, x, x, z, quadrature_points=(128,))
     expect = 1.0 / (a + b - z)
     assert res.direct == pytest.approx(expect, rel=1e-12)
     assert res.gap < 1e-12
@@ -360,10 +360,10 @@ def test_composite_gap_small_and_quadrature_monotone():
     center = (eK.min() + eK.max()) / 2.0
     radius = max(1.25 * (eK.max() - eK.min()) / 2.0, 1.0)
     z = complex(np.median(eJ) + center, 1.05 * radius)
-    x = Configuration(sites=((0,), (0,)))
-    y = Configuration(sites=((4,), (1,)))
-    r256 = composite_green_check(HJ, HK, x, y, z, quadrature_points=256)
-    r512 = composite_green_check(HJ, HK, x, y, z, quadrature_points=512)
+    x = (c1(0), c1(0))
+    y = (c1(4), c1(1))
+    (r256,) = composite_green_check(HJ, HK, x, y, z, quadrature_points=(256,))
+    (r512,) = composite_green_check(HJ, HK, x, y, z, quadrature_points=(512,))
     assert r512.gap <= 1e-8
     assert r512.gap < r256.gap
 
@@ -371,10 +371,10 @@ def test_composite_gap_small_and_quadrature_monotone():
 def test_composite_check_shares_work_across_node_counts(monkeypatch):
     HJ = build(side=4, lam=2.0, seed=6)
     HK = build(side=3, lam=2.0, seed=7)
-    x = Configuration(sites=((0,), (2,)))
-    y = Configuration(sites=((3,), (1,)))
+    x = (c1(0), c1(2))
+    y = (c1(3), c1(1))
     z = complex(4.0, 6.0)
-    one = [composite_green_check(HJ, HK, x, y, z, n) for n in (16, 32)]
+    one = [composite_green_check(HJ, HK, x, y, z, (n,))[0] for n in (16, 32)]
     calls = {"spectral_data": 0, "_green_column": 0}
     for name in calls:
         fn = getattr(spectral, name)
@@ -394,13 +394,13 @@ def test_composite_direct_matches_eigensum_reference():
     HJ = build(side=5, lam=1.0, seed=2)
     HK = build(side=4, lam=2.0, seed=3)
     S = composite_spectral_data(HJ, HK)
-    x = Configuration(sites=((1,), (0,)))
-    y = Configuration(sites=((3,), (2,)))
+    x = (c1(1), c1(0))
+    y = (c1(3), c1(2))
     # Im z > radius keeps every pole strictly outside the contour
     eK = np.linalg.eigvalsh(HK.matrix.toarray())
     radius = max(1.25 * (eK.max() - eK.min()) / 2.0, 1.0)
     z = complex(3.7, 1.3 * radius)
-    res = composite_green_check(HJ, HK, x, y, z, quadrature_points=256)
+    (res,) = composite_green_check(HJ, HK, x, y, z, quadrature_points=(256,))
     ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
     assert res.direct == pytest.approx(ref, rel=1e-9)
     assert res.contour == pytest.approx(ref, rel=1e-6)
@@ -417,8 +417,8 @@ def test_composite_direct_solve_is_dense_up_to_the_cap(monkeypatch):
         return solve(matrix, iy, z)
 
     monkeypatch.setattr(spectral, "_green_column", recorded)
-    x = Configuration(sites=((1,), (0,)))
-    y = Configuration(sites=((9,), (12,)))
+    x = (c1(1), c1(0))
+    y = (c1(9), c1(12))
     HJ = build(side=16, lam=1.0, seed=2)
     for side in (16, 17):  # composite dimension 256, then 272
         HK = build(side=side, lam=2.0, seed=3)
@@ -426,7 +426,7 @@ def test_composite_direct_solve_is_dense_up_to_the_cap(monkeypatch):
         z = complex(3.7, 1.3 * max(1.25 * (eK.max() - eK.min()) / 2.0, 1.0))
         S = composite_spectral_data(HJ, HK)
         ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
-        res = composite_green_check(HJ, HK, x, y, z, quadrature_points=256)
+        (res,) = composite_green_check(HJ, HK, x, y, z, quadrature_points=(256,))
         assert res.direct == pytest.approx(ref, rel=1e-9)
     assert spectral._DENSE_SOLVE_CAP == 256
     assert kinds == ["numpy", "scipy"]
@@ -438,7 +438,7 @@ def test_composite_geometry_error_near_spectrum():
     eJ = np.linalg.eigvalsh(HJ.matrix.toarray())
     eK = np.linalg.eigvalsh(HK.matrix.toarray())
     z = complex(np.median(eJ) + (eK.min() + eK.max()) / 2.0, 0.05)
-    x = Configuration(sites=((0,), (0,)))
+    x = (c1(0), c1(0))
     with pytest.raises(ContourGeometryError):
         composite_green_check(HJ, HK, x, x, z)
 
@@ -455,11 +455,11 @@ def test_composite_identity_on_free_blocks(d, side, n):
     z = complex(eK.min() + eK.max(), radius + 0.75)
     origin = (0,) * d
     far = (side - 1,) * d
-    x = Configuration(sites=(origin,) * 2 * n)
-    y = Configuration(sites=(far,) + (origin,) * (2 * n - 1))
+    x = (Configuration(sites=(origin,) * n),) * 2
+    y = (Configuration(sites=(far,) + (origin,) * (n - 1)), x[1])
     S = composite_spectral_data(HJ, HK)
     ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
-    res = composite_green_check(HJ, HK, x, y, z, quadrature_points=512)
+    (res,) = composite_green_check(HJ, HK, x, y, z, quadrature_points=(512,))
     assert res.gap <= 1e-8
     assert res.contour == pytest.approx(ref, rel=1e-8)
     assert res.direct == pytest.approx(ref, rel=1e-9)
@@ -473,22 +473,10 @@ def test_composite_matrix_is_kron_sum():
     B = HK.dense()
     expect = np.kron(A, np.eye(2)) + np.kron(np.eye(3), B)
     assert np.allclose(M, expect, atol=0.0)
-    assert basis.size == 6
+    assert HJ.dim * HK.dim == 6
     # entry for entry, signs of zeros included, the sparse Kronecker sum
     kron_sum = sp.kron(HJ.matrix, sp.identity(2)) + sp.kron(sp.identity(3), HK.matrix)
     assert M.tobytes() == kron_sum.toarray().tobytes()
-
-
-def test_product_basis_split_rejects_bad_parts():
-    HJ = build(side=3, lam=1.0, seed=0, n=1, sector="fermion")
-    HK = build(side=3, lam=1.0, seed=1, n=2, sector="fermion")
-    _, basis = composite_matrix(HJ, HK)
-    good = Configuration(sites=((0,), (0,), (2,)), sector="distinguishable")
-    # right part ((0,), (2,)) is canonical for fermions, so this splits
-    cl, cr = basis.split(good)
-    assert cl.sites == ((0,),) and cr.sites == ((0,), (2,))
-    with pytest.raises(ValueError):
-        basis.split(Configuration(sites=((0,), (2,), (0,))))
 
 
 # ------------------------------------------------------------ subadditivity
@@ -503,8 +491,8 @@ def test_subadditivity_sweep_no_violations():
         SJK = composite_spectral_data(HJ, HK)
         xs = rng.integers(0, 5), rng.integers(0, 4)
         ys = rng.integers(0, 5), rng.integers(0, 4)
-        x = Configuration(sites=((int(xs[0]),), (int(xs[1]),)))
-        y = Configuration(sites=((int(ys[0]),), (int(ys[1]),)))
+        x = (c1(int(xs[0])), c1(int(xs[1])))
+        y = (c1(int(ys[0])), c1(int(ys[1])))
         lo = float(rng.uniform(-2, 4))
         res = subadditivity_check(
             SJ, SK, SJK, x, y, EnergyInterval(lo, lo + float(rng.uniform(0, 6)))
@@ -518,7 +506,7 @@ def test_subadditivity_diagonal_equality_case():
     HK = build(side=3, lam=2.0, seed=12)
     SJ, SK = spectral_data(HJ), spectral_data(HK)
     SJK = composite_spectral_data(HJ, HK)
-    x = Configuration(sites=((2,), (1,)))
+    x = (c1(2), c1(1))
     res = subadditivity_check(SJ, SK, SJK, x, x, EnergyInterval.full_line())
     assert res.lhs == pytest.approx(1.0)
     assert res.rhs == pytest.approx(1.0)
