@@ -36,7 +36,6 @@ from .harness import (
     ResultTable,
     emit,
     load_config,
-    read_table,
     run,
     validate,
 )

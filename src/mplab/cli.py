@@ -3,16 +3,14 @@
 Exit codes: 0 success, 2 validation failure or a bad command line (such
 as --workers below 1), 3 budget overrun. Settings that validate but have
 no effect are printed as `warning:` lines on stderr and leave the exit
-code alone. The MPLAB_SEED environment variable overrides
-ensemble.base_seed (handy for CI smoke runs); explicit --set overrides are
-applied after it and win.
+code alone. A config field is overridden only by --set, which takes its
+dotted path; the config echoed in meta.json records the values used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import BudgetError
@@ -34,20 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mplab",
         description="Run localization experiments described by JSON configs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="validate, execute, and write results")
-    run_p.add_argument("config", help="path to a JSON experiment config")
-    run_p.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=None,
-        help="parallel worker processes (default: available cores)",
-    )
-    run_p.add_argument(
-        "--out", default=None, help="override output.directory from the config"
-    )
-    run_p.add_argument(
+    # the arguments of both commands
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", help="path to a JSON experiment config")
+    common.add_argument(
         "--set",
         dest="overrides",
         action="append",
@@ -56,15 +44,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a config field by dotted path, e.g. model.lambda=15 "
         "(VALUE parsed as JSON when possible, else kept as a string)",
     )
-
-    val_p = sub.add_parser("validate", help="check a config and list violations")
-    val_p.add_argument("config", help="path to a JSON experiment config")
-    val_p.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
+    sub = parser.add_subparsers(dest="command", required=True)
+    run_p = sub.add_parser(
+        "run", parents=[common], help="validate, execute, and write results"
+    )
+    run_p.add_argument(
+        "--workers",
+        type=_worker_count,
+        default=None,
+        help="parallel worker processes (default: available cores)",
+    )
+    sub.add_parser(
+        "validate", parents=[common], help="check a config and list violations"
     )
     return parser
 
@@ -82,19 +73,14 @@ def _parse_override(text: str):
     return key, value
 
 
-def _load_raw(path: str, overrides, out_dir=None) -> dict:
+def _load_raw(path: str, overrides) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    env_seed = os.environ.get("MPLAB_SEED")
-    if env_seed is not None:
-        apply_override(raw, "ensemble.base_seed", int(env_seed))
     for item in overrides:
         key, value = _parse_override(item)
         apply_override(raw, key, value)
-    if out_dir is not None:
-        apply_override(raw, "output.directory", out_dir)
     return raw
 
 
@@ -108,9 +94,7 @@ def _report_violations(violations) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = _load_raw(
-            args.config, args.overrides, getattr(args, "out", None)
-        )
+        raw = _load_raw(args.config, args.overrides)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -119,15 +103,11 @@ def main(argv=None) -> int:
     for warning in config_warnings(config):
         print(f"warning: {warning}", file=sys.stderr)
     violations = validate(config)
-
-    if args.command == "validate":
-        if violations:
-            return _report_violations(violations)
-        print("ok")
-        return EXIT_OK
-
     if violations:
         return _report_violations(violations)
+    if args.command == "validate":
+        print("ok")
+        return EXIT_OK
     try:
         table = run(config, workers=args.workers)
     except BudgetError as err:

@@ -107,6 +107,8 @@ from .spectral import (
 )
 from .streams import Stream
 
+UNIT_CAP = 100_000  # the most seeds, instances or region samples a run builds
+
 
 class ConfigError(ValueError):
     """A config failed validation; `violations` lists every problem."""
@@ -521,6 +523,13 @@ def validate(config) -> list:
             f"{DENSE_DIAG_CAP}^2 entries, the largest dense matrix under "
             "the dense-diagonalization cap"
         )
+    for path in ("ensemble.count", "params.instances", "params.omega_samples"):
+        section, _, field = path.partition(".")
+        units = getattr(config, section).get(field)
+        if _is_int(units) and units > UNIT_CAP:
+            out.append(
+                f"budget: {path} {magnitude(units)} exceeds the unit cap {UNIT_CAP}"
+            )
     return out
 
 
@@ -690,16 +699,6 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _parse_cell(text: str, dtype: str):
-    if dtype == "int":
-        return int(text)
-    if dtype == "float":
-        return float(text)
-    if dtype == "bool":
-        return text == "true"
-    return text
-
-
 def emit(table: ResultTable, directory, basename: str, formats=("csv", "json")):
     """Write the table (CSV and/or JSON mirror) plus a metadata sidecar.
 
@@ -745,10 +744,6 @@ def _json_text(obj, sort_keys: bool) -> str:
     return text + "\n"
 
 
-# strict JSON has no literal for these; emit spells them as the CSV does
-_NONFINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
-
-
 def _jsonable(value):
     """Copy of value made of JSON types, non-finite floats as strings."""
     if isinstance(value, dict):
@@ -763,46 +758,6 @@ def _jsonable(value):
         value = float(value)
         return value if math.isfinite(value) else _format_cell(value)
     raise TypeError(f"not JSON-serializable: {type(value)}")
-
-
-def _from_jsonable(value):
-    """Inverse of _jsonable's non-finite encoding, applied recursively.
-
-    A metadata string spelled exactly "inf", "-inf" or "nan" reads back
-    as the float it names.
-    """
-    if isinstance(value, dict):
-        return {k: _from_jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_from_jsonable(v) for v in value]
-    if isinstance(value, str):
-        return _NONFINITE.get(value, value)
-    return value
-
-
-def read_table(csv_path) -> ResultTable:
-    """Rebuild a ResultTable from its CSV file and metadata sidecar."""
-    csv_path = Path(csv_path)
-    sidecar = csv_path.parent / (csv_path.stem + ".meta.json")
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        raw_rows = [row for row in reader]
-    dtypes = ["str"] * len(header)
-    metadata = {}
-    if sidecar.exists():
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if list(meta.get("columns", [])) == header:
-            dtypes = list(meta.get("dtypes", dtypes))
-        metadata = _from_jsonable(meta.get("metadata", {}))
-    rows = tuple(
-        tuple(_parse_cell(cell, dt) for cell, dt in zip(row, dtypes))
-        for row in raw_rows
-    )
-    return ResultTable(
-        columns=tuple(header), dtypes=tuple(dtypes), rows=rows, metadata=metadata
-    )
 
 
 # ------------------------------------------------------------- parallel map

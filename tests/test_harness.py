@@ -1,6 +1,7 @@
 """Config validation, deterministic execution, persistence, CLI exit codes."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -22,7 +23,6 @@ from mplab.harness import (
     ExperimentConfig,
     ResultTable,
     emit,
-    read_table,
     run,
     validate,
 )
@@ -570,6 +570,31 @@ _VALIDATE_CORPUS = [
             'dense-diagonalization cap',
         ],
         id="composite_quadrature_points_of_31_digits",
+    ),
+    # a run builds one unit per seed, block-pair instance or region sample:
+    # these validated and then hung or allocated without end
+    pytest.param(
+        _cfg("composite_check", params={"instances": 10**30}),
+        ['budget: params.instances ~10^30 exceeds the unit cap 100000'],
+        id="composite_instances_of_31_digits",
+    ),
+    pytest.param(
+        _cfg("b_monitor", params={"omega_samples": 10**30}),
+        ['budget: params.omega_samples ~10^30 exceeds the unit cap 100000'],
+        id="monitor_omega_samples_of_31_digits",
+    ),
+    pytest.param(
+        _cfg("decay_probe", ensemble={"count": 2**63}),
+        ['budget: ensemble.count 9223372036854775808 exceeds the unit cap 100000'],
+        id="probe_count_of_2_to_the_63",
+    ),
+    pytest.param(
+        _cfg("decay_probe", ensemble={"count": 100_000}), [], id="probe_count_at_the_cap"
+    ),
+    pytest.param(
+        _cfg("region_scan", params={"omega_samples": 100_001}),
+        ['budget: params.omega_samples 100001 exceeds the unit cap 100000'],
+        id="scan_omega_samples_one_past_the_cap",
     ),
     # site coordinates lie in int64, the range the stream keys pack, and
     # every other integer of 5000 digits is spelled ~10^k in its message
@@ -1207,7 +1232,27 @@ def test_run_raises_budget_error(tmp_path):
         run(cfg, workers=1)
 
 
-# ----------------------------------------------------------------- emit/read
+# ---------------------------------------------------------------------- emit
+
+
+def _csv_cells(path) -> list:
+    """The rows of an emitted CSV file, header first, as lists of cells."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _csv_rows(path, table) -> list:
+    """The rows below an emitted CSV's header, each cell read by its dtype
+    in `table`; the header must be the table's columns."""
+    read = {"int": int, "float": float, "str": str,
+            "bool": {"true": True, "false": False}.__getitem__}
+    header, *rows = _csv_cells(path)
+    assert tuple(header) == table.columns
+    return [tuple(read[dt](c) for c, dt in zip(row, table.dtypes)) for row in rows]
+
+
+def _sidecar(path) -> dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def test_seventeen_digit_floats(tmp_path):
@@ -1220,8 +1265,12 @@ def test_seventeen_digit_floats(tmp_path):
     emit(table, tmp_path, "fmt")
     text = (tmp_path / "fmt.csv").read_text()
     assert "0.33333333333333331" in text
-    back = read_table(tmp_path / "fmt.csv")
-    assert back == table
+    # float() of a 17-digit cell is the same double
+    assert _csv_rows(tmp_path / "fmt.csv", table) == list(table.rows)
+    assert _sidecar(tmp_path / "fmt.meta.json") == {
+        "columns": ["x", "tag"], "dtypes": ["float", "str"],
+        "metadata": {"note": "synthetic"},
+    }
 
 
 def test_empty_table_header_only(tmp_path):
@@ -1231,7 +1280,10 @@ def test_empty_table_header_only(tmp_path):
     emit(table, tmp_path, "empty")
     lines = (tmp_path / "empty.csv").read_text().splitlines()
     assert lines == ["a,b"]
-    assert read_table(tmp_path / "empty.csv") == table
+    assert _csv_rows(tmp_path / "empty.csv", table) == []
+    assert _sidecar(tmp_path / "empty.meta.json") == {
+        "columns": ["a", "b"], "dtypes": ["int", "float"], "metadata": {},
+    }
 
 
 def test_quoting_survives_round_trip(tmp_path):
@@ -1244,7 +1296,7 @@ def test_quoting_survives_round_trip(tmp_path):
     emit(table, tmp_path, "quoted")
     raw = (tmp_path / "quoted.csv").read_text()
     assert '"5,3"' in raw
-    assert read_table("%s/quoted.csv" % tmp_path).rows == table.rows
+    assert _csv_rows(tmp_path / "quoted.csv", table) == list(table.rows)
 
 
 def _one_row(metadata):
@@ -1300,14 +1352,14 @@ def test_json_is_strict_and_non_finite_round_trips(tmp_path):
     mirror = _strict_loads((tmp_path / "edge.json").read_text())
     assert mirror["rows"] == [["inf", "-inf"], ["nan", 0.5]]
     meta = _strict_loads((tmp_path / "edge.meta.json").read_text())
-    assert meta["metadata"]["xi"] == "inf"
-    back = read_table(tmp_path / "edge.csv")
-    assert back.rows[0] == (inf, -inf)
-    assert math.isnan(back.rows[1][0]) and back.rows[1][1] == 0.5
-    assert back.metadata["xi"] == inf
-    assert back.metadata["fits"][0] == {"slope": -inf}
-    assert math.isnan(back.metadata["fits"][1])
-    assert back.metadata["label"] == "info"
+    assert meta["metadata"] == {
+        "xi": "inf", "fits": [{"slope": "-inf"}, "nan"], "label": "info"
+    }
+    # the CSV spells them alike, and float() reads each back
+    assert _csv_cells(tmp_path / "edge.csv")[1:] == [["inf", "-inf"], ["nan", "0.5"]]
+    rows = _csv_rows(tmp_path / "edge.csv", table)
+    assert rows[0] == (inf, -inf)
+    assert math.isnan(rows[1][0]) and rows[1][1] == 0.5
 
 
 def test_region_scan_without_disorder_writes_strict_json(tmp_path):
@@ -1324,8 +1376,8 @@ def test_region_scan_without_disorder_writes_strict_json(tmp_path):
     mirror = _strict_loads((tmp_path / "region_scan.json").read_text())
     assert mirror["rows"][0][xi] == "inf"
     _strict_loads((tmp_path / "region_scan.meta.json").read_text())
-    back = read_table(tmp_path / "region_scan.csv")
-    assert back.rows == t.rows
+    assert _csv_cells(tmp_path / "region_scan.csv")[1][xi] == "inf"
+    assert _csv_rows(tmp_path / "region_scan.csv", t) == list(t.rows)
 
 
 def test_bool_column_round_trips(tmp_path):
@@ -1338,14 +1390,15 @@ def test_bool_column_round_trips(tmp_path):
         "output": {"directory": str(tmp_path)},
     }
     t = run(raw, workers=1)
-    back = read_table(tmp_path / "subadditivity.csv")
-    assert back.dtypes[t.columns.index("satisfied")] == "bool"
-    assert back.rows == t.rows
+    meta = _sidecar(tmp_path / "subadditivity.meta.json")
+    assert meta["dtypes"][t.columns.index("satisfied")] == "bool"
+    assert _csv_rows(tmp_path / "subadditivity.csv", t) == list(t.rows)
     # every instance above satisfies the bound, so write a false one too
     flags = ResultTable(columns=("ok",), dtypes=("bool",), rows=((True,), (False,)),
                         metadata={})
     emit(flags, tmp_path, "flags")
-    assert read_table(tmp_path / "flags.csv").rows == flags.rows
+    assert _csv_cells(tmp_path / "flags.csv") == [["ok"], ["true"], ["false"]]
+    assert _csv_rows(tmp_path / "flags.csv", flags) == list(flags.rows)
 
 
 def test_json_mirror_matches(tmp_path):
@@ -1365,12 +1418,12 @@ def test_sidecar_holds_config_for_reruns(tmp_path):
     assert "config_sha256" in meta["metadata"]
     assert "version" in meta["metadata"]
     assert "wall_time_s" in meta["metadata"]
-    # the echoed config re-runs to the same rows
+    # the echoed config re-runs to the same bytes
     echoed = copy.deepcopy(echoed)
     echoed["output"]["directory"] = str(tmp_path / "again")
-    t2 = run(echoed, workers=1)
-    t1 = read_table(tmp_path / "decay_probe.csv")
-    assert t1.rows == t2.rows
+    run(echoed, workers=1)
+    first = (tmp_path / "decay_probe.csv").read_bytes()
+    assert (tmp_path / "again" / "decay_probe.csv").read_bytes() == first
 
 
 # -------------------------------------------------------------- determinism
@@ -1629,7 +1682,7 @@ def test_cli_set_overrides_apply(tmp_path):
         [
             "run", path,
             "--workers", "1",
-            "--out", str(out),
+            "--set", f"output.directory={out}",
             "--set", "model.lambda=15",
             "--set", "ensemble.count=3",
         ]
@@ -1638,16 +1691,17 @@ def test_cli_set_overrides_apply(tmp_path):
     meta = json.loads((out / "decay_probe.meta.json").read_text())
     assert meta["metadata"]["config"]["model"]["lambda"] == 15
     assert meta["metadata"]["config"]["ensemble"]["count"] == 3
-    t = read_table(out / "decay_probe.csv")
-    assert t.rows[0][5] == "0..2"
+    assert _csv_cells(out / "decay_probe.csv")[1][5] == "0..2"
 
 
 def test_cli_env_seed_override(tmp_path, monkeypatch):
+    """MPLAB_SEED once replaced ensemble.base_seed; the seeds are now the
+    config's own."""
     path = write_cfg(tmp_path, probe_config(tmp_path / "env"))
     monkeypatch.setenv("MPLAB_SEED", "50")
     assert cli.main(["run", path, "--workers", "1"]) == 0
-    t = read_table(tmp_path / "env" / "decay_probe.csv")
-    assert t.rows[0][5] == "50..53"
+    rows = _csv_cells(tmp_path / "env" / "decay_probe.csv")[1:]
+    assert rows and {row[5] for row in rows} == {"0..3"}
 
 
 def test_cli_explicit_set_beats_env(tmp_path, monkeypatch):
@@ -1655,8 +1709,40 @@ def test_cli_explicit_set_beats_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MPLAB_SEED", "50")
     rc = cli.main(["run", path, "--workers", "1", "--set", "ensemble.base_seed=7"])
     assert rc == 0
-    t = read_table(tmp_path / "env2" / "decay_probe.csv")
-    assert t.rows[0][5] == "7..10"
+    rows = _csv_cells(tmp_path / "env2" / "decay_probe.csv")[1:]
+    assert rows and {row[5] for row in rows} == {"7..10"}
+
+
+def test_cli_has_no_out_flag(tmp_path, capsys):
+    """The output directory is set by --set output.directory=DIR."""
+    path = write_cfg(tmp_path, probe_config(tmp_path / "a"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", path, "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("params", "instances", 10**30), ("params", "omega_samples", 10**30),
+     ("ensemble", "count", 2**63)],
+    ids=["instances", "omega_samples", "count"],
+)
+def test_cli_budget_exit_code_for_a_huge_unit_count(
+    tmp_path, capsys, command, section, field, value
+):
+    """Each validated, and a run then hung or allocated without end."""
+    kind = {"instances": "composite_check", "omega_samples": "b_monitor",
+            "count": "decay_probe"}[field]
+    cfg = {"kind": kind, section: {field: value},
+           "output": {"directory": str(tmp_path / "out")}}
+    assert cli.main([command, write_cfg(tmp_path, cfg)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"invalid: budget: {section}.{field} ")
+    assert line.endswith(f"exceeds the unit cap {harness.UNIT_CAP}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bad_override_syntax(tmp_path, capsys):

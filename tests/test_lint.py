@@ -107,3 +107,42 @@ READERS = [p.read_text() for p in [*SRC.glob("*.py"), *ROOT.glob("perfbench/**/*
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_private_names_are_read(module):
     assert unread_private_names((SRC / module).read_text(), READERS) == []
+
+
+def environment_reads(source: str) -> list[str]:
+    """The `os.environ` and `os.getenv` reads in source, as
+    "line: expression", in line order. A module that reads the environment
+    gives a second way to set what a config field sets."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [
+                (node.lineno, f"from os import {a.name}")
+                for a in node.names if a.name in ("environ", "getenv")
+            ]
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_environment_reads_finds_every_spelling():
+    source = (
+        "import os\n"
+        "from os import getenv as g\n"
+        "seed = os.environ.get('SEED')\n"
+        "path = os.getenv('PATH')\n"
+        "cores = os.sched_getaffinity(0)\n"
+        "def f():\n"
+        "    return os.environ['HOME']\n"
+    )
+    assert environment_reads(source) == [
+        "2: from os import getenv",
+        "3: os.environ",
+        "4: os.getenv",
+        "7: os.environ",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_reads_no_environment_variable(module):
+    assert environment_reads((SRC / module).read_text()) == []
