@@ -40,11 +40,11 @@ from .operator import OperatorSpec, _template_for, gershgorin_interval
 from .spectral import (
     DENSE_DIAG_CAP,
     EnergyInterval,
+    SpectralData,
     _green_column,
     correlator,
     green_block,
     green_entries,
-    resolvent_weights,
     spectral_data,
 )
 from .streams import Stream
@@ -272,34 +272,30 @@ def probe_pairs(spec: OperatorSpec, max_points: int = 6):
 
 
 def probe_samples(
-    spec: OperatorSpec,
-    seed: int,
+    S: SpectralData,
     pairs,
     interval: EnergyInterval,
     s: float = 0.5,
     eta: float = DEFAULT_ETA,
     quad_points: int = DEFAULT_QUAD_POINTS,
-    density: DensitySpec = UNIFORM_HALF,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair (moment, correlator) samples for a single realization.
+    """Per-pair (moment, correlator) samples of one realization's spectrum S.
 
     The moment column averages |G|^s over quad_points midpoint nodes of
     `interval` at height eta; the correlator column uses the whole line, the
-    monotone envelope of the interval correlators. One eigendecomposition
-    serves every pair and both columns. The output depends only on this
-    seed, so the per-seed outputs of a seed list, folded in order, give the
-    same rows however the list was partitioned among workers.
+    monotone envelope of the interval correlators. S serves every pair and
+    both columns. The output depends only on the realization, so the
+    per-seed outputs of a seed list, folded in order, give the same rows
+    however the list was partitioned among workers.
     """
     s = _check_s(s)
     pairs = [(px, py) for px, py in pairs]
     nodes = _interval_nodes(interval, quad_points)
-    index = spec.config_index
-    ranks = [(index.index_of(px), index.index_of(py)) for px, py in pairs]
     full = EnergyInterval.full_line()
     moments = np.empty(len(pairs))
     qvals = np.empty(len(pairs))
-    S = realization_spectrum(spec, seed, density)
-    for p, ((px, py), (ix, iy)) in enumerate(zip(pairs, ranks)):
+    for p, (px, py) in enumerate(pairs):
+        ix, iy = S.rank_of(px), S.rank_of(py)
         moments[p] = np.mean(np.abs(green_entries(S, ix, iy, nodes + 1j * eta)) ** s)
         qvals[p] = correlator(S, px, py, full)
     return moments, qvals
@@ -399,16 +395,15 @@ def _clustered_ranks(
 
 @dataclass(frozen=True)
 class RegionTask:
-    """One region of the monitor's family with its admissible pair geometry.
-
-    Ranks index configurations of the operator restricted to `box`; anchors
-    group the boundary-cluster ranks per boundary site. The boundary
+    """One region of the monitor's family: the operator restricted to it and
+    the ranks of its center clusters (x_ranks) and of the boundary clusters
+    of its boundary sites, site after site (y_ranks). The boundary
     prefactor always refers to the full box, no matter the region.
     """
 
-    box: Box
+    spec: OperatorSpec
     x_ranks: tuple
-    anchors: tuple
+    y_ranks: tuple
     pair_count: int
 
 
@@ -421,7 +416,6 @@ class MonitorPlan:
     All fields are plain data, safe to ship to worker processes.
     """
 
-    spec: OperatorSpec
     regions: tuple
     tile_edges: tuple
     s: float
@@ -441,15 +435,15 @@ def _region_task(
     rspec = dataclasses.replace(spec, box=region)
     index = rspec.config_index
     x_ranks = _clustered_ranks(index, (0,) * region.d, half_width, spec.norm)
-    anchors = [
-        _clustered_ranks(index, y, half_width, spec.norm)
+    # a boundary site outside the region anchors no cluster
+    y_ranks = tuple(
+        int(k)
         for y in boundary_sites
-        if region.contains(y)
-    ]
-    anchors = [rr for rr in anchors if rr.size]
-    if x_ranks.size == 0 or not anchors:
+        for k in _clustered_ranks(index, y, half_width, spec.norm)
+    )
+    if x_ranks.size == 0 or not y_ranks:
         return None
-    pair_count = int(x_ranks.size) * sum(int(rr.size) for rr in anchors)
+    pair_count = int(x_ranks.size) * len(y_ranks)
     if pair_count > B_PAIR_BUDGET:
         raise BudgetError(
             f"boundary pair count {pair_count} exceeds budget {B_PAIR_BUDGET}",
@@ -457,9 +451,9 @@ def _region_task(
             limit=B_PAIR_BUDGET,
         )
     return RegionTask(
-        box=region,
+        spec=rspec,
         x_ranks=tuple(int(k) for k in x_ranks),
-        anchors=tuple(tuple(int(k) for k in rr) for rr in anchors),
+        y_ranks=y_ranks,
         pair_count=pair_count,
     )
 
@@ -536,7 +530,6 @@ def monitor_plan(
             if task is not None:
                 regions.append(task)
     return MonitorPlan(
-        spec=spec,
         regions=tuple(regions),
         tile_edges=tuple(float(e) for e in tile_edges),
         s=s,
@@ -547,17 +540,24 @@ def monitor_plan(
     )
 
 
-def monitor_seed_rows(plan: MonitorPlan, seed: int) -> tuple:
-    """Tile-resolved boundary sums of one realization, one row per region.
+def monitor_spectra(plan: MonitorPlan, seed: int):
+    """Each region's SpectralData at `seed`, in plan order; lazy, so that a
+    consumer holds one region's at a time."""
+    for task in plan.regions:
+        yield realization_spectrum(task.spec, seed, plan.density)
 
-    A region forms D = 1/(E - z) at the nodes of all tiles once and
-    evaluates the Green entries of its center clusters against all anchor
-    configurations in green_block products with it, over chunks of the
-    center ranks sized by dim, the node count and the anchor count so that
-    no product exceeds _BLOCK_BYTES, and folds the sum of |G|^s per tile.
-    Rows depend only on this seed and the plan, so an ensemble may be split
-    across workers and the rows reassembled in seed order with results
-    identical to a serial sweep.
+
+def monitor_seed_rows(plan: MonitorPlan, spectra) -> tuple:
+    """Tile-resolved boundary sums of one realization, one row per region,
+    from the region spectra in plan order (`monitor_spectra`).
+
+    A region evaluates the Green entries of its center clusters against all
+    anchor configurations at the nodes of all tiles in green_block products,
+    over chunks of the center ranks sized by dim, the node count and the
+    anchor count so that no product exceeds _BLOCK_BYTES, and folds the sum
+    of |G|^s per tile. Rows depend only on the realization and the plan, so
+    an ensemble may be split across workers and the rows reassembled in
+    seed order with results identical to a serial sweep.
     """
     tile_edges = np.asarray(plan.tile_edges)
     tiles, q = tile_edges.size - 1, plan.quad_points
@@ -566,16 +566,13 @@ def monitor_seed_rows(plan: MonitorPlan, seed: int) -> tuple:
     zs = (tile_edges[:-1, None] + offsets).ravel() + 1j * plan.eta
     prefactor = float(plan.boundary_count)
     rows = []
-    for task in plan.regions:
-        rspec = dataclasses.replace(plan.spec, box=task.box)
-        S = realization_spectrum(rspec, seed, plan.density)
+    for task, S in zip(plan.regions, spectra, strict=True):
         x_ranks = np.asarray(task.x_ranks)
-        y_ranks = np.concatenate(task.anchors)
+        y_ranks = np.asarray(task.y_ranks)
         step = max(1, _BLOCK_BYTES // (8 * y_ranks.size * max(S.dim, 2 * zs.size)))
-        d = resolvent_weights(S, zs)
         row = np.zeros(tiles)
         for lo in range(0, x_ranks.size, step):
-            G = green_block(S, x_ranks[lo : lo + step], y_ranks, d)
+            G = green_block(S, x_ranks[lo : lo + step], y_ranks, zs)
             terms = (np.abs(G) ** plan.s).reshape(tiles, q, -1)
             row += prefactor * np.sum(terms, axis=(1, 2)) / q
         rows.append(row)

@@ -27,9 +27,9 @@ a runner maps its units through `_chunked_map` (per seed with
 results in order and returns `(rows, metadata)`; `run` builds the one
 `ResultTable` from the kind's columns and the run metadata, and emits it.
 region_scan composes these pipelines: its unit is one (lambda, alpha)
-point, which runs the monitor maps of `rescaling` (`_monitor_runs`) and
-the probe map of `decay_probe` (`_probe_rows`) serially for the model at
-that point and folds them into the point's verdict (`scan_verdict`).
+point, whose serial sweep over the seeds runs the monitors of `rescaling`
+and the probe of `decay_probe`, which reads the side-2L monitor's
+full-box spectrum, and folds them into the point's verdict.
 
 Execution is deterministic by construction: work splits into units that
 depend only on their own seed (or instance index), workers share nothing
@@ -58,12 +58,12 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,8 +82,10 @@ from .diagnostics import (
     monitor_plan,
     monitor_reduce,
     monitor_seed_rows,
+    monitor_spectra,
     probe_pairs,
     probe_samples,
+    realization_spectrum,
     rescaling_check,
     scan_verdict,
     wegner_samples,
@@ -779,6 +781,8 @@ def _chunked_map(fn, units, workers):
     workers = min(cpus if workers is None else int(workers), len(units), cpus)
     if workers <= 1:
         return [fn(u) for u in units]
+    # serial runs never load the process pool and multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     chunksize = max(1, math.ceil(len(units) / (workers * 4)))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, units, chunksize=chunksize))
@@ -801,8 +805,8 @@ def _instance_map(unit, config: ExperimentConfig, workers) -> list:
 
 
 def _probe_unit(args):
-    (spec, pairs, interval, s, eta, quad_points, density), seed = args
-    return probe_samples(spec, seed, pairs, interval, s, eta, quad_points, density)
+    (spec, density, probe), seed = args
+    return probe_samples(realization_spectrum(spec, seed, density), *probe)
 
 
 def _wegner_unit(args):
@@ -812,7 +816,7 @@ def _wegner_unit(args):
 
 def _monitor_unit(args):
     plan, seed = args
-    return monitor_seed_rows(plan, seed)
+    return monitor_seed_rows(plan, monitor_spectra(plan, seed))
 
 
 def _draw_block(rng, config: ExperimentConfig, candidates):
@@ -910,12 +914,8 @@ def _numerics(config: ExperimentConfig, eta_default, qp_default):
     return float(num["s"]), eta, qp
 
 
-def _probe_rows(item, seeds, workers):
-    """(dist, q, moment) per pair of item = (spec, pairs, interval, s, eta,
-    quad_points, density): q and moment are the Estimates of the pair's
-    columns of one per-seed map."""
-    spec, pairs = item[:2]
-    (results,) = _per_seed_map(_probe_unit, [item], seeds, workers)
+def _probe_rows(spec, pairs, results, seeds):
+    """(dist, q, moment) per pair: the Estimates of the per-seed samples."""
     moments, qvals = (np.stack(col).T for col in zip(*results))
     return [
         (
@@ -938,10 +938,12 @@ def _run_probe(config: ExperimentConfig, workers):
         if iv is None
         else EnergyInterval(float(iv[0]), float(iv[1]))
     )
-    item = (spec, tuple(pairs), interval, s, eta, qp, density)
+    item = (spec, density, (tuple(pairs), interval, s, eta, qp))
+    seeds = config.seeds()
+    (results,) = _per_seed_map(_probe_unit, [item], seeds, workers)
     rows = [
         (int(dist), q.mean, q.stderr, moment.mean, moment.stderr, q.seeds)
-        for dist, q, moment in _probe_rows(item, config.seeds(), workers)
+        for dist, q, moment in _probe_rows(spec, pairs, results, seeds)
     ]
     return rows, {
         "interval": [interval.lo, interval.hi],
@@ -1001,23 +1003,21 @@ def _monitor_runs(config: ExperimentConfig, sides, workers):
     """Monitor plans at each box side and their reduced results, from one
     per-seed map over the plans."""
     seeds = config.seeds()
-    # eta None: monitor_plan matches it to the quadrature resolution
-    s, eta, qp = _numerics(config, None, B_MONITOR_QUAD_POINTS)
-    density = config.density_spec()
-    plans = [
-        monitor_plan(
-            config.operator_spec(side=side),
-            seeds,
-            s=s,
-            omega_samples=int(config.params["omega_samples"]),
-            eta=eta,
-            quad_points=qp,
-            density=density,
-        )
-        for side in sides
-    ]
+    plans = _monitor_plans(config, sides)
     groups = _per_seed_map(_monitor_unit, plans, seeds, workers)
     return plans, [monitor_reduce(p, seeds, g) for p, g in zip(plans, groups)]
+
+
+def _monitor_plans(config: ExperimentConfig, sides) -> list:
+    """The monitor plan at each box side."""
+    # eta None: monitor_plan matches it to the quadrature resolution
+    s, eta, qp = _numerics(config, None, B_MONITOR_QUAD_POINTS)
+    omega, density = int(config.params["omega_samples"]), config.density_spec()
+    seeds = config.seeds()
+    return [
+        monitor_plan(config.operator_spec(side), seeds, s, omega, eta, qp, density)
+        for side in sides
+    ]
 
 
 def _run_b_monitor(config: ExperimentConfig, workers):
@@ -1068,9 +1068,18 @@ def _run_rescaling(config: ExperimentConfig, workers):
     }
 
 
+def _scan_seed(small, large, probe, seed):
+    """A scan point's monitor rows and probe samples at one seed."""
+    rows_small = monitor_seed_rows(small, monitor_spectra(small, seed))
+    spectra = monitor_spectra(large, seed)
+    S = next(spectra)
+    samples = probe_samples(S, *probe)
+    return rows_small, monitor_seed_rows(large, itertools.chain([S], spectra)), samples
+
+
 def _scan_unit(args):
     """One (lambda, alpha) point: the monitors at sides L and 2L and the
-    correlator decay fit on side 2L, each mapped serially, and the verdict."""
+    correlator decay fit on side 2L, in one serial sweep, and the verdict."""
     config, lam, alpha = args
     model, p = config.model, config.params
     inter = {
@@ -1086,15 +1095,19 @@ def _scan_unit(args):
     monitors = dataclasses.replace(
         point, numerics={**config.numerics, "eta": p["monitor_eta"]}
     )
-    _, (b_small, b_large) = _monitor_runs(monitors, [L, 2 * L], workers=1)
+    small, large = _monitor_plans(monitors, [L, 2 * L])
     # the probe always integrates on DEFAULT_QUAD_POINTS nodes
     s, eta, _ = _numerics(point, DEFAULT_ETA, None)
     spec = point.operator_spec(side=2 * L)
-    density = point.density_spec()
-    interval = default_probe_interval(spec, density)
+    interval = default_probe_interval(spec, point.density_spec())
     pairs = tuple(probe_pairs(spec))
-    item = (spec, pairs, interval, s, eta, DEFAULT_QUAD_POINTS, density)
-    rows = _probe_rows(item, point.seeds(), workers=1)
+    probe = (pairs, interval, s, eta, DEFAULT_QUAD_POINTS)
+    seeds = point.seeds()
+    per_seed = [_scan_seed(small, large, probe, seed) for seed in seeds]
+    rows_small, rows_large, results = zip(*per_seed)
+    b_small = monitor_reduce(small, seeds, rows_small)
+    b_large = monitor_reduce(large, seeds, rows_large)
+    rows = _probe_rows(spec, pairs, results, seeds)
     fit = decay_fit([(dist, q.mean) for dist, q, _ in rows])
     gap, noise, verdict = scan_verdict(
         b_small, b_large, fit, float(p["r2_threshold"]), _xi_max(config)

@@ -210,27 +210,17 @@ def green_entries(S: SpectralData, ix: int, iy: int, zs: np.ndarray) -> np.ndarr
     return np.sum(w[None, :] / (S.energies[None, :] - zs[:, None]), axis=1)
 
 
-def resolvent_weights(S: SpectralData, zs: np.ndarray) -> np.ndarray:
-    """D = 1/(E - z), dim by zs.size complex: the factor green_block
-    multiplies by, formed once for any number of blocks at the same nodes."""
-    zs = np.asarray(zs, dtype=complex)
-    return 1.0 / (S.energies[:, None] - zs[None, :])
-
-
-def green_block(S: SpectralData, ix, iy, d: np.ndarray) -> np.ndarray:
-    """G(x, y; z) for every node z, x in ix and y in iy through the
-    eigendecomposition, given d = resolvent_weights(S, zs); shape
-    (zs.size, len(ix), len(iy)).
+def green_block(S: SpectralData, ix, iy, zs: np.ndarray) -> np.ndarray:
+    """G(x, y; z) for every node z in zs, x in ix and y in iy through the
+    eigendecomposition; shape (zs.size, len(ix), len(iy)).
 
     Evaluated as P D: the real pair factor P = psi_x * psi_y (one row per
-    (x, y) pair, x major) times D (dim by zs.size, complex) read as a real
-    matrix of twice the columns, in one real BLAS gemm.
+    (x, y) pair, x major) times D = 1/(E - z) (dim by zs.size, complex,
+    formed on each call) read as a real matrix of twice the columns, in one
+    real BLAS gemm.
     """
-    if d.ndim != 2 or d.shape[0] != S.dim or d.dtype != complex:
-        raise ValueError(
-            f"d must be resolvent_weights(S, zs), complex ({S.dim}, zs.size); "
-            f"got {d.dtype} {d.shape}"
-        )
+    zs = np.asarray(zs, dtype=complex)
+    d = 1.0 / (S.energies[:, None] - zs[None, :])
     wx, wy = S.vectors[np.asarray(ix), :], S.vectors[np.asarray(iy), :]
     pairs = (wx[:, None, :] * wy[None, :, :]).reshape(-1, S.dim)
     out = (pairs @ d.view(float)).view(complex)

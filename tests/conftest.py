@@ -1,9 +1,10 @@
 """Report header: the library and BLAS settings that produced this run's
-bytes, and what `import mplab` loads: its scipy subpackages and whether
-numpy's random subpackage comes with it (mplab draws from its own streams,
-so it should not). The golden pins hold for one BLAS build, kernel and
-thread count, so a pin that fails on another host can be read against
-these lines."""
+bytes, with the kernel and threads of both bundled OpenBLAS copies
+(numpy's and scipy's), and what `import mplab` loads: its scipy
+subpackages and whether numpy's random subpackage comes with it (mplab
+draws from its own streams, so it should not). The golden pins hold for
+one BLAS build, kernel and thread count, so a pin that fails on another
+host can be read against these lines."""
 
 import ctypes
 import os
@@ -28,16 +29,17 @@ def _numpy_random_state(added: set) -> str:
     return "not loaded"
 
 
-def _openblas_settings(numpy) -> list:
-    """The kernel and the thread count of the OpenBLAS bundled in
-    numpy.libs, each "unknown" when the library or its symbol is missing."""
-    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
+def _openblas_settings(package, suffix: str) -> list:
+    """The kernel and the thread count of the OpenBLAS bundled in the
+    package's `<name>.libs` folder, whose symbols end in `suffix`; each
+    "unknown" when the library or its symbol is missing."""
+    libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
     path = next(libs.glob("libscipy_openblas*"), None)
     lib = ctypes.CDLL(str(path)) if path else None
     out = []
     for symbol, restype in (
-        ("scipy_openblas_get_corename64_", ctypes.c_char_p),
-        ("scipy_openblas_get_num_threads64_", ctypes.c_int),
+        (f"scipy_openblas_get_corename{suffix}", ctypes.c_char_p),
+        (f"scipy_openblas_get_num_threads{suffix}", ctypes.c_int),
     ):
         call = getattr(lib, symbol, None)
         if call is None:
@@ -75,7 +77,10 @@ def pytest_report_header(config):
     return [
         f"numpy {numpy.__version__}, scipy {scipy.__version__}, "
         f"blas {blas.get('name')} {blas.get('version')}",
-        "bundled openblas kernel {}, threads {}".format(*_openblas_settings(numpy)),
+        "bundled openblas: numpy's kernel {}, threads {}; scipy's kernel {}, "
+        "threads {}".format(
+            *_openblas_settings(numpy, "64_"), *_openblas_settings(scipy, "")
+        ),
         f"{threads}, cpu affinity {affinity}",
         f"scipy modules loaded by import mplab: {', '.join(loaded) or 'none'}; "
         f"numpy.random {_numpy_random_state(added)}",

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import logging
 import math
@@ -299,11 +298,11 @@ def probe_run(tmp_path, L, lam, count, pairs, interval=None, numerics=None, **mo
 
 
 def test_averaged_moment_needs_unit_interval():
-    sp = spec1d(6, lam=5.0)
+    S = diag.realization_spectrum(spec1d(6, lam=5.0), 0, UNIFORM_HALF)
     with pytest.raises(ValueError):
-        probe_samples(sp, 0, [(c1(0), c1(1))], EnergyInterval(0.0, 0.5))
+        probe_samples(S, [(c1(0), c1(1))], EnergyInterval(0.0, 0.5))
     with pytest.raises(ValueError):
-        probe_samples(sp, 0, [(c1(0), c1(1))], EnergyInterval.full_line())
+        probe_samples(S, [(c1(0), c1(1))], EnergyInterval.full_line())
 
 
 def test_averaged_moment_disjoint_interval_bound(tmp_path):
@@ -501,27 +500,25 @@ def test_clustered_ranks_match_per_configuration_loop(sector, d, side, n, norm):
 
 
 def _per_anchor_rows(plan, seed):
-    """monitor_seed_rows by one (psi_x D) psi_y product per anchor and tile,
-    the association the monitor used before the pairs-by-nodes product."""
+    """monitor_seed_rows by one (psi_x D) psi_y product per tile, the
+    association the monitor used before the pairs-by-nodes product."""
     tile_edges = np.asarray(plan.tile_edges)
     offsets = (np.arange(plan.quad_points) + 0.5) / plan.quad_points
     rows = []
     for task in plan.regions:
-        rspec = dataclasses.replace(plan.spec, box=task.box)
-        S = diag.realization_spectrum(rspec, seed, plan.density)
+        S = diag.realization_spectrum(task.spec, seed, plan.density)
         Wx = S.vectors[np.asarray(task.x_ranks), :]
+        WyT = S.vectors[np.asarray(task.y_ranks), :].T
         row = np.zeros(tile_edges.size - 1)
-        for y_ranks in task.anchors:
-            WyT = S.vectors[np.asarray(y_ranks), :].T
-            for t in range(row.size):
-                nodes = tile_edges[t] + offsets
-                D = 1.0 / (S.energies[None, :] - (nodes[:, None] + 1j * plan.eta))
-                G = (Wx[None, :, :] * D[:, None, :]) @ WyT
-                row[t] += (
-                    float(plan.boundary_count)
-                    * float(np.sum(np.abs(G) ** plan.s))
-                    / plan.quad_points
-                )
+        for t in range(row.size):
+            nodes = tile_edges[t] + offsets
+            D = 1.0 / (S.energies[None, :] - (nodes[:, None] + 1j * plan.eta))
+            G = (Wx[None, :, :] * D[:, None, :]) @ WyT
+            row[t] += (
+                float(plan.boundary_count)
+                * float(np.sum(np.abs(G) ** plan.s))
+                / plan.quad_points
+            )
         rows.append(row)
     return rows
 
@@ -533,13 +530,14 @@ def _lu_rows(plan, seed):
     offsets = (np.arange(plan.quad_points) + 0.5) / plan.quad_points
     rows = []
     for task in plan.regions:
-        rspec = dataclasses.replace(plan.spec, box=task.box)
-        H = diag._template_for(rspec).hamiltonian(sample(task.box, plan.density, seed))
+        H = diag._template_for(task.spec).hamiltonian(
+            sample(task.spec.box, plan.density, seed)
+        )
         x_ranks = np.asarray(task.x_ranks)
         row = np.zeros(tile_edges.size - 1)
         for t in range(row.size):
             for z in tile_edges[t] + offsets + 1j * plan.eta:
-                for iy in (k for anchor in task.anchors for k in anchor):
+                for iy in task.y_ranks:
                     G = diag._green_column(H.matrix, iy, z)[x_ranks]
                     row[t] += float(np.sum(np.abs(G) ** plan.s))
         rows.append(float(plan.boundary_count) * row / plan.quad_points)
@@ -570,7 +568,7 @@ def test_monitor_rows_match_lu_oracle_as_closely_as_per_anchor_products():
     # the sparse LU solve does not share, and agree on the highest tile
     for case in _FOLD_CASES:
         plan = _fold_plan(*case)
-        got = diag.monitor_seed_rows(plan, 5)
+        got = diag.monitor_seed_rows(plan, diag.monitor_spectra(plan, 5))
         old = _per_anchor_rows(plan, 5)
         exact = _lu_rows(plan, 5)
         for new_row, old_row, lu_row in zip(got, old, exact):
@@ -602,13 +600,13 @@ def _chunked_distance(d, side, n, sector, omega, s):
         return evaluate(*args)
 
     nodes = (len(plan.tile_edges) - 1) * plan.quad_points
-    anchored = sum(map(len, plan.regions[0].anchors))
+    anchored = len(plan.regions[0].y_ranks)
     diag.green_block = counted
     try:
-        whole = diag.monitor_seed_rows(plan, 5)
+        whole = diag.monitor_seed_rows(plan, diag.monitor_spectra(plan, 5))
         whole_calls = len(calls)
-        diag._BLOCK_BYTES = 2 * 8 * anchored * max(plan.spec.dim, 2 * nodes)
-        split = diag.monitor_seed_rows(plan, 5)
+        diag._BLOCK_BYTES = 2 * 8 * anchored * max(plan.regions[0].spec.dim, 2 * nodes)
+        split = diag.monitor_seed_rows(plan, diag.monitor_spectra(plan, 5))
     finally:
         diag.green_block, diag._BLOCK_BYTES = evaluate, budget
     worst = max(
@@ -752,9 +750,8 @@ def test_b_monitor_pair_budget(monkeypatch):
 
 def test_ensemble_dimension_budget():
     sp = spec1d(12, n=4, lam=5.0)  # dim 20736 over the dense cap
-    x = c1(0, 1, 2, 3)
     with pytest.raises(BudgetError) as exc:
-        probe_samples(sp, 0, [(x, x)], EnergyInterval(0, 1))
+        diag.realization_spectrum(sp, 0, UNIFORM_HALF)
     assert exc.value.count == 20736
 
 

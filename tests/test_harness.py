@@ -1163,6 +1163,23 @@ def test_import_and_dense_runs_load_no_scipy(tmp_path):
     assert _loaded_scipy(script) == {"import": [], "runs": []}
 
 
+def test_serial_run_loads_no_process_pool(tmp_path):
+    """A workers=1 run maps its units in its own process, so it never
+    imports the process pool or multiprocessing."""
+    composite = {
+        "kind": "composite_check", "model": {"L": 4, "lambda": 1.0},
+        "params": {"instances": 1, "quadrature_points": 16},
+        "output": {"directory": str(tmp_path)},
+    }
+    script = (
+        "import json, sys, mplab\n"
+        f"mplab.run(json.loads({json.dumps(composite)!r}), workers=1)\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        "print(json.dumps([m for m in pool if m in sys.modules]))\n"
+    )
+    assert _loaded_scipy(script) == []
+
+
 def test_scipy_loads_only_for_special_functions_and_sparse_solves(tmp_path):
     """A truncated-Gaussian decay_probe loads scipy.special but not
     scipy.sparse; a sparse Green solve loads scipy.sparse.linalg, with the
@@ -1380,6 +1397,30 @@ def test_region_scan_without_disorder_writes_strict_json(tmp_path):
     assert _csv_rows(tmp_path / "region_scan.csv", t) == list(t.rows)
 
 
+def test_region_scan_realizes_each_seed_once_per_side(tmp_path, monkeypatch):
+    """Each region_scan point diagonalizes a seed once at side L and once at
+    side 2L, where the probe reads the monitor's full-box spectrum: on the
+    golden config (3 seeds, 2 points, no sub-boxes) that is 6 spectra at
+    each side."""
+    dims = []
+    eigen = diagnostics.spectral_data
+
+    def counted(H):
+        dims.append(H.dim)
+        return eigen(H)
+
+    monkeypatch.setattr(diagnostics, "spectral_data", counted)
+    raw = {
+        "kind": "region_scan",
+        "model": {"L": 8, "n": 2, "lambda": 10.0},
+        "ensemble": {"base_seed": 0, "count": 3},
+        "params": {"alphas": [0.0, 0.5]},
+        "output": {"directory": str(tmp_path), "formats": ["csv"]},
+    }
+    run(raw, workers=1)
+    assert sorted(dims) == [64] * 6 + [256] * 6
+
+
 def test_bool_column_round_trips(tmp_path):
     raw = {
         "kind": "subadditivity",
@@ -1473,17 +1514,18 @@ def test_worker_count_irrelevant(tmp_path, kind):
 
 
 def _recording_pool(monkeypatch) -> list:
-    """Replace the harness pool by one that records its max_workers."""
-    import mplab.harness as harness
+    """Replace the pool that the harness imports when it opens one by a
+    pool that records its max_workers."""
+    import concurrent.futures
 
     opened = []
 
-    class RecordingPool(harness.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             opened.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return opened
 
 

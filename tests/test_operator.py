@@ -14,8 +14,10 @@ from mplab.diagnostics import (
     default_probe_interval,
     monitor_plan,
     monitor_seed_rows,
+    monitor_spectra,
     probe_pairs,
     probe_samples,
+    realization_spectrum,
 )
 from mplab.operator import (
     INTERACTION_FIELDS,
@@ -562,8 +564,10 @@ def test_one_template_per_spec(monkeypatch):
     monkeypatch.setattr(OperatorTemplate, "__init__", counting_init)
     _template_for.cache_clear()
     spec = _pair_spec(8, n=2, alpha=0.2)
-    monitor_seed_rows(monitor_plan(spec, range(2)), 0)
-    probe_samples(spec, 0, probe_pairs(spec, 3), default_probe_interval(spec))
+    plan = monitor_plan(spec, range(2))
+    monitor_seed_rows(plan, monitor_spectra(plan, 0))
+    S = realization_spectrum(spec, 0, UNIFORM_HALF)
+    probe_samples(S, probe_pairs(spec, 3), default_probe_interval(spec))
     gershgorin_interval(spec, UNIFORM_HALF)
     assemble(spec, sample(spec.box, UNIFORM_HALF, 0))
     assert built == [spec]

@@ -21,7 +21,6 @@ from mplab.spectral import (
     green_block,
     green_entries,
     group_weights,
-    resolvent_weights,
     spectral_data,
     subadditivity_check,
 )
@@ -154,15 +153,12 @@ def test_green_block_matches_green_entries(nx, ny):
     zs = rng.uniform(S.energies[0], S.energies[-1], 6) + 1j * np.array(
         [1e-3, 0.06, 0.5, 1e-3, 0.06, 0.5]
     )
-    block = green_block(S, ix, iy, resolvent_weights(S, zs))
+    block = green_block(S, ix, iy, zs)
     assert block.shape == (zs.size, nx, ny) and block.dtype == complex
     want = np.array(
         [[green_entries(S, x, y, zs) for y in iy] for x in ix]
     ).transpose(2, 0, 1)
     assert np.allclose(block, want, rtol=1e-10, atol=1e-13 * np.abs(want).max())
-    # the nodes themselves are not the weights
-    with pytest.raises(ValueError):
-        green_block(S, ix, iy, zs)
 
 
 # -------------------------------------------------------------- correlator
