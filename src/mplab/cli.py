@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import BudgetError
-from .harness import ExperimentConfig, apply_override, config_warnings, run, validate
+from .harness import config_warnings, load_config, run, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -73,17 +73,6 @@ def _parse_override(text: str):
     return key, value
 
 
-def _load_raw(path: str, overrides) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
-    for item in overrides:
-        key, value = _parse_override(item)
-        apply_override(raw, key, value)
-    return raw
-
-
 def _report_violations(violations) -> int:
     for v in violations:
         print(f"invalid: {v}", file=sys.stderr)
@@ -94,12 +83,12 @@ def _report_violations(violations) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = _load_raw(args.config, args.overrides)
+        # parsed lazily, so a file error is reported before a bad --set
+        config = load_config(args.config, map(_parse_override, args.overrides))
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    config = ExperimentConfig.from_dict(raw)
     for warning in config_warnings(config):
         print(f"warning: {warning}", file=sys.stderr)
     violations = validate(config)

@@ -217,7 +217,7 @@ def wegner_samples(
     return values
 
 
-# ---------------------------------------------------------- equivalence probe
+# ---------------------------------------------------------------- decay probe
 
 
 def default_probe_interval(
@@ -631,8 +631,8 @@ class RescalingReport:
 
 
 def rescaling_check(
-    b_small,
-    b_large,
+    b_small: float,
+    b_large: float,
     lam: float,
     s: float,
     L: int,
@@ -643,15 +643,14 @@ def rescaling_check(
 ) -> RescalingReport:
     """Check the doubling inequality between monitor values at L and 2L.
 
-    Accepts plain values or BMonitorResult. lambda = 0 makes the coupling
-    factor infinite: nothing is predicted and only the observed comparison
-    is reported.
+    b_small and b_large are the monitor values. lambda = 0 makes the
+    coupling factor infinite: nothing is predicted and only the observed
+    comparison is reported.
     """
     s = _check_s(s)
     if L < 1:
         raise ValueError(f"box side must be positive, got {L}")
-    bs = float(getattr(b_small, "value", b_small))
-    bl = float(getattr(b_large, "value", b_large))
+    bs, bl = float(b_small), float(b_large)
     if bs < 0 or bl < 0:
         raise ValueError("monitor values are nonnegative by construction")
     factor = a / abs(lam) ** s if lam != 0 else math.inf

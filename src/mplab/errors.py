@@ -24,9 +24,10 @@ class BudgetError(RuntimeError):
 class SingularityError(ValueError):
     """A resolvent was requested at (numerically) an eigenvalue.
 
-    `distance` is the distance from z to the nearest eigenvalue: exact when
-    a dense eigendecomposition was affordable, otherwise the rigorous upper
-    bound 1/||w|| from the attempted solve.
+    Raised by the LU solve `spectral._green_column`. `distance` bounds the
+    distance from z to the nearest eigenvalue from above: 0.0 when the
+    factorization was exactly singular, otherwise 1/||w|| for the solution
+    w of the attempted solve.
     """
 
     def __init__(self, message: str, distance: float):

@@ -196,23 +196,22 @@ class ExperimentConfig:
         return [base + i for i in range(int(self.ensemble["count"]))]
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON config file."""
+def load_config(path, overrides=()) -> ExperimentConfig:
+    """Read a JSON config file, then set each (dotted path, value) override
+    in it, such as ("model.lambda", 15), making missing objects on the way."""
     with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
-
-
-def apply_override(raw: dict, dotted: str, value) -> None:
-    """Set a dotted path like model.lambda in a raw config dict, in place."""
-    parts = dotted.split(".")
-    node = raw
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(["config must be a JSON object"])
+    for dotted, value in overrides:
+        *parents, leaf = dotted.split(".")
+        node = raw
+        for part in parents:
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
+        node[leaf] = value
+    return ExperimentConfig.from_dict(raw)
 
 
 # ------------------------------------------------------------------ validate
@@ -238,6 +237,9 @@ def _shown(value) -> str:
         return magnitude(value)
     if isinstance(value, list):
         return f"[{', '.join(map(_shown, value))}]"
+    if isinstance(value, dict):
+        items = (f"{k!r}: {_shown(v)}" for k, v in value.items())
+        return f"{{{', '.join(items)}}}"
     return repr(value)
 
 
@@ -349,26 +351,15 @@ _SECTIONS = {
 
 
 def _as_configuration(obj, spec: OperatorSpec) -> Configuration:
-    """Accept a bare site list or a {sites, sector} object, with integer
-    coordinates, in the model's sector."""
-    if isinstance(obj, dict):
-        unknown = sorted(set(obj) - {"sites", "sector"})
-        if unknown:
-            raise ValueError(f"unknown configuration field(s) {unknown}")
-        if "sites" not in obj:
-            raise ValueError("a configuration object needs a 'sites' list")
-        sites = obj["sites"]
-        sector = obj.get("sector", spec.sector)
-    else:
-        sites, sector = obj, spec.sector
-    cfg = Configuration(sites=tuple(_site(s) for s in sites), sector=sector)
+    """A list of sites with integer coordinates, in the model's sector."""
+    if not isinstance(obj, list):
+        raise ValueError(f"a configuration is a list of sites, got {_shown(obj)}")
+    cfg = Configuration(sites=tuple(_site(s) for s in obj), sector=spec.sector)
     for site in cfg.sites:
         if not spec.box.contains(site):
             raise ValueError(f"site {site} lies outside the box")
     if cfg.n != spec.n:
         raise ValueError(f"configuration has {cfg.n} particles, model has {spec.n}")
-    if cfg.sector != spec.sector:
-        raise ValueError(f"sector {cfg.sector!r} is not the model's {spec.sector!r}")
     return cfg
 
 
@@ -429,12 +420,7 @@ def _wegner_grid(config: ExperimentConfig, spec: OperatorSpec) -> list:
     spectral enclosure at height z_im (which needs the operator template)."""
     p = config.params
     if p["z_grid"] is not None:
-        return [
-            complex(float(z[0]), float(z[1]))
-            if isinstance(z, (list, tuple))
-            else complex(float(z), 0.0)
-            for z in p["z_grid"]
-        ]
+        return [complex(float(re), float(im)) for re, im in p["z_grid"]]
     lo, hi = gershgorin_interval(spec, config.density_spec())
     return [
         complex(v, float(p["z_im"])) for v in np.linspace(lo, hi, int(p["z_count"]))
@@ -568,10 +554,8 @@ def _check_probe(config, spec, out: list) -> None:
 
 
 def _is_z(z) -> bool:
-    """A finite real energy or a [re, im] pair of finite numbers."""
-    if isinstance(z, (list, tuple)):
-        return len(z) == 2 and all(_is_num(v) for v in z)
-    return _is_num(z)
+    """A [re, im] pair of finite numbers."""
+    return isinstance(z, list) and len(z) == 2 and all(_is_num(v) for v in z)
 
 
 def _check_wegner(config, spec, out: list) -> None:
@@ -582,10 +566,10 @@ def _check_wegner(config, spec, out: list) -> None:
     if zg is None:
         out += _POSITIVE_INT("params.z_count", p["z_count"])
         out += _FINITE("params.z_im", p["z_im"])
-    elif not isinstance(zg, (list, tuple)) or not all(_is_z(z) for z in zg):
+    elif not isinstance(zg, list) or not all(_is_z(z) for z in zg):
         out.append(
-            "params.z_grid entries must be finite numbers or [re, im] pairs of "
-            f"finite numbers, got {_shown(zg)}"
+            "params.z_grid entries must be [re, im] pairs of finite numbers, "
+            f"got {_shown(zg)}"
         )
         return
     try:
@@ -1048,8 +1032,8 @@ def _run_rescaling(config: ExperimentConfig, workers):
     constants = {k: float(p[k]) for k in ("a", "A", "nu", "p")}
     _, (res_small, res_large) = _monitor_runs(config, [L, 2 * L], workers)
     report = rescaling_check(
-        res_small,
-        res_large,
+        res_small.value,
+        res_large.value,
         lam=float(config.model["lambda"]),
         s=s,
         L=L // 2,
@@ -1191,18 +1175,17 @@ class _Kind:
     runner: Callable  # runner(config, workers) -> (rows in column order, metadata)
 
 
-_PROBE_KIND = _Kind(
-    params={"max_points": (6, _at_least(3)), "pairs": (None, None),
-            "interval": (None, None)},
-    min_count=2, budget_sides=(1,), nodes=_quad_nodes,
-    columns=(("dist_H", "int"), ("EQ_mean", "float"), ("EQ_stderr", "float"),
-             ("moment_mean", "float"), ("moment_stderr", "float"), ("seeds", "str")),
-    check=_check_probe, runner=_run_probe,
-)
-
 # validate lists the kinds in this order
 _KINDS = {
-    "decay_probe": _PROBE_KIND,
+    "decay_probe": _Kind(
+        params={"max_points": (6, _at_least(3)), "pairs": (None, None),
+                "interval": (None, None)},
+        min_count=2, budget_sides=(1,), nodes=_quad_nodes,
+        columns=(("dist_H", "int"), ("EQ_mean", "float"), ("EQ_stderr", "float"),
+                 ("moment_mean", "float"), ("moment_stderr", "float"),
+                 ("seeds", "str")),
+        check=_check_probe, runner=_run_probe,
+    ),
     "wegner": _Kind(
         params={"x": (None, None), "y": (None, None), "u1": (None, None),
                 "u2": (None, None), "z_grid": (None, None), "z_count": (8, None),
@@ -1212,7 +1195,6 @@ _KINDS = {
                  ("stderr", "float"), ("count", "int"), ("seeds", "str")),
         check=_check_wegner, runner=_run_wegner,
     ),
-    "equivalence": _PROBE_KIND,
     "b_monitor": _Kind(
         params={"omega_samples": (0, _NONNEGATIVE_INT)},
         min_count=2, budget_sides=(1,), nodes=_quad_nodes,

@@ -2,8 +2,11 @@
 
 Green functions G(x, y; z) = <delta_x, (H - z)^(-1) delta_y> via shifted
 LU solves (sparse SuperLU on a scipy matrix, LAPACK on a dense array) or,
-for whole arrays of z at once, via a dense eigendecomposition
-(green_entries); eigenfunction correlators and
+for whole arrays of z at once, via a dense eigendecomposition:
+green_entries for one (x, y) pair (the fractional-moment, wegner and
+decay-probe columns in diagnostics, and composite_green_check here) and
+green_block for blocks of x and y (the monitor's tile rows,
+diagnostics.monitor_seed_rows); eigenfunction correlators and
 dynamical kernels via the same eigendecomposition; a contour-convolution
 identity for non-interacting composites, and the correlator subadditivity
 check that rests on it.

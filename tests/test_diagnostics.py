@@ -788,16 +788,6 @@ def test_rescaling_detects_broken_prediction():
     assert not rep.satisfied
 
 
-def test_rescaling_accepts_monitor_results(monitor_runs):
-    small, large = (
-        _monitor_value(t.metadata["value"], t.metadata["full_stderr"])
-        for t in (monitor_runs[(20.0, 8)], monitor_runs[(20.0, 16)])
-    )
-    rep = rescaling_check(small, large, 20.0, 0.5, 8)
-    assert rep.b_small == monitor_runs[(20.0, 8)].metadata["value"]
-    assert rep.contraction_observed
-
-
 def test_rescaling_tail_term():
     # pure tail comparison: A L^(2p) e^(-2 nu L) with b_small = 0
     rep = rescaling_check(0.0, 0.3, 10.0, 0.5, 4, A=2.0, nu=0.25, p=0.5)

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from mplab import harness
 from mplab.harness import run
 
 GOLDEN_SHA256 = {
@@ -36,7 +37,7 @@ COMPOSITE_DRAWS = [
 ]
 
 
-# sha256 of each kind's JSON mirror and of its meta.json without the
+# sha256 of each config's JSON mirror and of its meta.json without the
 # run-specific entries (wall time, config echo and its hash); for
 # composite_check the round-off gap columns and max_gap are left out too
 MIRROR_META_SHA256 = {
@@ -54,7 +55,7 @@ MIRROR_META_SHA256 = {
     ),
     "equivalence": (
         "31bda2830a62e68bb9aaf9dda0f50f8e9d2ec03e5c9a59f248b5809a70e5e468",
-        "8246b4c7793822ee66439ee2ce553b6c9d2a8b220673ad59c1eace6a7648479b",
+        "a6f8186f9db4520c0368546a59e5c10ec55e9555d1f7b78929f5a54a0d497eb8",
     ),
     "region_scan": (
         "592c6b45ab8da428db2da64a3759cdd7fe2395efa28fd05124f5449068df41e6",
@@ -75,24 +76,28 @@ MIRROR_META_SHA256 = {
 }
 
 
-# one small config per kind; sectors and interactions vary so that every
-# construction path (builtin pair_nn/onsite, boson/fermion) is pinned
+# one small config per kind, keyed by the kind it runs unless it names one;
+# sectors and interactions vary so that every construction path (builtin
+# pair_nn/onsite, boson/fermion) is pinned. The fermion probe keeps the id
+# "equivalence", the name of a deleted alias of decay_probe that it ran
+# under when its pins were recorded
 _CONFIGS = {
     "decay_probe": {
         "model": {"L": 12, "lambda": 8.0},
         "ensemble": {"base_seed": 0, "count": 4},
     },
-    "rescaling": {
-        "model": {"L": 8, "lambda": 20.0},
-        "ensemble": {"base_seed": 0, "count": 4},
-    },
     "equivalence": {
+        "kind": "decay_probe",
         "model": {
             "L": 8, "n": 2, "sector": "fermion", "lambda": 6.0,
             "interaction": {"builtin": "pair_nn", "coupling": 0.5, "range": 1},
         },
         "ensemble": {"base_seed": 0, "count": 3},
         "params": {"max_points": 3},
+    },
+    "rescaling": {
+        "model": {"L": 8, "lambda": 20.0},
+        "ensemble": {"base_seed": 0, "count": 4},
     },
     "wegner": {
         "model": {
@@ -128,16 +133,26 @@ _CONFIGS = {
 }
 
 
-def _config(kind, tmp_path):
-    out = {"directory": str(tmp_path), "formats": ["csv"]}
-    return {"kind": kind, **_CONFIGS[kind], "output": out}
+def _kind(name):
+    return _CONFIGS[name].get("kind", name)
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN_SHA256))
-def test_csv_bytes_match_golden(tmp_path, kind):
-    run(_config(kind, tmp_path), workers=1)
-    raw = (tmp_path / f"{kind}.csv").read_bytes()
-    assert hashlib.sha256(raw).hexdigest() == GOLDEN_SHA256[kind]
+def test_every_kind_has_one_name_and_a_pin():
+    records = [id(harness._KINDS[kind]) for kind in harness.KINDS]
+    assert len(set(records)) == len(records)
+    assert {_kind(name) for name in MIRROR_META_SHA256} == set(harness.KINDS)
+
+
+def _config(name, tmp_path, formats=("csv",)):
+    out = {"directory": str(tmp_path), "formats": list(formats)}
+    return {"kind": name, **_CONFIGS[name], "output": out}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_csv_bytes_match_golden(tmp_path, name):
+    run(_config(name, tmp_path), workers=1)
+    raw = (tmp_path / f"{_kind(name)}.csv").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == GOLDEN_SHA256[name]
 
 
 def test_composite_draws_match_golden(tmp_path):
@@ -152,10 +167,10 @@ def _sha256_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("kind", sorted(MIRROR_META_SHA256))
-def test_json_mirror_and_metadata_match_golden(tmp_path, kind):
-    out = {"directory": str(tmp_path), "formats": ["csv", "json"]}
-    run({"kind": kind, **_CONFIGS[kind], "output": out}, workers=1)
+@pytest.mark.parametrize("name", sorted(MIRROR_META_SHA256))
+def test_json_mirror_and_metadata_match_golden(tmp_path, name):
+    run(_config(name, tmp_path, formats=("csv", "json")), workers=1)
+    kind = _kind(name)
     mirror = json.loads((tmp_path / f"{kind}.json").read_text(encoding="utf-8"))
     meta = json.loads((tmp_path / f"{kind}.meta.json").read_text(encoding="utf-8"))
     for key in ("wall_time_s", "config", "config_sha256"):
@@ -163,7 +178,7 @@ def test_json_mirror_and_metadata_match_golden(tmp_path, kind):
     if kind == "composite_check":
         mirror["rows"] = [row[:7] for row in mirror["rows"]]
         del meta["metadata"]["max_gap"]
-    assert (_sha256_json(mirror), _sha256_json(meta)) == MIRROR_META_SHA256[kind]
+    assert (_sha256_json(mirror), _sha256_json(meta)) == MIRROR_META_SHA256[name]
 
 
 # configs that reach what the per-kind configs above do not: the two
