@@ -1,7 +1,8 @@
 """Command-line front end: run and validate experiment configs.
 
-Exit codes: 0 success, 2 validation failure or a bad command line (such
-as --workers below 1), 3 budget overrun. Settings that validate but have
+Exit codes: 0 success, 2 validation failure, an unreadable config, an
+unwritable output directory or a bad command line (such as --workers
+below 1), 3 budget overrun. Settings that validate but have
 no effect are printed as `warning:` lines on stderr and leave the exit
 code alone. A config field is overridden only by --set, which takes its
 dotted path; the config echoed in meta.json records the values used.
@@ -102,6 +103,9 @@ def main(argv=None) -> int:
     except BudgetError as err:
         print(f"budget failure: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    except OSError as err:  # emit's: the output directory or a file in it
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     out_dir = config.output["directory"]
     names = [f"{config.kind}.{fmt}" for fmt in config.output["formats"]]
     names.append(f"{config.kind}.meta.json")

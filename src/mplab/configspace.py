@@ -18,12 +18,10 @@ distance zero, while no particle relabeling maps one to the other).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import neg
 
 import numpy as np
 
@@ -231,7 +229,8 @@ class ConfigIndex:
     lexicographic combination rank of the strictly increasing site ranks
     (hardcore inputs are canonicalized by sorting). Boson: non-decreasing
     tuples mapped to combinations by the staircase shift b_j -> b_j + j.
-    index_of_ranks, index_of and config_at all read one cached weight table.
+    index_of_ranks and index_of read one cached weight table, config_at
+    and enumerate the cached site_ranks table.
     """
 
     box: Box
@@ -306,18 +305,21 @@ class ConfigIndex:
         # number system read from the top, C(U, n) - 1 - sum_j table[j, c_j].
         # Entries with c < j are never read by an increasing tuple and stay
         # 0; every entry read is at most size, so intp is exact while size
-        # fits, and Python ints keep ranks exact beyond that.
+        # fits, and a larger space is refused rather than wrapped.
         V, n = self.box.volume, self.n
-        dtype = np.intp if self.size <= np.iinfo(np.intp).max else object
+        if self.size > np.iinfo(np.intp).max:
+            raise OverflowError(
+                f"{magnitude(self.size)} configurations overflow the intp ranks"
+            )
         if self.sector == "distinguishable":
-            return np.array([V ** (n - 1 - j) for j in range(n)], dtype=dtype)
+            return np.array([V ** (n - 1 - j) for j in range(n)], dtype=np.intp)
         U = V + n - 1 if self.sector == "boson" else V
         return np.array(
             [
                 [math.comb(U - 1 - c, n - j) if c >= j else 0 for c in range(U)]
                 for j in range(n)
             ],
-            dtype=dtype,
+            dtype=np.intp,
         )
 
     def index_of_ranks(self, ranks) -> np.ndarray:
@@ -349,25 +351,11 @@ class ConfigIndex:
         return int(self.index_of_ranks([ranks])[0])
 
     def config_at(self, k: int) -> Configuration:
-        """Configuration of rank k: the greedy inverse of index_of_ranks."""
+        """Configuration of rank k: row k of site_ranks."""
         if not 0 <= k < self.size:
             raise ValueError(f"index {k} out of range for size {self.size}")
-        table = self._rank_table
-        ranks = []
-        if self.sector == "distinguishable":
-            for place in table:
-                r, k = divmod(k, place)
-                ranks.append(r)
-        else:
-            # c_j is the first c past c_(j-1) whose weight fits what is left;
-            # each row is non-increasing from there on
-            rest, c = self.size - 1 - k, 0
-            for j, row in enumerate(table):
-                c = bisect.bisect_left(row, -rest, lo=c, key=neg)
-                rest -= row[c]
-                ranks.append(c - j if self.sector == "boson" else c)
-                c += 1
-        return Configuration(sites=self.box.coords(ranks).tolist(), sector=self.sector)
+        sites = self.box.coords(self.site_ranks[k]).tolist()
+        return Configuration(sites=sites, sector=self.sector)
 
     def enumerate(self):
         """All configurations in rank order."""

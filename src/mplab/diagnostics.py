@@ -36,13 +36,13 @@ import numpy as np
 from .configspace import Box, ConfigIndex, Configuration
 from .disorder import UNIFORM_HALF, DensitySpec, resample_batch, sample
 from .errors import BudgetError, SingularityError, magnitude
-from .operator import OperatorSpec, _template_for, gershgorin_interval
+from .operator import OperatorSpec, assemble, gershgorin_interval
 from .spectral import (
     DENSE_DIAG_CAP,
     EnergyInterval,
     SpectralData,
-    _green_column,
     correlator,
+    green,
     green_block,
     green_entries,
     spectral_data,
@@ -117,8 +117,7 @@ def realization_spectrum(spec: OperatorSpec, seed: int, density: DensitySpec):
             count=spec.dim,
             limit=DENSE_DIAG_CAP,
         )
-    template = _template_for(spec)
-    return spectral_data(template.hamiltonian(sample(spec.box, density, int(seed))))
+    return spectral_data(assemble(spec, sample(spec.box, density, int(seed))))
 
 
 def _nudged(S, zs) -> np.ndarray:
@@ -156,24 +155,23 @@ def fractional_moment(
     z = complex(z)
     seeds = [int(v) for v in seeds]
     eigen = spec.dim <= DENSE_DIAG_CAP
-    template = _template_for(spec)
     ix, iy = spec.config_index.index_of(x), spec.config_index.index_of(y)
     samples = np.empty(len(seeds))
     for j, seed in enumerate(seeds):
-        H = template.hamiltonian(sample(spec.box, density, seed))
+        H = assemble(spec, sample(spec.box, density, seed))
         if eigen:
             S = spectral_data(H)
             g = np.abs(green_entries(S, ix, iy, _nudged(S, [z])))[0]
         else:
             try:
-                g = abs(_green_column(H.matrix, iy, z)[ix])
+                g = abs(green(H, x, y, z))
             except SingularityError:
                 logger.warning(
                     "singular solve at z = %s (seed %d); retrying at +1e-10i",
                     z,
                     seed,
                 )
-                g = abs(_green_column(H.matrix, iy, z + 1j * _NUDGE)[ix])
+                g = abs(green(H, x, y, z + 1j * _NUDGE))
         samples[j] = g**s
     return Estimate.from_samples(samples, seeds)
 
@@ -207,12 +205,11 @@ def wegner_samples(
     s = _check_s(s)
     zs = np.asarray([complex(z) for z in z_grid])
     subseeds = [int(k) for k in subseeds]
-    template = _template_for(spec)
     base = sample(spec.box, density, int(base_seed))
     ix, iy = spec.config_index.index_of(x), spec.config_index.index_of(y)
     values = np.empty((len(subseeds), zs.size))
     for row, real in enumerate(resample_batch(base, marked, subseeds)):
-        S = spectral_data(template.hamiltonian(real))
+        S = spectral_data(assemble(spec, real))
         values[row, :] = np.abs(green_entries(S, ix, iy, _nudged(S, zs))) ** s
     return values
 

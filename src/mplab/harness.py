@@ -306,6 +306,28 @@ _NULL_OR_POSITIVE = _rule(
     "be null or positive", lambda v: v is None or (_is_num(v) and v > 0)
 )
 
+
+def _positive_rule(path: str, value) -> list:
+    """A finite number > 0: zero has its own message, any other value
+    that is not a finite number >= 0 the _NONNEGATIVE one."""
+    if _is_num(value) and value == 0:
+        return [f"{path} must be positive"]
+    return _NONNEGATIVE(path, value)
+
+
+def _interval_rule(path: str, iv) -> list:
+    """null, or [lo, hi] of finite numbers with a finite length >= 1."""
+    if iv is None:
+        return []
+    if not (_is_list_of(iv, _is_num) and len(iv) == 2):
+        return [f"{path} must be null or [lo, hi], got {_shown(iv)}"]
+    if not iv[1] - iv[0] >= 1.0 - 1e-12:
+        return [f"{path} must have length >= 1, got {iv[1] - iv[0]}"]
+    if not math.isfinite(iv[1] - iv[0]):
+        return [f"{path} must have a finite length, got {iv[1] - iv[0]}"]
+    return []
+
+
 # Each config field once, as name -> (default, rule). from_dict overlays a
 # raw config on the defaults, validate walks the rules in this order, and
 # unknown fields are the keys missing here.
@@ -344,7 +366,8 @@ _SECTIONS = {
         # `in` on a tuple compares, so an unhashable entry is reported, not raised
         "formats": (["csv", "json"], _rule(
             "be a nonempty subset of [csv, json]",
-            lambda v: _is_list_of(v, lambda f: f in ("csv", "json")),
+            lambda v: _is_list_of(v, lambda f: f in ("csv", "json"))
+            and len(set(v)) == len(v),
         )),
     },
 }
@@ -544,13 +567,6 @@ def _check_probe(config, spec, out: list) -> None:
             _resolve_pairs(config, spec)
         except (ValueError, KeyError, TypeError, OverflowError) as err:
             out.append(f"params.pairs: {err}")
-    iv = p["interval"]  # after the pairs, whose message comes first
-    if iv is not None and not (_is_list_of(iv, _is_num) and len(iv) == 2):
-        out.append(f"params.interval must be null or [lo, hi], got {_shown(iv)}")
-    elif iv is not None and not iv[1] - iv[0] >= 1.0 - 1e-12:
-        out.append(f"params.interval must have length >= 1, got {iv[1] - iv[0]}")
-    elif iv is not None and not math.isfinite(iv[1] - iv[0]):
-        out.append(f"params.interval must have a finite length, got {iv[1] - iv[0]}")
 
 
 def _is_z(z) -> bool:
@@ -590,13 +606,6 @@ def _check_monitor_box(config, spec, out: list) -> None:
         check_monitor_box(spec)
     except ValueError as err:
         out.append(f"model.L: {err}")
-
-
-def _check_rescaling(config, spec, out: list) -> None:
-    a = config.params["a"]
-    if _is_num(a) and float(a) == 0.0:
-        out.append("params.a must be positive")
-    _check_monitor_box(config, spec, out)
 
 
 def _check_region_scan(config, spec, out: list) -> None:
@@ -640,13 +649,6 @@ def _check_blocks(config, spec, out: list) -> None:
             f"budget: composite dimension up to {magnitude(cap * cap)} exceeds "
             f"the dense-diagonalization cap {DENSE_DIAG_CAP}"
         )
-
-
-def _check_composite(config, spec, out: list) -> None:
-    _check_blocks(config, spec, out)
-    # after the block checks, whose messages come first
-    p = config.params
-    out += _at_least(8)("params.quadrature_points", p["quadrature_points"])
 
 
 # -------------------------------------------------------------- result table
@@ -1179,7 +1181,7 @@ class _Kind:
 _KINDS = {
     "decay_probe": _Kind(
         params={"max_points": (6, _at_least(3)), "pairs": (None, None),
-                "interval": (None, None)},
+                "interval": (None, _interval_rule)},
         min_count=2, budget_sides=(1,), nodes=_quad_nodes,
         columns=(("dist_H", "int"), ("EQ_mean", "float"), ("EQ_stderr", "float"),
                  ("moment_mean", "float"), ("moment_stderr", "float"),
@@ -1203,14 +1205,14 @@ _KINDS = {
         check=_check_monitor_box, runner=_run_b_monitor,
     ),
     "rescaling": _Kind(
-        params={"omega_samples": (0, _NONNEGATIVE_INT), "a": (1.0, _NONNEGATIVE),
+        params={"omega_samples": (0, _NONNEGATIVE_INT), "a": (1.0, _positive_rule),
                 "A": (0.0, _NONNEGATIVE), "nu": (0.0, _NONNEGATIVE),
                 "p": (0.0, _NONNEGATIVE)},
         min_count=2, budget_sides=(2,), nodes=_quad_nodes,
         columns=(("scale", "str"), ("side", "int"), ("value", "float"),
                  ("full_mean", "float"), ("full_stderr", "float"), ("count", "int"),
                  ("seeds", "str")),
-        check=_check_rescaling, runner=_run_rescaling,
+        check=_check_monitor_box, runner=_run_rescaling,
     ),
     "region_scan": _Kind(
         params={
@@ -1237,13 +1239,13 @@ _KINDS = {
     ),
     "composite_check": _Kind(
         params={"instances": (20, _POSITIVE_INT), "dim_cap": (10, _POSITIVE_INT),
-                "quadrature_points": (512, None)},
+                "quadrature_points": (512, _at_least(8))},
         min_count=1, budget_sides=(), nodes=_contour_nodes,
         columns=(("instance", "int"), ("seed_left", "int"), ("seed_right", "int"),
                  ("dim_left", "int"), ("dim_right", "int"), ("z_re", "float"),
                  ("z_im", "float"), ("gap", "float"), ("gap_2x", "float"),
                  ("seeds", "str")),
-        check=_check_composite, runner=_run_composite,
+        check=_check_blocks, runner=_run_composite,
     ),
     "subadditivity": _Kind(
         params={"instances": (500, _POSITIVE_INT), "dim_cap": (12, _POSITIVE_INT)},

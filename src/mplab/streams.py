@@ -6,7 +6,7 @@ equal bit for bit to numpy's.
   Dror and Shaw, SC'11), over whole arrays of keys and tags at once.
 - Stream(entropy) is numpy's default_rng(entropy), a PCG64 (XSL-RR)
   generator seeded through SeedSequence, for the two draws mplab makes:
-  integers and uniform.
+  integers over ranges below 2^32, and uniform.
 
 Owning the streams keeps every run free of the import of numpy's random
 subpackage (about 10 ms), and keeps realizations fixed whatever numpy's
@@ -157,35 +157,25 @@ class Stream:
         self._half = value >> 32
         return value & _MASK32
 
-    def _lemire(self, rng: int, bits: int) -> int:
-        """Lemire's bounded draw in [0, rng] from bits-wide words."""
-        draw, mask = (self._next32, _MASK32) if bits == 32 else (self._next64, _MASK64)
-        span = rng + 1
-        m = draw() * span
-        if m & mask < span:
-            threshold = (mask - rng) % span
-            while m & mask < threshold:
-                m = draw() * span
-        return m >> bits
-
     def integers(self, low: int, high: int = None) -> int:
-        """An integer in [low, high), or in [0, low) without high."""
+        """An integer in [low, high), or in [0, low) without high; the
+        range high - low lies below 2^32."""
         if high is None:
             low, high = 0, low
-        if not -(1 << 63) <= low < high <= 1 << 63:
+        span = high - low
+        if not 0 < span < 1 << 32:
             raise ValueError(
-                f"integers needs -2^63 <= low < high <= 2^63, got {low}, {high}"
+                f"integers needs 0 < high - low < 2^32, got {low}, {high}"
             )
-        rng = high - 1 - low
-        if rng == 0:
+        if span == 1:
             return low
-        if rng == _MASK32:
-            return low + self._next32()
-        if rng < _MASK32:
-            return low + self._lemire(rng, 32)
-        if rng == _MASK64:
-            return low + self._next64()
-        return low + self._lemire(rng, 64)
+        # Lemire's bounded draw on 32-bit words, with numpy's threshold
+        m = self._next32() * span
+        if m & _MASK32 < span:
+            threshold = ((1 << 32) - span) % span
+            while m & _MASK32 < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
 
     def uniform(self, low: float, high: float) -> float:
         width = float(high) - float(low)

@@ -20,7 +20,7 @@ from mplab.configspace import (
 from mplab.disorder import UNIFORM_HALF, resample_batch, sample
 from mplab.errors import BudgetError
 from mplab.operator import InteractionSpec, OperatorSpec, OperatorTemplate, assemble
-from mplab.spectral import EnergyInterval, green_entries, spectral_data
+from mplab.spectral import EnergyInterval, _green_column, green_entries, spectral_data
 from mplab.diagnostics import (
     DEFAULT_ETA,
     BMonitorResult,
@@ -530,15 +530,13 @@ def _lu_rows(plan, seed):
     offsets = (np.arange(plan.quad_points) + 0.5) / plan.quad_points
     rows = []
     for task in plan.regions:
-        H = diag._template_for(task.spec).hamiltonian(
-            sample(task.spec.box, plan.density, seed)
-        )
+        H = assemble(task.spec, sample(task.spec.box, plan.density, seed))
         x_ranks = np.asarray(task.x_ranks)
         row = np.zeros(tile_edges.size - 1)
         for t in range(row.size):
             for z in tile_edges[t] + offsets + 1j * plan.eta:
                 for iy in task.y_ranks:
-                    G = diag._green_column(H.matrix, iy, z)[x_ranks]
+                    G = _green_column(H.matrix, iy, z)[x_ranks]
                     row[t] += float(np.sum(np.abs(G) ** plan.s))
         rows.append(float(plan.boundary_count) * row / plan.quad_points)
     return rows

@@ -382,6 +382,14 @@ _VALIDATE_CORPUS = [
         ],
         id="output_fields",
     ),
+    # a repeated format would write its file twice and list it twice
+    pytest.param(
+        _cfg("decay_probe", output={"formats": ["csv", "csv"]}),
+        [
+            "output.formats must be a nonempty subset of [csv, json], got ['csv', 'csv']",
+        ],
+        id="output_formats_repeated",
+    ),
     pytest.param(
         _cfg(
             "decay_probe", {"interaction": {"builtin": "pair_nn", "coupling": 0.5, "range": 8}}
@@ -408,8 +416,8 @@ _VALIDATE_CORPUS = [
             "decay_probe", params={"pairs": [[[[0]], [[0], [1]]]], "interval": "wide"}
         ),
         [
-            'params.pairs: configuration has 2 particles, model has 1',
             "params.interval must be null or [lo, hi], got 'wide'",
+            'params.pairs: configuration has 2 particles, model has 1',
         ],
         id="probe_pairs_and_interval",
     ),
@@ -749,10 +757,10 @@ _VALIDATE_CORPUS = [
             "rescaling", {"L": 6}, params={"a": 0.0, "A": -1.0, "nu": "x", "p": None}
         ),
         [
+            'params.a must be positive',
             'params.A must be a finite number >= 0, got -1.0',
             "params.nu must be a finite number >= 0, got 'x'",
             'params.p must be a finite number >= 0, got None',
-            'params.a must be positive',
             'model.L: monitor boxes need a side divisible by 4, got 6',
         ],
         id="rescaling_constants",
@@ -835,8 +843,8 @@ _VALIDATE_CORPUS = [
         ),
         [
             'params.instances must be a positive integer, got 0',
-            'budget: composite dimension up to 40000 exceeds the dense-diagonalization cap 20000',
             'params.quadrature_points must be an integer >= 8, got 4',
+            'budget: composite dimension up to 40000 exceeds the dense-diagonalization cap 20000',
         ],
         id="composite_params",
     ),
@@ -1720,6 +1728,18 @@ def test_seeds_past_64_bits_are_rejected(tmp_path):
 def test_cli_missing_file(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_unwritable_output_directory(tmp_path, capsys):
+    """An output directory under an existing file is reported as an error
+    line with exit code 2, as an unreadable config is, not a traceback."""
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    path = write_cfg(tmp_path, probe_config(out))
+    assert cli.main(["run", path, "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: ")
+    assert err.count("\n") == 1
 
 
 def test_load_config_is_the_one_file_loader(tmp_path, capsys):

@@ -146,3 +146,51 @@ def test_environment_reads_finds_every_spelling():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_reads_no_environment_variable(module):
     assert environment_reads((SRC / module).read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names (dunders aside) that source imports from an
+    mplab module, as "line: module.name", in line order. A private name
+    is its module's own; another module reaches it only through the
+    module's public functions."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not (node.level or module == "mplab" or module.startswith("mplab.")):
+            continue
+        origin = "." * node.level + module + ("." if module else "")
+        found += [
+            (a.lineno, origin + a.name)
+            for a in node.names
+            if a.name.startswith("_") and not a.name.startswith("__")
+        ]
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_private_imports_finds_every_spelling():
+    source = (
+        "from . import __version__, _state\n"
+        "from .operator import OperatorSpec, _template_for\n"
+        "from .spectral import (\n"
+        "    green,\n"
+        "    _green_column as column,\n"
+        ")\n"
+        "from mplab.streams import _philox_word\n"
+        "from numpy import _private\n"
+        "def f():\n"
+        "    from .harness import _KINDS\n"
+    )
+    assert private_imports(source) == [
+        "1: ._state",
+        "2: .operator._template_for",
+        "5: .spectral._green_column",
+        "7: mplab.streams._philox_word",
+        "10: .harness._KINDS",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_imports_no_private_name_of_another(module):
+    assert private_imports((SRC / module).read_text()) == []

@@ -278,6 +278,75 @@ def test_group_weights_equal_slice_fold(model):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
 
 
+def _random_pairs(index, count, seed):
+    rng = np.random.default_rng(seed)
+    for i, j in rng.integers(0, index.size, size=(count, 2)):
+        yield index.config_at(int(i)), index.config_at(int(j))
+
+
+@pytest.mark.parametrize("sector", ["distinguishable", "boson", "fermion"])
+def test_correlator_windows_partition_the_line(sector):
+    """Windows that partition the line, with edges between group means,
+    hold every group exactly once, so their correlators sum to the
+    full-line Q up to summation order."""
+    box = Box(d=1, side=12)
+    spec = OperatorSpec(box=box, n=2, sector=sector, lam=3.0,
+                        interaction=InteractionSpec.pair_nn(0.5))
+    for seed in range(4):
+        S = spectral_data(assemble(spec, sample(box, UNIFORM_HALF, seed)))
+        means, _ = group_weights(S, 0, 0)
+        cut = np.linspace(1, means.size - 1, 9).astype(int)
+        edges = [-np.inf, *(means[cut - 1] + means[cut]) / 2, np.inf]
+        assert not np.isin(edges, means).any()
+        windows = [EnergyInterval(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        for x, y in _random_pairs(spec.config_index, 50, seed):
+            full = correlator(S, x, y, EnergyInterval.full_line())
+            parts = sum(correlator(S, x, y, w) for w in windows)
+            assert parts == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("sector", ["boson", "distinguishable"])
+def test_correlator_of_a_free_pair_from_one_particle_states(sector):
+    """At U = 0 the pair eigenstates are products of one-particle states
+    phi_k at the same seed, so Q(x, y) on the whole line is
+    sum_(k <= l) |Phi_kl(x) Phi_kl(y)|. Bosons: Phi_kl is the normalized
+    symmetrized product, and no two pair energies coincide. Distinguishable
+    particles: (k, l) and (l, k) are one exactly degenerate group, so their
+    terms add before the absolute value."""
+    L = 10
+    box = Box(d=1, side=L)
+    spec = OperatorSpec(box=box, n=2, sector=sector, lam=3.0)
+    upper = np.triu(np.ones((L, L), dtype=bool))
+    # symmetrized-product norms: sqrt(2) off the diagonal, 2 on it
+    norm = np.where(np.eye(L, dtype=bool), 2.0, np.sqrt(2.0))
+
+    def amplitudes(V, config):
+        """[k, l] -> Phi_kl(config), for the sector's pair states."""
+        (a,), (b,) = config.sites
+        if sector == "distinguishable":
+            return np.outer(V[a], V[b])
+        sym = np.outer(V[a], V[b]) + np.outer(V[b], V[a])
+        return 2.0 * sym / norm / norm[a, b]
+
+    for seed in range(6):
+        real = sample(box, UNIFORM_HALF, seed)
+        S = spectral_data(assemble(spec, real))
+        one = assemble(OperatorSpec(box=box, n=1, lam=3.0), real)
+        _, V = np.linalg.eigh(one.matrix.toarray())
+        _, counts = S.groups
+        if sector == "boson":
+            assert counts.max() == 1
+        else:
+            assert np.bincount(counts).tolist() == [0, L, L * (L - 1) // 2]
+        for x, y in _random_pairs(spec.config_index, 200, seed):
+            terms = amplitudes(V, x) * amplitudes(V, y)
+            if sector == "distinguishable":
+                terms = terms + terms.T - np.diag(np.diag(terms))
+            want = np.abs(terms[upper]).sum()
+            got = correlator(S, x, y, EnergyInterval.full_line())
+            assert got == pytest.approx(want, rel=1e-10)
+
+
 # ---------------------------------------------------------------- dynamics
 
 

@@ -72,12 +72,19 @@ def _entropies(rng):
     return out
 
 
-# (low, high) pairs: widths 1, 2^31, 2^32 - 1, 2^32, 2^32 + 1, 2^40, 2^63
-# and the full int64 range, with negative lows
+# (low, high) pairs below the 2^32 range cap: widths 1, 2, 3, 6, 2000,
+# 2^31 and 2^32 - 1, with negative lows and both int64 ends
 _RANGES = [
-    (0, 1), (-5, -4), (0, 2**31), (0, 2**32 - 1), (-7, 2**32 - 8), (0, 2**32),
-    (-(2**31), 2**31 + 1), (0, 2**40), (-(2**40), 3), (0, 2**63),
-    (-(2**63), 0), (-(2**63), 2**63), (0, 3), (-1000, 1000), (5, 11),
+    (0, 1), (-5, -4), (0, 2**31), (0, 2**32 - 1), (-7, 2**32 - 8),
+    (-(2**31), 2**31 - 1), (-(2**40), -(2**40) + 2**31), (-(2**63), -(2**63) + 2),
+    (2**63 - 6, 2**63), (0, 3), (-1000, 1000), (5, 11),
+]
+
+# widths of 2^32 and more, which no run draws: rejected, not drawn
+_WIDE = [
+    (0, 2**32), (-(2**31), 2**31), (-7, 2**32 + 1), (0, 2**40), (-(2**40), 3),
+    (0, 2**63), (-(2**63), 0), (-(2**63), 2**63), (0, 2**63 + 1),
+    (-(2**63) - 1, 0),
 ]
 
 
@@ -94,7 +101,7 @@ def test_stream_equals_default_rng():
                 low, high = _RANGES[int(rng.integers(len(_RANGES)))]
                 assert ours.integers(low, high) == int(ref.integers(low, high))
             elif pick == 1:
-                high = int(rng.integers(1, 2**33))
+                high = int(rng.integers(1, 2**32))
                 assert ours.integers(high) == int(ref.integers(high))
             else:
                 lo = float(rng.normal(0.0, 10.0))
@@ -108,10 +115,18 @@ def test_stream_draw_types_and_rejections():
     # a range of one value draws nothing: the next draw is unchanged
     a, b = Stream(9), Stream(9)
     assert a.integers(4, 5) == 4
-    assert a.integers(2**40) == b.integers(2**40)
-    for low, high in [(0, 0), (3, 2), (0, 2**63 + 1), (-(2**63) - 1, 0)]:
-        with pytest.raises(ValueError):
+    assert a.integers(2**31) == b.integers(2**31)
+    for low, high in [(0, 0), (3, 2), *_WIDE]:
+        with pytest.raises(ValueError, match=r"0 < high - low < 2\^32"):
             s.integers(low, high)
+    for high in (0, -1, 2**32, 2**40):
+        with pytest.raises(ValueError):
+            s.integers(high)
+    # a rejected range draws nothing either
+    c, d = Stream(9), Stream(9)
+    with pytest.raises(ValueError):
+        c.integers(0, 2**40)
+    assert c.integers(2**31) == d.integers(2**31)
     with pytest.raises(ValueError):
         Stream(-1)
     with pytest.raises(OverflowError):
