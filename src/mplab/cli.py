@@ -53,7 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_worker_count,
         default=None,
-        help="parallel worker processes (default: available cores)",
+        help="parallel worker processes (default: available cores). Each "
+        "worker above 1 keeps the default BLAS threads, so on few cores a "
+        "parallel run can be slower than a serial one; the output bytes do "
+        "not depend on the worker count",
     )
     sub.add_parser(
         "validate", parents=[common], help="check a config and list violations"
@@ -103,7 +106,7 @@ def main(argv=None) -> int:
     except BudgetError as err:
         print(f"budget failure: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as err:  # emit's: the output directory or a file in it
+    except OSError as err:  # the output directory or a file in it
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     out_dir = config.output["directory"]

@@ -205,25 +205,6 @@ class DensitySpec:
             out = lo[idx] + (u - cum[idx]) / safe_rho
         return out
 
-    # ------------------------------------------------------ serialization
-
-    def to_dict(self) -> dict:
-        """The `model.density` config object; piecewise params are
-        [breaks, densities]."""
-        if self.kind == "piecewise":
-            return {"kind": self.kind, "params": [list(p) for p in self.params]}
-        return {"kind": self.kind, "params": list(self.params)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DensitySpec":
-        """Inverse of to_dict; unknown keys are rejected."""
-        if not isinstance(obj, dict):
-            raise TypeError(f"a density is an object, got {obj!r}")
-        unknown = sorted(set(obj) - {"kind", "params"})
-        if unknown:
-            raise ValueError(f"unknown density field(s) {unknown}")
-        return cls(kind=obj["kind"], params=tuple(obj["params"]))
-
 
 UNIFORM_HALF = DensitySpec.uniform(-0.5, 0.5)
 

@@ -40,7 +40,8 @@ depend on the worker count.
 
 Model objects are built through the library, never copied here: the
 operator spec comes from `ExperimentConfig.operator_spec`, the interaction
-from `InteractionSpec.from_dict` (the `model.interaction` schema), sector
+and density from `interaction_spec` and `density_spec` (this module alone
+reads the config's JSON form; the model layer only builds specs), sector
 dimensions from the spec's `ConfigIndex`, templates from the operator
 layer's shared cache, default configurations and the monitor-box rules
 from `diagnostics` (`probe_pairs`, `corner_block`, `check_monitor_box`).
@@ -174,10 +175,17 @@ class ExperimentConfig:
     # ------------------------------------------------------- model builders
 
     def interaction_spec(self) -> InteractionSpec:
-        return InteractionSpec.from_dict(self.model["interaction"])
+        """The validated model.interaction section, built by its factory:
+        none ignores the coupling, onsite the range."""
+        inter = self.model["interaction"]
+        if inter["builtin"] == "pair_nn":
+            return InteractionSpec.pair_nn(inter["coupling"], inter["range"])
+        if inter["builtin"] == "onsite":
+            return InteractionSpec.onsite(inter["coupling"])
+        return InteractionSpec.none()
 
     def density_spec(self) -> DensitySpec:
-        return DensitySpec.from_dict(self.model["density"])
+        return _density(self.model["density"])
 
     def operator_spec(self, side: int = None, n: int = None) -> OperatorSpec:
         """The model on the centered box; side and n default to model.L, model.n."""
@@ -290,9 +298,19 @@ def _defaults(schema: dict) -> dict:
     return {key: default for key, (default, _) in schema.items()}
 
 
+def _density(obj) -> DensitySpec:
+    """The model.density object {kind, params}; unknown fields are rejected."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"a density is an object, got {obj!r}")
+    unknown = sorted(set(obj) - {"kind", "params"})
+    if unknown:
+        raise ValueError(f"unknown density field(s) {unknown}")
+    return DensitySpec(kind=obj["kind"], params=tuple(obj["params"]))
+
+
 def _density_rule(path: str, value) -> list:
     try:
-        DensitySpec.from_dict(value)
+        _density(value)
     except (ValueError, KeyError, TypeError, OverflowError) as err:
         return [f"{path}: {err}"]
     return []
@@ -554,8 +572,8 @@ def config_warnings(config) -> list:
     inter = config.model.get("interaction") if isinstance(config.model, dict) else None
     if not isinstance(inter, dict):
         return []
-    coupling = inter.get("coupling", 0.0)
-    if inter.get("builtin", "none") == "none" and _is_num(coupling) and coupling != 0:
+    coupling = inter["coupling"]
+    if inter["builtin"] == "none" and _is_num(coupling) and coupling != 0:
         return [f"model.interaction.coupling {coupling} is ignored with builtin 'none'"]
     return []
 
@@ -616,7 +634,7 @@ def _check_region_scan(config, spec, out: list) -> None:
             "onsite is not supported here"
         )
     alphas = config.params["alphas"]
-    irange = config.model["interaction"].get("range", 1)
+    irange = config.model["interaction"]["range"]
     if (
         isinstance(alphas, list)
         and any(_is_num(a) and float(a) != 0 for a in alphas)
@@ -710,11 +728,7 @@ def emit(table: ResultTable, directory, basename: str, formats=("csv", "json")):
         texts["json"] = _json_text({**head, "rows": table.rows}, sort_keys=False)
     meta = {**head, "metadata": table.metadata}
     texts["meta.json"] = _json_text(meta, sort_keys=True)
-    directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise OSError(f"cannot create output directory {directory}: {err}") from err
+    directory = _make_directory(directory)
     written = []
     for suffix, text in texts.items():
         path = directory / f"{basename}.{suffix}"
@@ -724,6 +738,16 @@ def emit(table: ResultTable, directory, basename: str, formats=("csv", "json")):
             raise OSError(f"cannot write {path}: {err}") from err
         written.append(str(path))
     return written
+
+
+def _make_directory(directory) -> Path:
+    """directory as a Path, created with its parents if missing."""
+    directory = Path(directory)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise OSError(f"cannot create output directory {directory}: {err}") from err
+    return directory
 
 
 def _json_text(obj, sort_keys: bool) -> str:
@@ -1280,7 +1304,8 @@ def run(config, workers=None) -> ResultTable:
     1 (None means one per available core). Writes the output files before
     returning; the table's metadata records the config, its hash, the
     package version, the wall time, and under "warnings" the
-    config_warnings, when there are any.
+    config_warnings, when there are any. The output directory is created
+    before the experiment runs, so OSError reports one that cannot be.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -1292,6 +1317,7 @@ def run(config, workers=None) -> ResultTable:
         raise ConfigError(violations)
     if budget:
         raise BudgetError("; ".join(budget))
+    _make_directory(config.output["directory"])
     start = time.monotonic()
     rows, metadata = _RUNNERS[config.kind](config, workers)
     warnings = config_warnings(config)

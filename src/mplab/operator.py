@@ -78,35 +78,8 @@ class InteractionSpec:
         """Same-site pair counting, coupling * m(m-1)/2 per site."""
         return cls("onsite", float(coupling))
 
-    # ------------------------------------------------------ serialization
-
-    def to_dict(self) -> dict:
-        """The `model.interaction` config object; "range" only for pair_nn."""
-        out = {"builtin": self.builtin, "coupling": self.coupling}
-        if self.builtin == "pair_nn":
-            out["range"] = self.range
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "InteractionSpec":
-        """Inverse of to_dict. Missing keys default to builtin "none",
-        coupling 0.0 and range 1; unknown keys are rejected."""
-        unknown = sorted(set(obj) - set(INTERACTION_FIELDS))
-        if unknown:
-            raise ValueError(f"unknown interaction field(s) {unknown}")
-        name = obj.get("builtin", "none")
-        coupling = float(obj.get("coupling", 0.0))
-        if name == "none":
-            return cls.none()
-        if name == "pair_nn":
-            return cls.pair_nn(coupling, range=int(obj.get("range", 1)))
-        if name == "onsite":
-            return cls.onsite(coupling)
-        raise ValueError(f"unknown built-in interaction {name!r}")
-
 
 BUILTIN_INTERACTIONS = ("none", "pair_nn", "onsite")
-INTERACTION_FIELDS = ("builtin", "coupling", "range")
 
 
 def interaction_energy(config: Configuration, inter: InteractionSpec) -> float:

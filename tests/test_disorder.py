@@ -119,15 +119,6 @@ def test_unnormalized_table_rejected_by_raw_constructor():
         DensitySpec(kind="piecewise", params=((0.0, 1.0), (2.0,)))
 
 
-def test_density_dict_roundtrip():
-    for d in (
-        UNIFORM_HALF,
-        DensitySpec.truncated_gaussian(1.0, 2.0),
-        DensitySpec.piecewise((-1, 0, 2), (0.5, 0.25)),
-    ):
-        assert DensitySpec.from_dict(d.to_dict()) == d
-
-
 # ----------------------------------------------------------------- sampling
 
 

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from mplab import cli, diagnostics, harness
-from mplab.disorder import DensitySpec
+from mplab.disorder import UNIFORM_HALF, DensitySpec
 from mplab.errors import BudgetError
-from mplab.operator import INTERACTION_FIELDS, InteractionSpec
+from mplab.operator import InteractionSpec
 from mplab.harness import (
     KINDS,
     ConfigError,
@@ -98,15 +98,49 @@ def test_unknown_interaction_fields_reported(tmp_path, inter, field):
         run(probe_config(tmp_path, interaction=inter), workers=1)
 
 
-def test_interaction_to_dict_is_a_config_interaction(tmp_path):
-    for inter in (
-        InteractionSpec.none(),
-        InteractionSpec.pair_nn(0.3, range=2),
-        InteractionSpec.onsite(0.7),
-    ):
-        cfg = probe_config(tmp_path, interaction=inter.to_dict())
-        assert validate(cfg) == []
-        assert ExperimentConfig.from_dict(cfg).interaction_spec() == inter
+@pytest.mark.parametrize(
+    "model, inter, density",
+    [
+        pytest.param({}, InteractionSpec.none(), UNIFORM_HALF, id="defaults"),
+        pytest.param(
+            {"interaction": {"builtin": "none", "coupling": 0.5}},
+            InteractionSpec.none(), UNIFORM_HALF, id="none_coupling",
+        ),
+        pytest.param(
+            {"interaction": {"builtin": "pair_nn", "coupling": 0.3}},
+            InteractionSpec.pair_nn(0.3, range=1), UNIFORM_HALF, id="pair_nn",
+        ),
+        pytest.param(
+            {"interaction": {"builtin": "pair_nn", "coupling": 0.3, "range": 2}},
+            InteractionSpec.pair_nn(0.3, range=2), UNIFORM_HALF, id="pair_nn_range",
+        ),
+        pytest.param(
+            {"interaction": {"builtin": "onsite", "coupling": 0.7, "range": 3}},
+            InteractionSpec.onsite(0.7), UNIFORM_HALF, id="onsite_range",
+        ),
+        pytest.param(
+            {"density": {"kind": "uniform", "params": [-1, 2]}},
+            InteractionSpec.none(), DensitySpec.uniform(-1.0, 2.0), id="uniform",
+        ),
+        pytest.param(
+            {"density": {"kind": "truncated_gaussian", "params": [0.5, 1]}},
+            InteractionSpec.none(), DensitySpec.truncated_gaussian(0.5, 1.0),
+            id="truncated_gaussian",
+        ),
+        # the factory normalizes the table; the config's integrates to 1
+        pytest.param(
+            {"density": {"kind": "piecewise", "params": [[-1, 0, 1], [0.3, 0.7]]}},
+            InteractionSpec.none(), DensitySpec.piecewise((-1, 0, 1), (0.3, 0.7)),
+            id="piecewise",
+        ),
+    ],
+)
+def test_config_sections_build_the_factory_specs(tmp_path, model, inter, density):
+    cfg = probe_config(tmp_path, **model)
+    assert validate(cfg) == []
+    config = ExperimentConfig.from_dict(cfg)
+    assert config.interaction_spec() == inter
+    assert config.density_spec() == density
 
 
 def test_unknown_kind(tmp_path):
@@ -899,14 +933,9 @@ def test_cli_reports_bad_site_coordinates(tmp_path, capsys, cfg, expected):
 def test_non_finite_density_parameters_rejected(density):
     obj = json.loads(density)
     with pytest.raises(ValueError):
-        DensitySpec.from_dict(obj)
+        DensitySpec(obj["kind"], obj["params"])
     (violation,) = validate(_cfg("decay_probe", {"density": obj}))
     assert violation.startswith("model.density: ")
-
-
-def test_interaction_schema_lists_the_operator_fields():
-    defaults, _ = harness._SECTIONS["model"]["interaction"]
-    assert tuple(defaults) == INTERACTION_FIELDS
 
 
 # integers stay small, so that the seeded shape draws below do not move;
@@ -1220,18 +1249,6 @@ def test_scipy_loads_only_for_special_functions_and_sparse_solves(tmp_path):
     assert got["green"] == [
         True, (0.009631568287593251).hex(), (0.0012096828892811248).hex()
     ]
-
-
-def test_density_to_dict_is_a_config_density(tmp_path):
-    table = DensitySpec.piecewise((-1.0, 0.0, 1.0), (0.3, 0.7))
-    as_dict = probe_config(tmp_path / "a", density=table.to_dict())
-    as_params = probe_config(
-        tmp_path / "b", density={"kind": "piecewise", "params": [[-1, 0, 1], [0.3, 0.7]]}
-    )
-    for cfg in (as_dict, as_params):
-        assert validate(cfg) == []
-        assert ExperimentConfig.from_dict(cfg).density_spec() == table
-    assert run(as_dict, workers=1).rows == run(as_params, workers=1).rows
 
 
 @pytest.mark.parametrize(
@@ -1730,9 +1747,10 @@ def test_cli_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_unwritable_output_directory(tmp_path, capsys):
+def test_cli_unwritable_output_directory(tmp_path, capsys, monkeypatch):
     """An output directory under an existing file is reported as an error
-    line with exit code 2, as an unreadable config is, not a traceback."""
+    line with exit code 2, as an unreadable config is, not a traceback,
+    and before the experiment runs."""
     (tmp_path / "file").write_text("")
     out = tmp_path / "file" / "out"
     path = write_cfg(tmp_path, probe_config(out))
@@ -1740,6 +1758,13 @@ def test_cli_unwritable_output_directory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot create output directory {out}: ")
     assert err.count("\n") == 1
+
+    def runner(config, workers):
+        pytest.fail("the runner ran before the output directory was made")
+
+    monkeypatch.setitem(harness._RUNNERS, "decay_probe", runner)
+    assert cli.main(["run", path, "--workers", "1"]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_load_config_is_the_one_file_loader(tmp_path, capsys):

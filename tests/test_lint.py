@@ -194,3 +194,40 @@ def test_private_imports_finds_every_spelling():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_imports_no_private_name_of_another(module):
     assert private_imports((SRC / module).read_text()) == []
+
+
+def config_readers(source: str) -> list[str]:
+    """The functions and methods named `from_dict` or `to_dict` that
+    source defines, as "line: name", in line order. The config's JSON form
+    is read and written in harness.py alone; the model layer builds its
+    specs through constructors and factories."""
+    found = [
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("from_dict", "to_dict")
+    ]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_config_readers_finds_every_definition():
+    source = (
+        "class Spec:\n"
+        "    def to_dict(self):\n"
+        "        return {}\n"
+        "    @classmethod\n"
+        "    def from_dict(cls, obj):\n"
+        "        return cls()\n"
+        "    def as_dict(self):\n"
+        "        return self.to_dict()\n"
+        "def from_dict(obj):\n"
+        "    return Spec.from_dict(obj)\n"
+    )
+    assert config_readers(source) == ["2: to_dict", "5: from_dict", "9: from_dict"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "harness.py")
+)
+def test_only_the_harness_reads_config_dicts(module):
+    assert config_readers((SRC / module).read_text()) == []

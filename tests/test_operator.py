@@ -2,7 +2,6 @@ import io
 import itertools
 import math
 from collections import Counter
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from mplab.diagnostics import (
     realization_spectrum,
 )
 from mplab.operator import (
-    INTERACTION_FIELDS,
     InteractionSpec,
     OperatorSpec,
     OperatorTemplate,
@@ -148,46 +146,10 @@ def test_interaction_energy_matches_pattern_enumeration():
 
 
 def test_interaction_spec_validation():
-    # the spec holds the config object's fields and nothing else
-    assert tuple(f.name for f in fields(InteractionSpec)) == INTERACTION_FIELDS
     with pytest.raises(ValueError, match="built-in interaction 'yukawa'"):
         InteractionSpec("yukawa", 1.0, 1)
     with pytest.raises(ValueError, match="range must be >= 0"):
         InteractionSpec.pair_nn(1.0, range=-1)
-
-
-def test_interaction_dict_roundtrip():
-    c = Configuration(sites=((0,), (0,), (1,)))
-    for inter in (
-        InteractionSpec.none(),
-        InteractionSpec.pair_nn(0.2),
-        InteractionSpec.onsite(1.5),
-    ):
-        back = InteractionSpec.from_dict(inter.to_dict())
-        assert back == inter
-        assert interaction_energy(c, back) == pytest.approx(
-            interaction_energy(c, inter)
-        )
-
-
-def test_interaction_dict_uses_the_config_schema():
-    assert InteractionSpec.pair_nn(0.2, range=2).to_dict() == {
-        "builtin": "pair_nn",
-        "coupling": 0.2,
-        "range": 2,
-    }
-    assert InteractionSpec.onsite(1.5).to_dict() == {
-        "builtin": "onsite",
-        "coupling": 1.5,
-    }
-    assert InteractionSpec.from_dict({}) == InteractionSpec.none()
-    assert InteractionSpec.from_dict(
-        {"builtin": "pair_nn", "coupling": 0.4}
-    ) == InteractionSpec.pair_nn(0.4, range=1)
-    with pytest.raises(ValueError, match="alpha"):
-        InteractionSpec.from_dict({"builtin": "pair_nn", "alpha": [0.0, 0.5]})
-    with pytest.raises(ValueError, match="built-in"):
-        InteractionSpec.from_dict({"builtin": "yukawa"})
 
 
 # ----------------------------------------------------------- single particle
