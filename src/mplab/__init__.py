@@ -46,13 +46,13 @@ from .operator import (
     SparseHamiltonian,
     assemble,
     gershgorin_interval,
+    kron_sum,
 )
 from .spectral import (
     EnergyInterval,
     KernelResult,
     SpectralData,
     composite_green_check,
-    composite_spectral_data,
     correlator,
     dynamical_kernel,
     green,

@@ -627,6 +627,24 @@ class RescalingReport:
     b_large: float
 
 
+def _tail(A: float, L: int, nu: float, p: float) -> float:
+    """The tail A L^(2p) e^(-2 nu L): 0 when A is 0, the direct product
+    when it is finite, else in logarithms (infinite if that overflows)."""
+    if A == 0:
+        return 0.0
+    try:
+        tail = A * float(L) ** (2.0 * p) * math.exp(-2.0 * nu * L)
+    except OverflowError:
+        tail = math.inf
+    if math.isfinite(tail):
+        return tail
+    log_tail = math.log(abs(A)) + 2.0 * p * math.log(L) - 2.0 * nu * L
+    try:
+        return math.copysign(math.exp(log_tail), A)
+    except OverflowError:
+        return math.copysign(math.inf, A)
+
+
 def rescaling_check(
     b_small: float,
     b_large: float,
@@ -651,7 +669,7 @@ def rescaling_check(
     if bs < 0 or bl < 0:
         raise ValueError("monitor values are nonnegative by construction")
     factor = a / abs(lam) ** s if lam != 0 else math.inf
-    tail = A * float(L) ** (2.0 * p) * math.exp(-2.0 * nu * L)
+    tail = _tail(A, L, nu, p)
     rhs = tail if bs == 0.0 else factor * bs**2 + tail
     condition = factor * bs if bs > 0 else (math.inf if lam == 0 else 0.0)
     # strict contraction b_large < b_small is vacuous at b_small = 0

@@ -99,12 +99,12 @@ from .operator import (
     OperatorSpec,
     assemble,
     gershgorin_interval,
+    kron_sum,
 )
 from .spectral import (
     DENSE_DIAG_CAP,
     EnergyInterval,
     composite_green_check,
-    composite_spectral_data,
     spectral_data,
     subadditivity_check,
 )
@@ -299,19 +299,27 @@ def _defaults(schema: dict) -> dict:
 
 
 def _density(obj) -> DensitySpec:
-    """The model.density object {kind, params}; unknown fields are rejected."""
+    """The model.density object {kind, params}; unknown fields are rejected.
+    DensitySpec raises TypeError or OverflowError only on malformed params."""
     if not isinstance(obj, dict):
-        raise TypeError(f"a density is an object, got {obj!r}")
+        raise TypeError(f"a density is an object, got {_shown(obj)}")
     unknown = sorted(set(obj) - {"kind", "params"})
     if unknown:
         raise ValueError(f"unknown density field(s) {unknown}")
-    return DensitySpec(kind=obj["kind"], params=tuple(obj["params"]))
+    kind, params = obj["kind"], obj["params"]
+    try:
+        return DensitySpec(kind=kind, params=tuple(params))
+    except (TypeError, OverflowError):
+        raise ValueError(
+            f"params must be numbers in the float range, laid out for kind "
+            f"{_shown(kind)}, got {_shown(params)}"
+        ) from None
 
 
 def _density_rule(path: str, value) -> list:
     try:
         _density(value)
-    except (ValueError, KeyError, TypeError, OverflowError) as err:
+    except (ValueError, KeyError, TypeError) as err:
         return [f"{path}: {err}"]
     return []
 
@@ -334,15 +342,17 @@ def _positive_rule(path: str, value) -> list:
 
 
 def _interval_rule(path: str, iv) -> list:
-    """null, or [lo, hi] of finite numbers with a finite length >= 1."""
+    """null, or [lo, hi] of finite numbers with a finite length >= 1, the
+    length taken in floats as EnergyInterval holds it."""
     if iv is None:
         return []
     if not (_is_list_of(iv, _is_num) and len(iv) == 2):
         return [f"{path} must be null or [lo, hi], got {_shown(iv)}"]
-    if not iv[1] - iv[0] >= 1.0 - 1e-12:
-        return [f"{path} must have length >= 1, got {iv[1] - iv[0]}"]
-    if not math.isfinite(iv[1] - iv[0]):
-        return [f"{path} must have a finite length, got {iv[1] - iv[0]}"]
+    length = float(iv[1]) - float(iv[0])
+    if not length >= 1.0 - 1e-12:
+        return [f"{path} must have length >= 1, got {length}"]
+    if not math.isfinite(length):
+        return [f"{path} must have a finite length, got {length}"]
     return []
 
 
@@ -887,7 +897,7 @@ def _subadditivity_unit(args):
     a = float(rng.uniform(lo, hi))
     width = float(rng.uniform(0.1, max(hi - lo, 0.2)))
     S_j, S_k = spectral_data(H_j), spectral_data(H_k)
-    S_jk = composite_spectral_data(H_j, H_k)
+    S_jk = spectral_data(kron_sum(H_j, H_k))
     res = subadditivity_check(S_j, S_k, S_jk, x, y, EnergyInterval(a, a + width))
     return (
         i,

@@ -247,10 +247,7 @@ class OperatorTemplate:
             pot += self.occ_mult[:, j] * real.values[self.occ_ranks[:, j]]
         diag = self.interaction_diag + self.spec.lam * pot
         return SparseHamiltonian(
-            hops=self.hops,
-            diagonal=self.kinetic_diag + diag,
-            spec=self.spec,
-            index=self.index,
+            hops=self.hops, diagonal=self.kinetic_diag + diag, index=self.index
         )
 
     def gershgorin_interval(self, density: DensitySpec) -> tuple[float, float]:
@@ -271,20 +268,32 @@ class OperatorTemplate:
         return (float(lo), float(hi))
 
 
+@dataclass(frozen=True)
+class ProductBasis:
+    """Index for the tensor product of two blocks, left factor major."""
+
+    left: ConfigIndex
+    right: ConfigIndex
+
+    def index_of(self, config) -> int:
+        """Rank of a (left, right) pair of block configurations."""
+        cl, cr = config
+        return self.left.index_of(cl) * self.right.size + self.right.index_of(cr)
+
+
 @dataclass(frozen=True, eq=False)
 class SparseHamiltonian:
-    """Assembled operator together with its provenance.
+    """Assembled operator together with its basis index.
 
-    The operator is held as numpy arrays: the off-diagonal hops (shared with
-    its template, sorted by (row, col)) and the full diagonal. dense() fills
-    the dense matrix from them; `matrix`, the scipy CSR form that sparse
-    solves need, is built from the same arrays on first use.
+    The operator is held as numpy arrays: the off-diagonal hops (an
+    assembled operator shares its template's) and the full diagonal.
+    dense() fills the dense matrix from them; `matrix`, the scipy CSR form
+    that sparse solves need, is built from the same arrays on first use.
     """
 
     hops: tuple  # (rows, cols, amplitudes), off-diagonal
     diagonal: np.ndarray
-    spec: OperatorSpec
-    index: ConfigIndex
+    index: ConfigIndex | ProductBasis
 
     @property
     def dim(self) -> int:
@@ -333,6 +342,29 @@ def assemble(spec: OperatorSpec, real: DisorderRealization) -> SparseHamiltonian
     """Hamiltonian of one realization; calls on one spec share one cached
     template, so an ensemble assembles its fixed parts once."""
     return _template_for(spec).hamiltonian(real)
+
+
+def kron_sum(H_J: SparseHamiltonian, H_K: SparseHamiltonian) -> SparseHamiltonian:
+    """The non-interacting composite H_J (x) 1 + 1 (x) H_K on the product
+    basis of the two blocks.
+
+    Each block's hops are lifted to the product basis, and the diagonal is
+    H_J's plus H_K's, so dense() and `matrix` hold the Kronecker sum's
+    doubles entry for entry (np.kron would turn a negative entry times an
+    identity zero into -0.0).
+    """
+    nj, nk = H_J.dim, H_K.dim
+    (rj, cj, vj), (rk, ck, vk) = H_J.hops, H_K.hops
+    left, right = np.arange(nj)[:, None] * nk, np.arange(nk)
+    return SparseHamiltonian(
+        hops=(
+            np.concatenate(((rj[:, None] * nk + right).ravel(), (left + rk).ravel())),
+            np.concatenate(((cj[:, None] * nk + right).ravel(), (left + ck).ravel())),
+            np.concatenate((np.repeat(vj, nk), np.tile(vk, nj))),
+        ),
+        diagonal=(H_J.diagonal[:, None] + H_K.diagonal).ravel(),
+        index=ProductBasis(left=H_J.index, right=H_K.index),
+    )
 
 
 def gershgorin_interval(

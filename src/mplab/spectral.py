@@ -9,7 +9,8 @@ green_block for blocks of x and y (the monitor's tile rows,
 diagnostics.monitor_seed_rows); eigenfunction correlators and
 dynamical kernels via the same eigendecomposition; a contour-convolution
 identity for non-interacting composites, and the correlator subadditivity
-check that rests on it.
+check that rests on it. A composite is one more SparseHamiltonian,
+operator.kron_sum(H_J, H_K), which spectral_data and the LU solves take.
 
 Eigenvalues closer than GROUPING_RTOL * ||H|| are treated as one degenerate
 group throughout: correlators sum |<x, P_g y>| per group, and time evolution
@@ -27,9 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .configspace import ConfigIndex, Configuration
+from .configspace import Configuration
 from .errors import BudgetError, ContourGeometryError, SingularityError
-from .operator import SparseHamiltonian
+from .operator import ProductBasis, SparseHamiltonian, kron_sum
 
 # Dense eigendecomposition ceiling; ensembles above this must use solves.
 DENSE_DIAG_CAP = 20_000
@@ -317,68 +318,6 @@ def dynamical_kernel(
 
 
 @dataclass(frozen=True)
-class ProductBasis:
-    """Index for the tensor product of two blocks, left factor major."""
-
-    left: ConfigIndex
-    right: ConfigIndex
-
-    def index_of(self, config) -> int:
-        """Rank of a (left, right) pair of block configurations."""
-        cl, cr = config
-        return self.left.index_of(cl) * self.right.size + self.right.index_of(cr)
-
-
-def composite_matrix(
-    H_J: SparseHamiltonian, H_K: SparseHamiltonian
-) -> tuple[np.ndarray, ProductBasis]:
-    """Non-interacting composite H_J (x) 1 + 1 (x) H_K on the product basis,
-    as a dense array.
-
-    Entries are written, not multiplied out, so every entry is the same
-    double as in the sparse Kronecker sum: A[i, j] where a == b, B[a, b]
-    where i == j, and A[i, i] + B[a, a] on the diagonal. (np.kron would
-    turn a negative entry times an identity zero into -0.0.)
-    """
-    A, B = H_J.dense(), H_K.dense()
-    nj, nk = H_J.dim, H_K.dim
-    out = np.zeros((nj, nk, nj, nk))
-    out[:, np.arange(nk), :, np.arange(nk)] = A
-    out[np.arange(nj), :, np.arange(nj), :] += B
-    basis = ProductBasis(left=H_J.index, right=H_K.index)
-    return out.reshape(nj * nk, nj * nk), basis
-
-
-def _composite_csr(H_J: SparseHamiltonian, H_K: SparseHamiltonian):
-    """composite_matrix's operator as a scipy CSR matrix (imports
-    scipy.sparse), for composites too large to solve densely."""
-    import scipy.sparse as sp
-
-    eye_j = sp.identity(H_J.dim, format="csr")
-    eye_k = sp.identity(H_K.dim, format="csr")
-    return sp.kron(H_J.matrix, eye_k, format="csr") + sp.kron(
-        eye_j, H_K.matrix, format="csr"
-    )
-
-
-def composite_spectral_data(
-    H_J: SparseHamiltonian, H_K: SparseHamiltonian
-) -> SpectralData:
-    """Eigendecomposition of the assembled composite (no structure shortcuts,
-    so it can serve as an independent reference for the block identities)."""
-    dim = H_J.dim * H_K.dim
-    if dim > DENSE_DIAG_CAP:
-        raise BudgetError(
-            f"composite dimension {dim} exceeds cap {DENSE_DIAG_CAP}",
-            count=dim,
-            limit=DENSE_DIAG_CAP,
-        )
-    matrix, basis = composite_matrix(H_J, H_K)
-    energies, vectors = np.linalg.eigh(matrix)
-    return SpectralData(energies=energies, vectors=vectors, index=basis)
-
-
-@dataclass(frozen=True)
 class CompositeCheck:
     direct: complex
     contour: complex
@@ -404,9 +343,10 @@ def composite_green_check(
     a violation raises ContourGeometryError instead of returning garbage.
     The contour side evaluates G_J and G_K at all nodes in one pass each
     through the block eigendecompositions (green_entries). The direct side
-    is an independent LU solve on the assembled composite, dense (LAPACK)
-    up to dimension _DENSE_SOLVE_CAP and sparse (SuperLU) above it, so the
-    returned gap measures the identity, not a shared code path.
+    is an independent LU solve on the assembled composite kron_sum(H_J, H_K),
+    dense (LAPACK) up to dimension _DENSE_SOLVE_CAP and sparse (SuperLU)
+    above it, so the returned gap measures the identity, not a shared code
+    path.
 
     x and y are (left, right) pairs of block configurations. quadrature_points
     is a sequence of node counts: one CompositeCheck per count comes back, in
@@ -414,7 +354,6 @@ def composite_green_check(
     direct solve are shared between them.
     """
     z = complex(z)
-    basis = ProductBasis(left=H_J.index, right=H_K.index)
     (xj, xk), (yj, yk) = x, y
 
     S_J, S_K = spectral_data(H_J), spectral_data(H_K)
@@ -432,13 +371,9 @@ def composite_green_check(
     if min(counts) < 2:
         raise ValueError(f"need at least 2 quadrature points, got {min(counts)}")
 
-    if H_J.dim * H_K.dim <= _DENSE_SOLVE_CAP:
-        matrix, _ = composite_matrix(H_J, H_K)
-    else:
-        matrix = _composite_csr(H_J, H_K)
-    iy = basis.index_of(y)
-    ix = basis.index_of(x)
-    direct = complex(_green_column(matrix, iy, z)[ix])
+    H = kron_sum(H_J, H_K)
+    matrix = H.dense() if H.dim <= _DENSE_SOLVE_CAP else H.matrix
+    direct = complex(_green_column(matrix, H.rank_of(y), z)[H.rank_of(x)])
     checks = []
     for n in counts:
         theta = 2.0 * np.pi * np.arange(n) / n
@@ -488,7 +423,7 @@ def subadditivity_check(
     average). x and y are (left, right) pairs of block configurations.
     """
     if not isinstance(S_JK.index, ProductBasis):
-        raise ValueError("S_JK must come from composite_spectral_data")
+        raise ValueError("S_JK must come from spectral_data(kron_sum(H_J, H_K))")
     (xj, xk), (yj, yk) = x, y
     full = EnergyInterval.full_line()
     q_left = correlator(S_J, xj, yj, full)

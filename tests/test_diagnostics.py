@@ -792,6 +792,22 @@ def test_rescaling_tail_term():
     assert rep.inequality_margin == pytest.approx(2.0 * 4.0 * math.exp(-2.0) - 0.3)
 
 
+def test_rescaling_tail_never_overflows():
+    # the direct product keeps its bits whenever it is finite
+    rep = rescaling_check(0.0, 0.3, 10.0, 0.5, 4, A=2.0, nu=0.25, p=0.5)
+    assert rep.inequality_margin == 2.0 * 4.0**1.0 * math.exp(-2.0) - 0.3
+    # A = 0 is no tail, whatever L^(2p) would be
+    rep = rescaling_check(0.1, 0.3, 10.0, 0.5, 4, A=0.0, p=1000.0)
+    assert rep.inequality_margin == 1.0 / 10.0**0.5 * 0.1**2 - 0.3
+    # L^(2p) overflows, e^(-2 nu L) brings the tail back: logarithms
+    rep = rescaling_check(0.0, 0.3, 10.0, 0.5, 10, A=1.0, nu=200.0, p=1000.0)
+    expect = math.exp(2000.0 * math.log(10.0) - 4000.0)
+    assert rep.inequality_margin == pytest.approx(expect, rel=1e-12)
+    # both overflow: an infinite tail, which any b_large satisfies
+    rep = rescaling_check(1.0, 0.3, 20.0, 0.5, 4, A=1.0, p=1000.0)
+    assert rep.inequality_margin == math.inf and rep.satisfied
+
+
 def test_rescaling_validations():
     with pytest.raises(ValueError):
         rescaling_check(-0.1, 0.0, 5.0, 0.5, 8)

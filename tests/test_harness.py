@@ -385,6 +385,30 @@ _VALIDATE_CORPUS = [
         ],
         id="density_and_ensemble",
     ),
+    # a density's own messages name the field and spell integers by magnitude
+    pytest.param(
+        _cfg("decay_probe", {"density": 10**5000}),
+        [
+            'model.density: a density is an object, got ~10^5000',
+        ],
+        id="density_of_5000_digits",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"density": {"kind": "uniform", "params": [0, 10**400]}}),
+        [
+            "model.density: params must be numbers in the float range, laid out "
+            "for kind 'uniform', got [0, ~10^400]",
+        ],
+        id="density_params_past_the_float_range",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"density": {"kind": "uniform", "params": "ab"}}),
+        [
+            "model.density: params must be numbers in the float range, laid out "
+            "for kind 'uniform', got 'ab'",
+        ],
+        id="density_params_string",
+    ),
     pytest.param(
         _cfg("composite_check", {"L": 4}, {"count": 0}),
         [
@@ -462,6 +486,14 @@ _VALIDATE_CORPUS = [
             'params.interval must have a finite length, got inf',
         ],
         id="probe_interval_length_overflows",
+    ),
+    # the same length from integers, which math.isfinite cannot take
+    pytest.param(
+        _cfg("decay_probe", params={"interval": [-10**308, 10**308]}),
+        [
+            'params.interval must have a finite length, got inf',
+        ],
+        id="probe_interval_of_integers_past_the_float_range",
     ),
     pytest.param(
         _cfg("decay_probe", {"L": 40, "n": 3}),

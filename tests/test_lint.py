@@ -231,3 +231,60 @@ def test_config_readers_finds_every_definition():
 )
 def test_only_the_harness_reads_config_dicts(module):
     assert config_readers((SRC / module).read_text()) == []
+
+
+def calls_named(source: str, name: str) -> list[str]:
+    """The calls in source whose callee is `name` or ends in `.name`, as
+    "line: enclosing function" ("<module>" at top level), in line order.
+    A callee renamed on import is not followed."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                attr = func.attr if isinstance(func, ast.Attribute) else None
+                if name in (attr, getattr(func, "id", None)):
+                    found.append((child.lineno, scope))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else scope)
+
+    visit(ast.parse(source), "<module>")
+    return [f"{line}: {scope}" for line, scope in sorted(found)]
+
+
+def test_calls_named_finds_every_call_site():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigh\n"
+        "w = np.linalg.eigh(a)\n"
+        "class T:\n"
+        "    def build(self):\n"
+        "        return eigh(self.m)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return scipy.linalg.eigh(b)\n"
+        "    return np.linalg.eigvalsh(c), eigh, inner()\n"
+    )
+    assert calls_named(source, "eigh") == ["3: <module>", "6: build", "9: inner"]
+
+
+def call_sites(name: str) -> list[str]:
+    """calls_named over every module of src/mplab, as "module:line: scope"."""
+    return [
+        f"{p.name}:{site}"
+        for p in sorted(SRC.glob("*.py"))
+        for site in calls_named(p.read_text(), name)
+    ]
+
+
+def test_eigh_is_called_once_in_spectral_data():
+    # every dense eigendecomposition, a composite's included, is spectral_data
+    (site,) = call_sites("eigh")
+    assert site.startswith("spectral.py:") and site.endswith(": spectral_data")
+
+
+def test_sparse_hamiltonians_are_built_in_operator_py():
+    # one operator form: assemble and kron_sum build it, nothing else does
+    sites = call_sites("SparseHamiltonian")
+    assert sites and all(site.startswith("operator.py:") for site in sites)

@@ -6,14 +6,12 @@ from mplab.configspace import Box, Configuration
 from mplab.disorder import UNIFORM_HALF, DensitySpec, sample
 from mplab.errors import BudgetError, ContourGeometryError, SingularityError
 from mplab import spectral
-from mplab.operator import InteractionSpec, OperatorSpec, assemble
+from mplab.operator import InteractionSpec, OperatorSpec, assemble, kron_sum
 from mplab.spectral import (
     DEFAULT_TIME_GRID,
     GROUPING_RTOL,
     EnergyInterval,
     composite_green_check,
-    composite_matrix,
-    composite_spectral_data,
     correlator,
     dynamical_kernel,
     _green_column,
@@ -458,7 +456,7 @@ def test_composite_check_shares_work_across_node_counts(monkeypatch):
 def test_composite_direct_matches_eigensum_reference():
     HJ = build(side=5, lam=1.0, seed=2)
     HK = build(side=4, lam=2.0, seed=3)
-    S = composite_spectral_data(HJ, HK)
+    S = spectral_data(kron_sum(HJ, HK))
     x = (c1(1), c1(0))
     y = (c1(3), c1(2))
     # Im z > radius keeps every pole strictly outside the contour
@@ -489,7 +487,7 @@ def test_composite_direct_solve_is_dense_up_to_the_cap(monkeypatch):
         HK = build(side=side, lam=2.0, seed=3)
         eK = np.linalg.eigvalsh(HK.dense())
         z = complex(3.7, 1.3 * max(1.25 * (eK.max() - eK.min()) / 2.0, 1.0))
-        S = composite_spectral_data(HJ, HK)
+        S = spectral_data(kron_sum(HJ, HK))
         ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
         (res,) = composite_green_check(HJ, HK, x, y, z, quadrature_points=(256,))
         assert res.direct == pytest.approx(ref, rel=1e-9)
@@ -522,7 +520,7 @@ def test_composite_identity_on_free_blocks(d, side, n):
     far = (side - 1,) * d
     x = (Configuration(sites=(origin,) * n),) * 2
     y = (Configuration(sites=(far,) + (origin,) * (n - 1)), x[1])
-    S = composite_spectral_data(HJ, HK)
+    S = spectral_data(kron_sum(HJ, HK))
     ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
     (res,) = composite_green_check(HJ, HK, x, y, z, quadrature_points=(512,))
     assert res.gap <= 1e-8
@@ -530,18 +528,29 @@ def test_composite_identity_on_free_blocks(d, side, n):
     assert res.direct == pytest.approx(ref, rel=1e-9)
 
 
-def test_composite_matrix_is_kron_sum():
-    HJ = build(side=3, lam=1.0, seed=0)
-    HK = build(side=2, lam=1.0, seed=1)
-    M, basis = composite_matrix(HJ, HK)
-    A = HJ.dense()
-    B = HK.dense()
-    expect = np.kron(A, np.eye(2)) + np.kron(np.eye(3), B)
-    assert np.allclose(M, expect, atol=0.0)
-    assert HJ.dim * HK.dim == 6
-    # entry for entry, signs of zeros included, the sparse Kronecker sum
-    kron_sum = sp.kron(HJ.matrix, sp.identity(2)) + sp.kron(sp.identity(3), HK.matrix)
-    assert M.tobytes() == kron_sum.toarray().tobytes()
+def test_kron_sum_is_the_scipy_kronecker_sum():
+    """Both forms of kron_sum are the scipy Kronecker sum, bit for bit:
+    signs of zeros, CSR structure and stored doubles included."""
+    pairs = [
+        (build(side=3, lam=1.0, seed=0), build(side=2, lam=1.0, seed=1)),
+        (
+            build(d=2, side=3, lam=1.0, seed=0),
+            build(side=4, n=2, sector="boson", alpha=0.5, lam=1.0, seed=1),
+        ),
+    ]
+    for HJ, HK in pairs:
+        H = kron_sum(HJ, HK)
+        assert H.dim == HJ.dim * HK.dim
+        eye_j, eye_k = sp.identity(HJ.dim), sp.identity(HK.dim)
+        # without format="csr", sp.kron returns BSR
+        expect = sp.kron(HJ.matrix, eye_k, format="csr") + sp.kron(
+            eye_j, HK.matrix, format="csr"
+        )
+        assert H.dense().tobytes() == expect.toarray().tobytes()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(H.matrix, name).tobytes() == getattr(expect, name).tobytes()
+        x = (HJ.index.config_at(HJ.dim - 1), HK.index.config_at(1))
+        assert H.rank_of(x) == (HJ.dim - 1) * HK.dim + 1
 
 
 # ------------------------------------------------------------ subadditivity
@@ -553,7 +562,7 @@ def test_subadditivity_sweep_no_violations():
         HJ = build(side=5, lam=1.0 + (seed % 3), seed=seed)
         HK = build(side=4, lam=2.0, seed=seed + 100)
         SJ, SK = spectral_data(HJ), spectral_data(HK)
-        SJK = composite_spectral_data(HJ, HK)
+        SJK = spectral_data(kron_sum(HJ, HK))
         xs = rng.integers(0, 5), rng.integers(0, 4)
         ys = rng.integers(0, 5), rng.integers(0, 4)
         x = (c1(int(xs[0])), c1(int(xs[1])))
@@ -570,7 +579,7 @@ def test_subadditivity_diagonal_equality_case():
     HJ = build(side=4, lam=2.0, seed=11)
     HK = build(side=3, lam=2.0, seed=12)
     SJ, SK = spectral_data(HJ), spectral_data(HK)
-    SJK = composite_spectral_data(HJ, HK)
+    SJK = spectral_data(kron_sum(HJ, HK))
     x = (c1(2), c1(1))
     res = subadditivity_check(SJ, SK, SJK, x, x, EnergyInterval.full_line())
     assert res.lhs == pytest.approx(1.0)
