@@ -121,16 +121,18 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-def _merge(defaults: dict, raw) -> dict:
-    """Defaults overlaid with raw values; unknown raw keys are kept."""
-    out = copy.deepcopy(defaults)
+def _merge(schema: dict, raw) -> dict:
+    """The schema's defaults overlaid with raw values; unknown raw keys are
+    kept. An object whose rule is _fields(sub), model.interaction, is
+    overlaid field by field on sub's defaults; any other raw value replaces
+    its default whole, so a density's params never come from the default's
+    kind."""
     if not isinstance(raw, dict):
         return raw
+    out = copy.deepcopy(_defaults(schema))
     for key, value in raw.items():
-        if key in out and isinstance(out[key], dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
+        sub = getattr(schema[key][1], "schema", None) if key in schema else None
+        out[key] = copy.deepcopy(value) if sub is None else _merge(sub, value)
     return out
 
 
@@ -159,7 +161,7 @@ class ExperimentConfig:
         params = _KINDS[kind].params if kind in KINDS else {}
         schemas = {**_SECTIONS, "params": params}
         sections = {
-            name: _merge(_defaults(schema), raw.get(name, {}))
+            name: _merge(schema, raw.get(name, {}))
             for name, schema in schemas.items()
         }
         extra = {k: raw[k] for k in raw if k != "kind" and k not in schemas}
@@ -276,6 +278,7 @@ def _fields(schema: dict, suffix: str = "") -> Callable:
                 out += check(f"{path}.{key}", obj.get(key))
         return out
 
+    rule.schema = schema  # for _merge
     return rule
 
 
@@ -298,28 +301,47 @@ def _defaults(schema: dict) -> dict:
     return {key: default for key, (default, _) in schema.items()}
 
 
+# each density kind's params as laid out in JSON: two entries, each passing
+# the rule
+_DENSITY_PARAMS = {
+    "uniform": ("[a, b]", _is_num),
+    "truncated_gaussian": ("[sigma, cutoff]", _is_num),
+    "piecewise": ("[breaks, densities], two lists", lambda v: _is_list_of(v, _is_num)),
+}
+
+
 def _density(obj) -> DensitySpec:
-    """The model.density object {kind, params}; unknown fields are rejected.
-    DensitySpec raises TypeError or OverflowError only on malformed params."""
+    """The model.density object {kind, params}; unknown and missing fields
+    are rejected, and params must have its kind's layout. DensitySpec then
+    raises OverflowError only where integer arithmetic on params leaves the
+    float range."""
     if not isinstance(obj, dict):
         raise TypeError(f"a density is an object, got {_shown(obj)}")
     unknown = sorted(set(obj) - {"kind", "params"})
     if unknown:
         raise ValueError(f"unknown density field(s) {unknown}")
+    for field in ("kind", "params"):
+        if field not in obj:
+            raise ValueError(f"missing field {field!r}")
     kind, params = obj["kind"], obj["params"]
-    try:
-        return DensitySpec(kind=kind, params=tuple(params))
-    except (TypeError, OverflowError):
-        raise ValueError(
-            f"params must be numbers in the float range, laid out for kind "
-            f"{_shown(kind)}, got {_shown(params)}"
-        ) from None
+    if not (isinstance(kind, str) and kind in _DENSITY_PARAMS):
+        raise ValueError(f"unknown density kind {_shown(kind)}")
+    layout, entry_ok = _DENSITY_PARAMS[kind]
+    if _is_list_of(params, entry_ok) and len(params) == 2:
+        try:
+            return DensitySpec(kind=kind, params=tuple(params))
+        except OverflowError:
+            pass
+    raise ValueError(
+        f"params must be {layout} of finite numbers for kind {_shown(kind)}, "
+        f"got {_shown(params)}"
+    )
 
 
 def _density_rule(path: str, value) -> list:
     try:
         _density(value)
-    except (ValueError, KeyError, TypeError) as err:
+    except (ValueError, TypeError) as err:
         return [f"{path}: {err}"]
     return []
 

@@ -22,6 +22,7 @@ free to make inside (near-)degenerate eigenspaces, and it makes the bound
 
 from __future__ import annotations
 
+import ctypes
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +34,11 @@ from .errors import BudgetError, ContourGeometryError, SingularityError
 from .operator import ProductBasis, SparseHamiltonian, kron_sum
 
 # Dense eigendecomposition ceiling; ensembles above this must use solves.
+# One eigendecomposition holds 24 N^2 bytes, the matrix that dsyevd
+# overwrites with the eigenvectors and its 2 N^2 workspace (spectral_data):
+# 9.6 GB at the cap and 0.4 GB at N = 4096 (side 64 of a 2-d box), against
+# 40 N^2 bytes through np.linalg.eigh, which copies its input and writes a
+# fresh output.
 DENSE_DIAG_CAP = 20_000
 
 # Relative gap under which adjacent eigenvalues count as one group.
@@ -50,6 +56,28 @@ _SINGULARITY_FACTOR = 1e3
 # near 256 on Kronecker sums of 1-d and 2-d blocks, and a dense complex
 # matrix grows as 16 N^2 bytes (5 GB at N = 18496, dim_cap 136).
 _DENSE_SOLVE_CAP = 256
+
+
+def _lapack_dsyevd():
+    """dsyevd from the LAPACK that numpy itself links (scipy-openblas64:
+    64-bit integers, every argument by reference), its argument types set
+    once; None when numpy was built on another LAPACK."""
+    dsyevd = getattr(
+        ctypes.CDLL(np.linalg._umath_linalg.__file__), "scipy_dsyevd_64_", None
+    )
+    if dsyevd is not None:
+        double = ctypes.POINTER(ctypes.c_double)
+        integer = ctypes.POINTER(ctypes.c_int64)
+        # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
+        dsyevd.argtypes = [ctypes.c_char_p] * 2 + [
+            integer, double, integer, double, double, integer, integer, integer,
+            integer,
+        ]
+        dsyevd.restype = None
+    return dsyevd
+
+
+_DSYEVD = _lapack_dsyevd()
 
 
 def __getattr__(name):
@@ -132,7 +160,16 @@ class SpectralData:
 
 
 def spectral_data(H: SparseHamiltonian) -> SpectralData:
-    """Dense eigendecomposition of an assembled operator."""
+    """Dense eigendecomposition of an assembled operator.
+
+    LAPACK's dsyevd runs in place on the fresh array H.dense(), with the
+    arguments np.linalg.eigh gives it (jobz 'V', uplo 'L', the workspace
+    from dsyevd's own query), so the bits are eigh's. H is symmetric, so the
+    Fortran view of the C-ordered array is H; dsyevd overwrites it with the
+    eigenvectors as rows, and `vectors` is its transpose. This skips eigh's
+    copy of the input and its fresh output (DENSE_DIAG_CAP). Without numpy's
+    scipy-openblas64 LAPACK it calls np.linalg.eigh.
+    """
     if H.dim > DENSE_DIAG_CAP:
         raise BudgetError(
             f"dense eigendecomposition of dimension {H.dim} exceeds cap "
@@ -140,8 +177,32 @@ def spectral_data(H: SparseHamiltonian) -> SpectralData:
             count=H.dim,
             limit=DENSE_DIAG_CAP,
         )
-    energies, vectors = np.linalg.eigh(H.dense())
-    return SpectralData(energies=energies, vectors=vectors, index=H.index)
+    if _DSYEVD is None:
+        energies, vectors = np.linalg.eigh(H.dense())
+        return SpectralData(energies=energies, vectors=vectors, index=H.index)
+    # from_buffer hands LAPACK each array's first element by reference, and
+    # refuses a buffer that is not writable and C-contiguous
+    a, energies = H.dense(), np.empty(H.dim)
+    A, W = ctypes.c_double.from_buffer(a), ctypes.c_double.from_buffer(energies)
+    n, info = ctypes.c_int64(H.dim), ctypes.c_int64(0)
+    # the workspace query (lwork = liwork = -1) writes the sizes dsyevd
+    # needs to work[0] and iwork[0]
+    work_size, iwork_size = ctypes.c_double(), ctypes.c_int64()
+    query = ctypes.c_int64(-1)
+    _DSYEVD(b"V", b"L", n, A, n, W, work_size, query, iwork_size, query, info)
+    if info.value == 0:
+        work = np.empty(int(work_size.value))
+        iwork = np.empty(iwork_size.value, dtype=np.int64)
+        _DSYEVD(
+            b"V", b"L", n, A, n, W, ctypes.c_double.from_buffer(work),
+            ctypes.c_int64(work.size), ctypes.c_int64.from_buffer(iwork),
+            iwork_size, info,
+        )
+    if info.value > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if info.value < 0:
+        raise ValueError(f"dsyevd: argument {-info.value} has an illegal value")
+    return SpectralData(energies=energies, vectors=a.T, index=H.index)
 
 
 # ------------------------------------------------------------------ green

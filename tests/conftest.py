@@ -4,7 +4,8 @@ bytes, with the kernel and threads of both bundled OpenBLAS copies
 subpackages and whether numpy's random subpackage comes with it (mplab
 draws from its own streams, so it should not). The golden pins hold for
 one BLAS build, kernel and thread count, so a pin that fails on another
-host can be read against these lines."""
+host can be read against these lines. A further line names the path
+`spectral_data` takes: numpy's LAPACK dsyevd in place, or np.linalg.eigh."""
 
 import ctypes
 import os
@@ -64,6 +65,8 @@ def pytest_report_header(config):
     import numpy
     import scipy
 
+    from mplab import spectral
+
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = ", ".join(
         f"{name}={os.environ.get(name, 'unset')}"
@@ -82,6 +85,12 @@ def pytest_report_header(config):
             *_openblas_settings(numpy, "64_"), *_openblas_settings(scipy, "")
         ),
         f"{threads}, cpu affinity {affinity}",
+        "eigensolver: "
+        + (
+            "np.linalg.eigh fallback (numpy has no scipy_dsyevd_64_)"
+            if spectral._DSYEVD is None
+            else "scipy_dsyevd_64_ in place (numpy's LAPACK)"
+        ),
         f"scipy modules loaded by import mplab: {', '.join(loaded) or 'none'}; "
         f"numpy.random {_numpy_random_state(added)}",
     ]

@@ -396,18 +396,42 @@ _VALIDATE_CORPUS = [
     pytest.param(
         _cfg("decay_probe", {"density": {"kind": "uniform", "params": [0, 10**400]}}),
         [
-            "model.density: params must be numbers in the float range, laid out "
-            "for kind 'uniform', got [0, ~10^400]",
+            "model.density: params must be [a, b] of finite numbers for kind "
+            "'uniform', got [0, ~10^400]",
         ],
         id="density_params_past_the_float_range",
     ),
     pytest.param(
         _cfg("decay_probe", {"density": {"kind": "uniform", "params": "ab"}}),
         [
-            "model.density: params must be numbers in the float range, laid out "
-            "for kind 'uniform', got 'ab'",
+            "model.density: params must be [a, b] of finite numbers for kind "
+            "'uniform', got 'ab'",
         ],
         id="density_params_string",
+    ),
+    # a density object replaces the default whole: no params from its kind
+    pytest.param(
+        _cfg("decay_probe", {"density": {"kind": "truncated_gaussian"}}),
+        [
+            "model.density: missing field 'params'",
+        ],
+        id="density_without_params",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"density": {"kind": "uniform", "params": [0, 1, 2]}}),
+        [
+            "model.density: params must be [a, b] of finite numbers for kind "
+            "'uniform', got [0, 1, 2]",
+        ],
+        id="density_params_too_many",
+    ),
+    pytest.param(
+        _cfg("decay_probe", {"density": {"kind": "piecewise", "params": [[0, "a"], [1]]}}),
+        [
+            "model.density: params must be [breaks, densities], two lists of "
+            "finite numbers for kind 'piecewise', got [[0, 'a'], [1]]",
+        ],
+        id="density_params_piecewise_string",
     ),
     pytest.param(
         _cfg("composite_check", {"L": 4}, {"count": 0}),

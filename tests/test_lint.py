@@ -279,9 +279,18 @@ def call_sites(name: str) -> list[str]:
 
 
 def test_eigh_is_called_once_in_spectral_data():
-    # every dense eigendecomposition, a composite's included, is spectral_data
+    # every dense eigendecomposition, a composite's included, is spectral_data:
+    # numpy's eigh, or the same LAPACK dsyevd in place (its workspace query
+    # and its solve), resolved by one module
     (site,) = call_sites("eigh")
     assert site.startswith("spectral.py:") and site.endswith(": spectral_data")
+    sites = call_sites("_DSYEVD")
+    assert len(sites) == 2
+    assert all(
+        s.startswith("spectral.py:") and s.endswith(": spectral_data") for s in sites
+    )
+    resolvers = [p.name for p in SRC.glob("*.py") if "dsyevd" in p.read_text()]
+    assert resolvers == ["spectral.py"]
 
 
 def test_sparse_hamiltonians_are_built_in_operator_py():

@@ -594,6 +594,63 @@ def test_subadditivity_requires_composite_data():
         subadditivity_check(S, S, S, x, x, EnergyInterval.full_line())
 
 
+# ------------------------------------------------------- eigendecomposition
+
+
+_EIGH_CASES = {
+    "dim1": lambda: build(side=1, lam=3.0, seed=1),
+    "dim2": lambda: build(side=2, lam=3.0, seed=2),
+    "dim3": lambda: build(side=3, lam=3.0, seed=3),
+    "dim10": lambda: build(side=10, lam=2.0, seed=4),
+    "dim64_d2": lambda: build(d=2, side=8, lam=2.0, seed=5),
+    "dim400_pair": lambda: build(side=20, n=2, lam=4.0, seed=6, alpha=0.3),
+    # exchange-degenerate pairs E_i + E_j, equal to the last bit
+    "free_distinguishable_pair": lambda: build(side=5, n=2, lam=0.0),
+    "kron_sum": lambda: kron_sum(
+        build(side=4, n=2, sector="boson", seed=7), build(side=5, seed=8)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EIGH_CASES))
+def test_spectral_data_has_the_bits_of_numpy_eigh(case, monkeypatch):
+    H = _EIGH_CASES[case]()
+    energies, vectors = np.linalg.eigh(H.dense())
+    S = spectral_data(H)
+    assert S.energies.tobytes() == energies.tobytes()
+    assert np.ascontiguousarray(S.vectors).tobytes() == vectors.tobytes()
+    assert not (S.energies.flags.writeable or S.vectors.flags.writeable)
+    # without numpy's LAPACK symbol, spectral_data calls np.linalg.eigh
+    monkeypatch.setattr(spectral, "_DSYEVD", None)
+    fallback = spectral_data(H)
+    assert fallback.energies.tobytes() == energies.tobytes()
+    assert fallback.vectors.tobytes() == vectors.tobytes()
+
+
+def test_spectral_data_leaves_the_operator_as_it_was():
+    H = build(side=12, n=2, lam=3.0, seed=9)
+    hops = [a.copy() for a in H.hops]
+    diagonal = H.diagonal.copy()
+    first, second = spectral_data(H), spectral_data(H)
+    assert first.energies.tobytes() == second.energies.tobytes()
+    assert np.array_equal(first.vectors, second.vectors)
+    assert all(np.array_equal(a, b) for a, b in zip(H.hops, hops))
+    assert np.array_equal(H.diagonal, diagonal)
+
+
+@pytest.mark.skipif(spectral._DSYEVD is None, reason="numpy has no scipy_dsyevd_64_")
+@pytest.mark.parametrize(
+    "info, error", [(1, np.linalg.LinAlgError), (-4, ValueError)]
+)
+def test_spectral_data_raises_on_lapack_info(info, error, monkeypatch):
+    def dsyevd(*args):
+        args[-1].value = info
+
+    monkeypatch.setattr(spectral, "_DSYEVD", dsyevd)
+    with pytest.raises(error):
+        spectral_data(build(side=4))
+
+
 # ------------------------------------------------------------------ budget
 
 
