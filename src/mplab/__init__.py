@@ -57,7 +57,6 @@ from .spectral import (
     dynamical_kernel,
     green,
     green_block,
-    green_entries,
     spectral_data,
     subadditivity_check,
 )

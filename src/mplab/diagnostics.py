@@ -44,7 +44,6 @@ from .spectral import (
     correlator,
     green,
     green_block,
-    green_entries,
     spectral_data,
 )
 from .streams import Stream
@@ -161,7 +160,7 @@ def fractional_moment(
         H = assemble(spec, sample(spec.box, density, seed))
         if eigen:
             S = spectral_data(H)
-            g = np.abs(green_entries(S, ix, iy, _nudged(S, [z])))[0]
+            g = abs(green_block(S, [ix], [iy], _nudged(S, [z]))[0, 0, 0])
         else:
             try:
                 g = abs(green(H, x, y, z))
@@ -210,7 +209,7 @@ def wegner_samples(
     values = np.empty((len(subseeds), zs.size))
     for row, real in enumerate(resample_batch(base, marked, subseeds)):
         S = spectral_data(assemble(spec, real))
-        values[row, :] = np.abs(green_entries(S, ix, iy, _nudged(S, zs))) ** s
+        values[row] = np.abs(green_block(S, [ix], [iy], _nudged(S, zs))[:, 0, 0]) ** s
     return values
 
 
@@ -287,13 +286,13 @@ def probe_samples(
     """
     s = _check_s(s)
     pairs = [(px, py) for px, py in pairs]
-    nodes = _interval_nodes(interval, quad_points)
+    zs = _interval_nodes(interval, quad_points) + 1j * eta
     full = EnergyInterval.full_line()
     moments = np.empty(len(pairs))
     qvals = np.empty(len(pairs))
     for p, (px, py) in enumerate(pairs):
         ix, iy = S.rank_of(px), S.rank_of(py)
-        moments[p] = np.mean(np.abs(green_entries(S, ix, iy, nodes + 1j * eta)) ** s)
+        moments[p] = np.mean(np.abs(green_block(S, [ix], [iy], zs)[:, 0, 0]) ** s)
         qvals[p] = correlator(S, px, py, full)
     return moments, qvals
 

@@ -438,14 +438,15 @@ def _as_configuration(obj, spec: OperatorSpec) -> Configuration:
 
 def _site(coords) -> tuple:
     """A site from its coordinates, which must be JSON integers."""
-    site = tuple(int(c) for c in coords)
+    if not isinstance(coords, list):
+        raise ValueError(f"a site is a list of coordinates, got {_shown(coords)}")
     if not all(_is_int(c) for c in coords):
         raise ValueError(f"site coordinates must be integers, got {_shown(coords)}")
-    if not all(-(2**63) <= c < 2**63 for c in site):
+    if not all(-(2**63) <= c < 2**63 for c in coords):
         raise ValueError(
             f"site coordinates must lie in [-2^63, 2^63), got {_shown(coords)}"
         )
-    return site
+    return tuple(coords)
 
 
 def _block_candidates(config: ExperimentConfig):
@@ -501,13 +502,15 @@ def _wegner_grid(config: ExperimentConfig, spec: OperatorSpec) -> list:
 
 
 def _resolve_pairs(config: ExperimentConfig, spec: OperatorSpec):
-    p = config.params
-    if p["pairs"] is not None:
-        return [
-            (_as_configuration(px, spec), _as_configuration(py, spec))
-            for px, py in p["pairs"]
-        ]
-    return probe_pairs(spec, int(p["max_points"]))
+    pairs = config.params["pairs"]
+    if pairs is None:
+        return probe_pairs(spec, int(config.params["max_points"]))
+    if not isinstance(pairs, list) or not pairs:
+        raise ValueError(f"need a nonempty list of [x, y] pairs, got {_shown(pairs)}")
+    bad = [pair for pair in pairs if not (isinstance(pair, list) and len(pair) == 2)]
+    if bad:
+        raise ValueError(f"a pair is [x, y], two configurations, got {_shown(bad[0])}")
+    return [tuple(_as_configuration(c, spec) for c in pair) for pair in pairs]
 
 
 def validate(config) -> list:

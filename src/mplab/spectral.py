@@ -2,11 +2,11 @@
 
 Green functions G(x, y; z) = <delta_x, (H - z)^(-1) delta_y> via shifted
 LU solves (sparse SuperLU on a scipy matrix, LAPACK on a dense array) or,
-for whole arrays of z at once, via a dense eigendecomposition:
-green_entries for one (x, y) pair (the fractional-moment, wegner and
-decay-probe columns in diagnostics, and composite_green_check here) and
-green_block for blocks of x and y (the monitor's tile rows,
-diagnostics.monitor_seed_rows); eigenfunction correlators and
+for whole arrays of z at once, via a dense eigendecomposition in
+green_block, the one eigen-sum formula, over blocks of x and y (the
+monitor's tile rows in diagnostics.monitor_seed_rows; one (x, y) pair for
+the fractional-moment, wegner and decay-probe columns there and for the
+contour side of composite_green_check here); eigenfunction correlators and
 dynamical kernels via the same eigendecomposition; a contour-convolution
 identity for non-interacting composites, and the correlator subadditivity
 check that rests on it. A composite is one more SparseHamiltonian,
@@ -265,16 +265,6 @@ def green(
     return complex(_green_column(H.matrix, H.rank_of(y), complex(z))[H.rank_of(x)])
 
 
-def green_entries(S: SpectralData, ix: int, iy: int, zs: np.ndarray) -> np.ndarray:
-    """G(x, y; z) for every z in an array through the eigendecomposition.
-
-    One broadcast sum_k psi_k(x) psi_k(y) / (E_k - z) over all z, reduced
-    along the eigenvalue axis; memory is O(zs.size * dim).
-    """
-    w = S.vectors[ix, :] * S.vectors[iy, :]
-    return np.sum(w[None, :] / (S.energies[None, :] - zs[:, None]), axis=1)
-
-
 def green_block(S: SpectralData, ix, iy, zs: np.ndarray) -> np.ndarray:
     """G(x, y; z) for every node z in zs, x in ix and y in iy through the
     eigendecomposition; shape (zs.size, len(ix), len(iy)).
@@ -402,17 +392,18 @@ def composite_green_check(
     G_K(x_K, y_K; E_m), nodes E_m on the circle around the spectrum of H_K.
     The identity needs every pole of G_J(z - .) strictly outside the circle;
     a violation raises ContourGeometryError instead of returning garbage.
-    The contour side evaluates G_J and G_K at all nodes in one pass each
-    through the block eigendecompositions (green_entries). The direct side
-    is an independent LU solve on the assembled composite kron_sum(H_J, H_K),
+    The contour side evaluates G_J and G_K at all nodes in one green_block
+    call each on the block eigendecompositions. The direct side is an
+    independent LU solve on the assembled composite kron_sum(H_J, H_K),
     dense (LAPACK) up to dimension _DENSE_SOLVE_CAP and sparse (SuperLU)
     above it, so the returned gap measures the identity, not a shared code
     path.
 
     x and y are (left, right) pairs of block configurations. quadrature_points
-    is a sequence of node counts: one CompositeCheck per count comes back, in
-    order, and the block eigendecompositions, the composite assembly and the
-    direct solve are shared between them.
+    is a nonempty sequence of node counts, each at least 2: one
+    CompositeCheck per count comes back, in order, and the block
+    eigendecompositions, the composite assembly and the direct solve are
+    shared between them.
     """
     z = complex(z)
     (xj, xk), (yj, yk) = x, y
@@ -429,8 +420,8 @@ def composite_green_check(
             f"radius {radius:.6g}: move z away from sigma(H_J) + sigma(H_K)"
         )
     counts = [int(n) for n in quadrature_points]
-    if min(counts) < 2:
-        raise ValueError(f"need at least 2 quadrature points, got {min(counts)}")
+    if min(counts, default=0) < 2:
+        raise ValueError(f"quadrature_points must be node counts >= 2, got {counts}")
 
     H = kron_sum(H_J, H_K)
     matrix = H.dense() if H.dim <= _DENSE_SOLVE_CAP else H.matrix
@@ -439,8 +430,8 @@ def composite_green_check(
     for n in counts:
         theta = 2.0 * np.pi * np.arange(n) / n
         nodes = center + radius * np.exp(1j * theta)
-        gj = green_entries(S_J, S_J.rank_of(xj), S_J.rank_of(yj), z - nodes)
-        gk = green_entries(S_K, S_K.rank_of(xk), S_K.rank_of(yk), nodes)
+        gj = green_block(S_J, [S_J.rank_of(xj)], [S_J.rank_of(yj)], z - nodes)[:, 0, 0]
+        gk = green_block(S_K, [S_K.rank_of(xk)], [S_K.rank_of(yk)], nodes)[:, 0, 0]
         contour = complex(-(radius / n) * np.sum(np.exp(1j * theta) * gj * gk))
         checks.append(
             CompositeCheck(

@@ -31,7 +31,7 @@ from mplab.spectral import (
     correlator,
     dynamical_kernel,
     green,
-    green_entries,
+    green_block,
     spectral_data,
 )
 
@@ -140,7 +140,7 @@ def test_criterion_01_resolvent_and_projector_oracles():
         energy = float(rng.uniform(S.energies[0], S.energies[-1]))
         z = complex(energy, float(rng.uniform(0.3, 1.5)))
         g_solve = green(H, x, y, z)
-        g_eig = green_entries(S, ix, iy, np.array([z]))[0]
+        g_eig = green_block(S, [ix], [iy], [z])[0, 0, 0]
         worst_rel = max(worst_rel, abs(g_solve - g_eig) / max(abs(g_eig), 1e-12))
         interval = (
             EnergyInterval.full_line()

@@ -20,7 +20,7 @@ from mplab.configspace import (
 from mplab.disorder import UNIFORM_HALF, resample_batch, sample
 from mplab.errors import BudgetError
 from mplab.operator import InteractionSpec, OperatorSpec, OperatorTemplate, assemble
-from mplab.spectral import EnergyInterval, _green_column, green_entries, spectral_data
+from mplab.spectral import EnergyInterval, _green_column, green_block, spectral_data
 from mplab.diagnostics import (
     DEFAULT_ETA,
     BMonitorResult,
@@ -175,8 +175,8 @@ def test_eigenvalue_hit_is_nudged_in_fractional_moment(caplog):
         est = fractional_moment([4, 5], sp, x, y, z, s)
     assert len(_nudge_records(caplog)) == 1
     expected = [
-        abs(green_entries(spectra[0], ix, iy, np.array([z + 1e-10j]))[0]) ** s,
-        abs(green_entries(spectra[1], ix, iy, np.array([z]))[0]) ** s,
+        abs(green_block(spectra[0], [ix], [iy], [z + 1e-10j])[0, 0, 0]) ** s,
+        abs(green_block(spectra[1], [ix], [iy], [z])[0, 0, 0]) ** s,
     ]
     assert math.isfinite(est.mean)
     assert est == Estimate.from_samples(expected, [4, 5])
@@ -210,7 +210,7 @@ def test_eigenvalue_hit_is_nudged_in_wegner_samples(caplog):
     assert len(_nudge_records(caplog)) == 1
     assert np.all(np.isfinite(values))
     nudged = zs + np.array([1e-10j, 0.0])
-    expected = np.abs(green_entries(S1, ix, ix, nudged)) ** s
+    expected = np.abs(green_block(S1, [ix], [ix], nudged)[:, 0, 0]) ** s
     assert values[1].tolist() == expected.tolist()
 
 

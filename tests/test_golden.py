@@ -18,10 +18,10 @@ from mplab import harness
 from mplab.harness import run
 
 GOLDEN_SHA256 = {
-    "decay_probe": "78ce224a37f87827b9b42c6fae4eea890ab07bcb3f2e6857e383f85b5113b8b0",
+    "decay_probe": "823a9f4cc99725cee940922e21df9a55da65732627461115a31f868eca8b208d",
     "rescaling": "9e4b1e0fb80fcc971c0d142c9c97a96e0cbf2f60f1f19669813f97e0de6e5cd7",
-    "equivalence": "46aac196f85df537692ceca605560b85533391c0fe057a55b969d92a02df32b8",
-    "wegner": "45b649b1e910e54239db0a2134107b783735ff2afd060e5c01a8374601c7ac2c",
+    "equivalence": "76cf6c8c611855413d891c72ca698e63651a26772947938629caaf7800a47977",
+    "wegner": "3f9732b01562f5889216e84ba331dd8d850f36b81ee2e1ea4958b459410dc335",
     "b_monitor": "6f06348a63f6ccbb169dd856eb3f036fe145cef2b9e81800400168e8b4d45311",
     "region_scan": "7cb88df257129253875918561f88310586bdf2c23d69d55944b0bd2ad352ef4c",
     "subadditivity": "be0b666a0a8ce33cb3deff02da20de0003f3de39f73aa11b6e4044181f8769c4",
@@ -50,12 +50,12 @@ MIRROR_META_SHA256 = {
         "cc5487cd715ac6f6fc5ea86227e86f26f437ee004ce9f58cdf279cde0441c5cf",
     ),
     "decay_probe": (
-        "a78b70e87c99f9afff7668a5ffd5ca972a06ec5662bf27d8fa5de9f734928ccc",
-        "1e019b67159c0c5b152107aa9f6ca632454d8f47df3303f41f91a0789251fd8a",
+        "792f4086e1c6082303ab569c68db615008d634988685a9743f09c87a93ece2ff",
+        "9b23208fcfcba3ca2af031bac17c1bb5012701fec793c97f076210fedf316c00",
     ),
     "equivalence": (
-        "31bda2830a62e68bb9aaf9dda0f50f8e9d2ec03e5c9a59f248b5809a70e5e468",
-        "a6f8186f9db4520c0368546a59e5c10ec55e9555d1f7b78929f5a54a0d497eb8",
+        "c295622454c37a30728cbc3ffaffe6a92954fb6c0b15e3089aafcb6b8af40f2a",
+        "e8553ee95324d8b78dc1a746ab52e916a29cafc313118d29e52c5057ff284830",
     ),
     "region_scan": (
         "592c6b45ab8da428db2da64a3759cdd7fe2395efa28fd05124f5449068df41e6",
@@ -70,8 +70,8 @@ MIRROR_META_SHA256 = {
         "1f6ad5ee9db3d30105d0c47d0d138178e4fc301f98d0f8af2e3ff2de9dc5b761",
     ),
     "wegner": (
-        "236a952d5119859dd8ff1ea5f749e08675cb2f196de7d4ee8354152d3dfac8cd",
-        "6bd177fed1c1962c097eee2b42dda2c89642a464f822eb9ad57d6f2d967bba57",
+        "bd4a4bc83be882698f378c6a6297f6b4c75530a21dde63c737c09563c25792b4",
+        "8028606d3fa0bde9b697c808e5a8d8f5c015253b19452c82ec0fae94fd947986",
     ),
 }
 
@@ -248,9 +248,9 @@ EXTRA_SHA256 = {
         "78936d841196a555d53d518196ba5564b64950b838beee5a81ad6fc8c851c090",
     ),
     "wegner_piecewise": (
-        "6349baa2b2af645bc137d5e6091a439eba41d2c07241d2a1756d3ad4d6f59588",
-        "f346f794ed605a71395e0d3c896f243fb76f330a6996643f3e0826203f1cc03a",
-        "5207b68c3f7832e4ae306719190b2b6eb14ce4f082c6afd79f4fdc6bcb98b0df",
+        "5b9d58debc52601799c9b53842cdda18a630f1fa6b8a135588059d1b815a8c20",
+        "8cd2b91a391f009a8550e7f9f5fbd4750960430024f83fa6a51c40eee4dbea43",
+        "6fd6f6d281d845db34eb789edfd9289e9737866ba104dbef82ce1d15e09bc78c",
     ),
     "subadditivity_free_fermions_2d": (
         "e35f073e06b5e83b5836c02f9870a6e24ecb5240c8bd95322d2e92ecb0d56050",

@@ -213,23 +213,79 @@ _SITE_CORPUS = [
     pytest.param(
         _cfg("decay_probe", params={"pairs": [[[[math.inf]], [[0]]]]}),
         [
-            'params.pairs: cannot convert float infinity to integer',
+            'params.pairs: site coordinates must be integers, got [inf]',
         ],
         id="pair_site_infinite",
     ),
     pytest.param(
         _cfg("wegner", params={"x": [[math.inf]]}),
         [
-            'params: cannot convert float infinity to integer',
+            'params: site coordinates must be integers, got [inf]',
         ],
         id="wegner_x_infinite",
     ),
     pytest.param(
         _cfg("wegner", params={"u1": [math.inf]}),
         [
-            'params: cannot convert float infinity to integer',
+            'params: site coordinates must be integers, got [inf]',
         ],
         id="wegner_u1_infinite",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": [[[["a"]], [[1]]]]}),
+        [
+            "params.pairs: site coordinates must be integers, got ['a']",
+        ],
+        id="pair_site_letter",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": [[[[None]], [[1]]]]}),
+        [
+            'params.pairs: site coordinates must be integers, got [None]',
+        ],
+        id="pair_site_null",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": [[[3], [[1]]]]}),
+        [
+            'params.pairs: a site is a list of coordinates, got 3',
+        ],
+        id="pair_site_not_a_list",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": [[[[0]]]]}),
+        [
+            'params.pairs: a pair is [x, y], two configurations, got [[[0]]]',
+        ],
+        id="pair_of_one_configuration",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": []}),
+        [
+            'params.pairs: need a nonempty list of [x, y] pairs, got []',
+        ],
+        id="pairs_empty",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": 5}),
+        [
+            'params.pairs: need a nonempty list of [x, y] pairs, got 5',
+        ],
+        id="pairs_not_a_list",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"u1": "a"}),
+        [
+            "params: a site is a list of coordinates, got 'a'",
+        ],
+        id="wegner_u1_string",
+    ),
+    pytest.param(
+        _cfg("wegner", params={"x": [3]}),
+        [
+            'params: a site is a list of coordinates, got 3',
+        ],
+        id="wegner_x_site_not_a_list",
     ),
     pytest.param(
         _cfg("wegner", params={"z_count": math.inf}),

@@ -233,24 +233,34 @@ def test_only_the_harness_reads_config_dicts(module):
     assert config_readers((SRC / module).read_text()) == []
 
 
-def calls_named(source: str, name: str) -> list[str]:
-    """The calls in source whose callee is `name` or ends in `.name`, as
-    "line: enclosing function" ("<module>" at top level), in line order.
-    A callee renamed on import is not followed."""
+def nodes_where(source: str, matches) -> list[str]:
+    """The nodes of source for which matches(node) holds, as "line:
+    enclosing function" ("<module>" at top level), in line order."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                attr = func.attr if isinstance(func, ast.Attribute) else None
-                if name in (attr, getattr(func, "id", None)):
-                    found.append((child.lineno, scope))
+            if matches(child):
+                found.append((child.lineno, scope))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else scope)
 
     visit(ast.parse(source), "<module>")
     return [f"{line}: {scope}" for line, scope in sorted(found)]
+
+
+def calls_named(source: str, name: str) -> list[str]:
+    """The calls in source whose callee is `name` or ends in `.name`, as
+    nodes_where gives them. A callee renamed on import is not followed."""
+
+    def matches(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        attr = func.attr if isinstance(func, ast.Attribute) else None
+        return name in (attr, getattr(func, "id", None))
+
+    return nodes_where(source, matches)
 
 
 def test_calls_named_finds_every_call_site():
@@ -269,13 +279,17 @@ def test_calls_named_finds_every_call_site():
     assert calls_named(source, "eigh") == ["3: <module>", "6: build", "9: inner"]
 
 
-def call_sites(name: str) -> list[str]:
-    """calls_named over every module of src/mplab, as "module:line: scope"."""
+def sites(find) -> list[str]:
+    """find(source) over every module of src/mplab, as "module:line: scope"."""
     return [
         f"{p.name}:{site}"
         for p in sorted(SRC.glob("*.py"))
-        for site in calls_named(p.read_text(), name)
+        for site in find(p.read_text())
     ]
+
+
+def call_sites(name: str) -> list[str]:
+    return sites(lambda source: calls_named(source, name))
 
 
 def test_eigh_is_called_once_in_spectral_data():
@@ -291,6 +305,52 @@ def test_eigh_is_called_once_in_spectral_data():
     )
     resolvers = [p.name for p in SRC.glob("*.py") if "dsyevd" in p.read_text()]
     assert resolvers == ["spectral.py"]
+
+
+def energy_divisions(source: str) -> list[str]:
+    """The divisions (`/` and `/=`) in source whose divisor holds a
+    subtraction with an `.energies` attribute on either side, as
+    nodes_where gives them. A name bound to `.energies` is not followed."""
+
+    def reads_energies(node):
+        return any(
+            isinstance(n, ast.Attribute) and n.attr == "energies"
+            for n in ast.walk(node)
+        )
+
+    def matches(node):
+        if not isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return False
+        divisor = node.right if isinstance(node, ast.BinOp) else node.value
+        return isinstance(node.op, ast.Div) and any(
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Sub)
+            and (reads_energies(n.left) or reads_energies(n.right))
+            for n in ast.walk(divisor)
+        )
+
+    return nodes_where(source, matches)
+
+
+def test_energy_divisions_finds_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "def entries(S, ix, iy, z):\n"
+        "    w = S.vectors[ix, :] * S.vectors[iy, :]\n"
+        "    return np.sum(w / (S.energies - z))\n"
+        "def broadcast(S, w, zs):\n"
+        "    d = w[None, :] / (S.energies[None, :] - zs[:, None])\n"
+        "    d /= zs[:, None] - S.energies\n"
+        "    return d, (S.energies - 1.0) / 2.0, S.energies / zs[0], 1.0 / (zs - 1.0)\n"
+    )
+    assert energy_divisions(source) == ["4: entries", "6: broadcast", "7: broadcast"]
+
+
+def test_only_green_block_divides_by_an_energy_difference():
+    # one eigen-sum formula: sum_k psi_k(x) psi_k(y) / (E_k - z) is formed
+    # by spectral.green_block, which every eigen-sum Green entry reads
+    (site,) = sites(energy_divisions)
+    assert site.startswith("spectral.py:") and site.endswith(": green_block")
 
 
 def test_sparse_hamiltonians_are_built_in_operator_py():

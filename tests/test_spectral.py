@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,7 +18,6 @@ from mplab.spectral import (
     _green_column,
     green,
     green_block,
-    green_entries,
     group_weights,
     spectral_data,
     subadditivity_check,
@@ -54,7 +54,7 @@ def test_green_matches_eigensum():
     x, y = c1(3), c1(20)
     for z in (2.0 + 1e-3j, -1.0 + 0.1j, 5.0 + 1e-6j):
         g_solve = green(H, x, y, z)
-        g_eig = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
+        g_eig = green_block(S, [S.rank_of(x)], [S.rank_of(y)], [z])[0, 0, 0]
         assert abs(g_solve - g_eig) <= 1e-8 * abs(g_eig)
 
 
@@ -119,7 +119,7 @@ _NEAR_REAL_IMS = (1e-8, 1e-6, 1e-3, 0.3, 1.5)
         (2, 4, 2, "fermion"),
     ],
 )
-def test_green_entries_matches_sparse_solve(d, side, n, sector):
+def test_green_block_matches_sparse_solve(d, side, n, sector):
     rng = np.random.default_rng(20261018)
     worst = 0.0
     for _ in range(3):
@@ -135,7 +135,7 @@ def test_green_entries_matches_sparse_solve(d, side, n, sector):
         ix, iy = (int(rng.integers(S.dim)) for _ in range(2))
         re = rng.uniform(S.energies[0] - 1.0, S.energies[-1] + 1.0, 15)
         zs = re + 1j * np.resize(_NEAR_REAL_IMS, re.size)
-        got = green_entries(S, ix, iy, zs)
+        got = green_block(S, [ix], [iy], zs)[:, 0, 0]
         want = np.array([_green_column(H.matrix, iy, z)[ix] for z in zs])
         assert got.shape == zs.shape and got.dtype == complex
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
@@ -143,7 +143,7 @@ def test_green_entries_matches_sparse_solve(d, side, n, sector):
 
 
 @pytest.mark.parametrize("nx,ny", [(3, 4), (1, 5), (4, 1), (1, 1)])
-def test_green_block_matches_green_entries(nx, ny):
+def test_green_block_matches_term_sum(nx, ny):
     H = build(d=2, side=4, n=2, lam=3.0, seed=5, sector="boson", alpha=0.4)
     S = spectral_data(H)
     rng = np.random.default_rng(8)
@@ -153,10 +153,53 @@ def test_green_block_matches_green_entries(nx, ny):
     )
     block = green_block(S, ix, iy, zs)
     assert block.shape == (zs.size, nx, ny) and block.dtype == complex
-    want = np.array(
-        [[green_entries(S, x, y, zs) for y in iy] for x in ix]
-    ).transpose(2, 0, 1)
+
+    def term_sum(x, y, z):
+        """sum_k psi_k(x) psi_k(y) / (E_k - z), one term at a time."""
+        return np.sum(S.vectors[x, :] * S.vectors[y, :] / (S.energies - z))
+
+    want = np.array([[[term_sum(x, y, z) for y in iy] for x in ix] for z in zs])
     assert np.allclose(block, want, rtol=1e-10, atol=1e-13 * np.abs(want).max())
+
+
+def test_green_paths_match_a_40_digit_solve():
+    """green_block and both LU solves against mpmath's LU at 40 digits, on
+    the side-6, n = 2 pair_nn model at lambda 15 (dim 36). Each entry lies
+    within dim * floor, where floor = eps (||H|| + |z|) ||G e_x|| ||G e_y||
+    is the backward-error floor both paths share: a backward-stable solver
+    returns the Green function of H + dH with ||dH|| ~ eps ||H||, and
+    dG(x, y) = -(G dH G)(x, y). Neither a relative tolerance (entries far
+    from the diagonal sit at the floor) nor the term floor
+    eps * sum_k |psi_k(x) psi_k(y)| / |E_k - z| is a bound: 1e-6 from an
+    eigenvalue, the eigen sum exceeds the latter by 4e5 * dim here."""
+    box = Box.centered(1, 6)
+    pair_nn = InteractionSpec.pair_nn(0.2)
+    spec = OperatorSpec(box=box, n=2, lam=15.0, interaction=pair_nn)
+    H = assemble(spec, sample(box, UNIFORM_HALF, 0))
+    S, dense, mp = spectral_data(H), H.dense(), mpmath.mp
+    iy = [0, S.dim // 2]
+    e = S.energies[S.dim // 3]
+    # the probe's height, next to an eigenvalue and off it, and the monitor's
+    zs = [e + 1e-6j, e + 1e-3 + 1e-6j, 0.3 + 1j / 16]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for z in zs:
+            shifted = mp.matrix(dense.tolist()) - mp.mpc(z) * mp.eye(S.dim)
+            LU, perm = mp.LU_decomp(shifted)
+            # ||G e_x|| for every x
+            norms = np.sqrt(S.vectors**2 @ np.abs(S.energies - z) ** -2)
+            eig = green_block(S, np.arange(S.dim), iy, [z])[0]
+            for j, y in enumerate(iy):
+                b = mp.matrix(S.dim, 1)
+                b[y] = 1
+                exact = mp.U_solve(LU, mp.L_solve(LU, b, perm))
+                exact = np.array([complex(v) for v in exact])
+                floor = np.finfo(float).eps * (S.hnorm + abs(z)) * norms * norms[y]
+                for got in (
+                    eig[:, j], _green_column(H.matrix, y, z), _green_column(dense, y, z)
+                ):
+                    worst = max(worst, float(np.max(np.abs(got - exact) / floor)))
+    assert worst <= S.dim
 
 
 # -------------------------------------------------------------- correlator
@@ -464,7 +507,7 @@ def test_composite_direct_matches_eigensum_reference():
     radius = max(1.25 * (eK.max() - eK.min()) / 2.0, 1.0)
     z = complex(3.7, 1.3 * radius)
     (res,) = composite_green_check(HJ, HK, x, y, z, quadrature_points=(256,))
-    ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
+    ref = green_block(S, [S.rank_of(x)], [S.rank_of(y)], [z])[0, 0, 0]
     assert res.direct == pytest.approx(ref, rel=1e-9)
     assert res.contour == pytest.approx(ref, rel=1e-6)
 
@@ -488,11 +531,22 @@ def test_composite_direct_solve_is_dense_up_to_the_cap(monkeypatch):
         eK = np.linalg.eigvalsh(HK.dense())
         z = complex(3.7, 1.3 * max(1.25 * (eK.max() - eK.min()) / 2.0, 1.0))
         S = spectral_data(kron_sum(HJ, HK))
-        ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
+        ref = green_block(S, [S.rank_of(x)], [S.rank_of(y)], [z])[0, 0, 0]
         (res,) = composite_green_check(HJ, HK, x, y, z, quadrature_points=(256,))
         assert res.direct == pytest.approx(ref, rel=1e-9)
     assert spectral._DENSE_SOLVE_CAP == 256
     assert kinds == ["numpy", "scipy"]
+
+
+def test_composite_check_needs_node_counts():
+    box = Box(d=1, side=1)
+    HJ = assemble(OperatorSpec(box=box, n=1, lam=3.0), sample(box, UNIFORM_HALF, 1))
+    HK = assemble(OperatorSpec(box=box, n=1, lam=3.0), sample(box, UNIFORM_HALF, 2))
+    x = (c1(0), c1(0))
+    z = HJ.matrix[0, 0] + HK.matrix[0, 0] + 2.0j
+    for counts in ((), (8, 1)):
+        with pytest.raises(ValueError, match="quadrature_points"):
+            composite_green_check(HJ, HK, x, x, z, counts)
 
 
 def test_composite_geometry_error_near_spectrum():
@@ -521,7 +575,7 @@ def test_composite_identity_on_free_blocks(d, side, n):
     x = (Configuration(sites=(origin,) * n),) * 2
     y = (Configuration(sites=(far,) + (origin,) * (n - 1)), x[1])
     S = spectral_data(kron_sum(HJ, HK))
-    ref = green_entries(S, S.rank_of(x), S.rank_of(y), np.array([z]))[0]
+    ref = green_block(S, [S.rank_of(x)], [S.rank_of(y)], [z])[0, 0, 0]
     (res,) = composite_green_check(HJ, HK, x, y, z, quadrature_points=(512,))
     assert res.gap <= 1e-8
     assert res.contour == pytest.approx(ref, rel=1e-8)
