@@ -9,7 +9,8 @@ and the scan verdict read (`monitor_plan`, `monitor_seed_rows`,
 `monitor_reduce`). The harness maps the units and folds each column of
 their per-seed samples with `Estimate.from_samples`; it is the one pipeline
 of every kind. Beside them: the serial Monte-Carlo estimate
-`fractional_moment`, the decay fit, the doubling check on two monitor
+`fractional_moment`, one `spectral.green` solve per seed and no
+eigendecomposition, the decay fit, the doubling check on two monitor
 values, and the verdict rule of one region-scan point.
 
 Estimates carry (mean, stderr, count, seeds) and are reproducible: the same
@@ -112,7 +113,7 @@ def realization_spectrum(spec: OperatorSpec, seed: int, density: DensitySpec):
     if spec.dim > DENSE_DIAG_CAP:
         raise BudgetError(
             f"ensemble eigendecomposition at dimension {spec.dim} exceeds "
-            f"cap {DENSE_DIAG_CAP}; fractional_moment solves sparsely above it",
+            f"cap {DENSE_DIAG_CAP}; fractional_moment needs no eigendecomposition",
             count=spec.dim,
             limit=DENSE_DIAG_CAP,
         )
@@ -144,33 +145,23 @@ def fractional_moment(
 ) -> Estimate:
     """Monte-Carlo estimate of E |G(x, y; z)|^s over the disorder ensemble.
 
-    Up to DENSE_DIAG_CAP configurations the Green entry comes from the
-    eigendecomposition, above it from a sparse solve. A solve that lands
-    exactly on an eigenvalue (possible for real z) is retried once at
-    z + 1e-10i and the nudge is logged; the eigen path applies the same
-    nudge on an exact eigenvalue hit.
+    Each seed's Green entry is one LU solve, spectral.green. A solve that
+    lands exactly on an eigenvalue (possible for real z) is retried once at
+    z + 1e-10i and the retry is logged.
     """
     s = _check_s(s)
     z = complex(z)
     seeds = [int(v) for v in seeds]
-    eigen = spec.dim <= DENSE_DIAG_CAP
-    ix, iy = spec.config_index.index_of(x), spec.config_index.index_of(y)
     samples = np.empty(len(seeds))
     for j, seed in enumerate(seeds):
         H = assemble(spec, sample(spec.box, density, seed))
-        if eigen:
-            S = spectral_data(H)
-            g = abs(green_block(S, [ix], [iy], _nudged(S, [z]))[0, 0, 0])
-        else:
-            try:
-                g = abs(green(H, x, y, z))
-            except SingularityError:
-                logger.warning(
-                    "singular solve at z = %s (seed %d); retrying at +1e-10i",
-                    z,
-                    seed,
-                )
-                g = abs(green(H, x, y, z + 1j * _NUDGE))
+        try:
+            g = abs(green(H, x, y, z))
+        except SingularityError:
+            logger.warning(
+                "singular solve at z = %s (seed %d); retrying at +1e-10i", z, seed
+            )
+            g = abs(green(H, x, y, z + 1j * _NUDGE))
         samples[j] = g**s
     return Estimate.from_samples(samples, seeds)
 
@@ -195,7 +186,8 @@ def wegner_samples(
     base_seed, so the row means are genuine conditional expectations. The
     bound's hypotheses (a particle of x at u1, one of y at u2, lambda != 0)
     are the caller's to check. The z grid may approach the real spectrum
-    freely; exact eigenvalue hits are nudged as in fractional_moment.
+    freely; an exact eigenvalue hit is nudged by +1e-10i, the shift at
+    which fractional_moment retries a singular solve.
 
     Row k depends only on subseeds[k] (frozen background plus one resample
     draw), so a parallel caller may split the subseed range into chunks and

@@ -427,17 +427,18 @@ def _as_configuration(obj, spec: OperatorSpec) -> Configuration:
     """A list of sites with integer coordinates, in the model's sector."""
     if not isinstance(obj, list):
         raise ValueError(f"a configuration is a list of sites, got {_shown(obj)}")
-    cfg = Configuration(sites=tuple(_site(s) for s in obj), sector=spec.sector)
+    d = spec.box.d
+    cfg = Configuration(sites=tuple(_site(s, d) for s in obj), sector=spec.sector)
     for site in cfg.sites:
         if not spec.box.contains(site):
-            raise ValueError(f"site {site} lies outside the box")
+            raise ValueError(f"site {_shown(list(site))} lies outside the box")
     if cfg.n != spec.n:
         raise ValueError(f"configuration has {cfg.n} particles, model has {spec.n}")
     return cfg
 
 
-def _site(coords) -> tuple:
-    """A site from its coordinates, which must be JSON integers."""
+def _site(coords, d: int) -> tuple:
+    """A site from its coordinates, which must be d JSON integers."""
     if not isinstance(coords, list):
         raise ValueError(f"a site is a list of coordinates, got {_shown(coords)}")
     if not all(_is_int(c) for c in coords):
@@ -446,6 +447,9 @@ def _site(coords) -> tuple:
         raise ValueError(
             f"site coordinates must lie in [-2^63, 2^63), got {_shown(coords)}"
         )
+    if len(coords) != d:
+        count = f"{len(coords)} coordinate" + ("" if len(coords) == 1 else "s")
+        raise ValueError(f"site {_shown(coords)} has {count}, model.d is {d}")
     return tuple(coords)
 
 
@@ -484,8 +488,8 @@ def _wegner_marks(config: ExperimentConfig, spec: OperatorSpec):
         )
     x = _as_configuration(p["x"], spec) if p["x"] is not None else corner_block(spec)
     y = _as_configuration(p["y"], spec) if p["y"] is not None else x
-    u1 = _site(p["u1"]) if p["u1"] is not None else x.sites[0]
-    u2 = _site(p["u2"]) if p["u2"] is not None else y.sites[0]
+    u1 = _site(p["u1"], spec.box.d) if p["u1"] is not None else x.sites[0]
+    u2 = _site(p["u2"], spec.box.d) if p["u2"] is not None else y.sites[0]
     return x, y, u1, u2
 
 
@@ -649,9 +653,9 @@ def _check_wegner(config, spec, out: list) -> None:
     if zg is not None and not zg:
         out.append("params.z_grid must not be empty")
     if occupation(x, u1) < 1:
-        out.append(f"params.u1: x has no particle at {u1}")
+        out.append(f"params.u1: x has no particle at {_shown(list(u1))}")
     if occupation(y, u2) < 1:
-        out.append(f"params.u2: y has no particle at {u2}")
+        out.append(f"params.u2: y has no particle at {_shown(list(u2))}")
 
 
 def _check_monitor_box(config, spec, out: list) -> None:

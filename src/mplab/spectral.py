@@ -1,16 +1,18 @@
 """Exact spectral quantities of assembled operators.
 
-Green functions G(x, y; z) = <delta_x, (H - z)^(-1) delta_y> via shifted
-LU solves (sparse SuperLU on a scipy matrix, LAPACK on a dense array) or,
-for whole arrays of z at once, via a dense eigendecomposition in
-green_block, the one eigen-sum formula, over blocks of x and y (the
-monitor's tile rows in diagnostics.monitor_seed_rows; one (x, y) pair for
-the fractional-moment, wegner and decay-probe columns there and for the
-contour side of composite_green_check here); eigenfunction correlators and
-dynamical kernels via the same eigendecomposition; a contour-convolution
-identity for non-interacting composites, and the correlator subadditivity
-check that rests on it. A composite is one more SparseHamiltonian,
-operator.kron_sum(H_J, H_K), which spectral_data and the LU solves take.
+Green functions G(x, y; z) = <delta_x, (H - z)^(-1) delta_y>: one entry at
+one z through green, the one shifted LU solve (LAPACK up to
+_DENSE_SOLVE_CAP, SuperLU above it; diagnostics.fractional_moment and the
+direct side of composite_green_check), or, for a unit that already holds a
+spectrum, whole arrays of z at once through green_block, the one eigen-sum
+formula, over blocks of x and y (the monitor's tile rows in
+diagnostics.monitor_seed_rows; one (x, y) pair for the wegner and
+decay-probe columns there and for the contour side of composite_green_check
+here); eigenfunction correlators and dynamical kernels via the same
+eigendecomposition; a contour-convolution identity for non-interacting
+composites, and the correlator subadditivity check that rests on it. A
+composite is one more SparseHamiltonian, operator.kron_sum(H_J, H_K), which
+spectral_data and green take.
 
 Eigenvalues closer than GROUPING_RTOL * ||H|| are treated as one degenerate
 group throughout: correlators sum |<x, P_g y>| per group, and time evolution
@@ -51,10 +53,10 @@ DEFAULT_TIME_GRID = np.geomspace(0.1, 1.0e4, 256)
 _RESIDUAL_RTOL = 1e-10
 _SINGULARITY_FACTOR = 1e3
 
-# composite_green_check's direct solve is dense (LAPACK) up to this
-# composite dimension and sparse (SuperLU) above it: the two cost the same
-# near 256 on Kronecker sums of 1-d and 2-d blocks, and a dense complex
-# matrix grows as 16 N^2 bytes (5 GB at N = 18496, dim_cap 136).
+# green's solve is dense (LAPACK) up to this dimension and sparse (SuperLU)
+# above it: the two cost the same near 256 on Kronecker sums of 1-d and 2-d
+# blocks, and a dense complex matrix grows as 16 N^2 bytes (5 GB at
+# N = 18496, a composite at dim_cap 136).
 _DENSE_SOLVE_CAP = 256
 
 
@@ -261,8 +263,11 @@ def _green_column(matrix, iy: int, z: complex) -> np.ndarray:
 def green(
     H: SparseHamiltonian, x: Configuration, y: Configuration, z: complex
 ) -> complex:
-    """Green function entry <delta_x, (H - z)^(-1) delta_y>."""
-    return complex(_green_column(H.matrix, H.rank_of(y), complex(z))[H.rank_of(x)])
+    """Green function entry <delta_x, (H - z)^(-1) delta_y> from one LU
+    solve: LAPACK on H.dense() up to _DENSE_SOLVE_CAP, SuperLU on H.matrix
+    above it."""
+    matrix = H.dense() if H.dim <= _DENSE_SOLVE_CAP else H.matrix
+    return complex(_green_column(matrix, H.rank_of(y), complex(z))[H.rank_of(x)])
 
 
 def green_block(S: SpectralData, ix, iy, zs: np.ndarray) -> np.ndarray:
@@ -393,11 +398,9 @@ def composite_green_check(
     The identity needs every pole of G_J(z - .) strictly outside the circle;
     a violation raises ContourGeometryError instead of returning garbage.
     The contour side evaluates G_J and G_K at all nodes in one green_block
-    call each on the block eigendecompositions. The direct side is an
-    independent LU solve on the assembled composite kron_sum(H_J, H_K),
-    dense (LAPACK) up to dimension _DENSE_SOLVE_CAP and sparse (SuperLU)
-    above it, so the returned gap measures the identity, not a shared code
-    path.
+    call each on the block eigendecompositions. The direct side is green,
+    an independent LU solve, on the assembled composite kron_sum(H_J, H_K),
+    so the returned gap measures the identity, not a shared code path.
 
     x and y are (left, right) pairs of block configurations. quadrature_points
     is a nonempty sequence of node counts, each at least 2: one
@@ -423,9 +426,7 @@ def composite_green_check(
     if min(counts, default=0) < 2:
         raise ValueError(f"quadrature_points must be node counts >= 2, got {counts}")
 
-    H = kron_sum(H_J, H_K)
-    matrix = H.dense() if H.dim <= _DENSE_SOLVE_CAP else H.matrix
-    direct = complex(_green_column(matrix, H.rank_of(y), z)[H.rank_of(x)])
+    direct = green(kron_sum(H_J, H_K), x, y, z)
     checks = []
     for n in counts:
         theta = 2.0 * np.pi * np.arange(n) / n

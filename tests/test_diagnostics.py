@@ -20,7 +20,13 @@ from mplab.configspace import (
 from mplab.disorder import UNIFORM_HALF, resample_batch, sample
 from mplab.errors import BudgetError
 from mplab.operator import InteractionSpec, OperatorSpec, OperatorTemplate, assemble
-from mplab.spectral import EnergyInterval, _green_column, green_block, spectral_data
+from mplab.spectral import (
+    EnergyInterval,
+    _green_column,
+    green,
+    green_block,
+    spectral_data,
+)
 from mplab.diagnostics import (
     DEFAULT_ETA,
     BMonitorResult,
@@ -132,14 +138,38 @@ def test_fractional_moment_far_field():
     assert est.mean * 1e3 == pytest.approx(1.0, abs=1e-3)
 
 
-def test_fractional_moment_backends_agree(monkeypatch):
-    sp = spec1d(12, lam=3.0)
-    z = 2.0 + 0.5j
-    a = fractional_moment(range(6), sp, c1(-2), c1(3), z, 0.5)
-    # a cap below the dimension sends the same call down the solve path
-    monkeypatch.setattr(diag, "DENSE_DIAG_CAP", sp.dim - 1)
-    b = fractional_moment(range(6), sp, c1(-2), c1(3), z, 0.5)
-    assert a.mean == pytest.approx(b.mean, rel=1e-10)
+def _moment_samples(sp, seeds, green_of, s):
+    """|G(x, y; z)|^s per seed, G read by green_of(H) from each realization."""
+    return [
+        abs(green_of(assemble(sp, sample(sp.box, UNIFORM_HALF, seed)))) ** s
+        for seed in seeds
+    ]
+
+
+def test_fractional_moment_backends_agree():
+    # on a near pair the eigen sum is accurate, and the solve agrees with it
+    sp, x, y, z = spec1d(12, lam=3.0), c1(-2), c1(3), 2.0 + 0.5j
+    ix, iy = sp.config_index.index_of(x), sp.config_index.index_of(y)
+
+    def eigen_sum(H):
+        return green_block(spectral_data(H), [ix], [iy], [z])[0, 0, 0]
+
+    est = fractional_moment(range(6), sp, x, y, z, 0.5)
+    eigen = _moment_samples(sp, range(6), eigen_sum, 0.5)
+    assert est.mean == pytest.approx(np.mean(eigen), rel=1e-10)
+
+
+def test_fractional_moment_far_pair_matches_a_dense_solve():
+    # the doubling model's box (dim 1024): a pair 26 sites apart, where
+    # |G| is 1e-24 to 5e-18, below the round-off floor of an eigen sum
+    sp = spec1d(32, n=2, lam=15.0, alpha=0.2)
+    x, y, z = c1(-16, -15), c1(10, 11), 2.0 + 0.05j
+    ix, iy = sp.config_index.index_of(x), sp.config_index.index_of(y)
+    est = fractional_moment(range(4), sp, x, y, z, 0.5)
+    dense = _moment_samples(
+        sp, range(4), lambda H: _green_column(H.dense(), iy, z)[ix], 0.5
+    )
+    assert est.mean == pytest.approx(np.mean(dense), rel=1e-10)
 
 
 def test_fractional_moment_reproducible():
@@ -162,38 +192,21 @@ def _nudge_records(caplog):
     return [r for r in caplog.records if "nudging" in r.getMessage()]
 
 
-def test_eigenvalue_hit_is_nudged_in_fractional_moment(caplog):
-    # z is exactly an eigenvalue of seed 4 and of no other seed
+def test_singular_solve_is_retried_in_fractional_moment(caplog):
+    # z is exactly an eigenvalue of seed 4 and of no other seed: seed 4's
+    # LU factorization is exactly singular, and its solve is retried once
+    # above the real axis
     sp, x, y, s = spec1d(5, lam=3.0), c1(0), c1(1), 0.5
-    ix, iy = sp.config_index.index_of(x), sp.config_index.index_of(y)
-    spectra = [
-        spectral_data(assemble(sp, sample(sp.box, UNIFORM_HALF, seed)))
-        for seed in (4, 5)
-    ]
-    z = complex(spectra[0].energies[2])
+    H4, H5 = (assemble(sp, sample(sp.box, UNIFORM_HALF, seed)) for seed in (4, 5))
+    z = complex(spectral_data(H4).energies[2])
     with caplog.at_level(logging.WARNING, logger="mplab.diagnostics"):
         est = fractional_moment([4, 5], sp, x, y, z, s)
-    assert len(_nudge_records(caplog)) == 1
-    expected = [
-        abs(green_block(spectra[0], [ix], [iy], [z + 1e-10j])[0, 0, 0]) ** s,
-        abs(green_block(spectra[1], [ix], [iy], [z])[0, 0, 0]) ** s,
-    ]
-    assert math.isfinite(est.mean)
-    assert est == Estimate.from_samples(expected, [4, 5])
-
-
-def test_singular_solve_is_retried_in_fractional_moment(caplog, monkeypatch):
-    # the same hit as above, down the solve path: its LU factorization is
-    # exactly singular, and the solve is retried once above the real axis
-    sp = spec1d(5, lam=3.0)
-    S = spectral_data(assemble(sp, sample(sp.box, UNIFORM_HALF, 4)))
-    z = complex(S.energies[2])
-    monkeypatch.setattr(diag, "DENSE_DIAG_CAP", sp.dim - 1)
-    with caplog.at_level(logging.WARNING, logger="mplab.diagnostics"):
-        est = fractional_moment([4, 5], sp, c1(0), c1(1), z, 0.5)
     retries = [r for r in caplog.records if "retrying at +1e-10i" in r.getMessage()]
     assert len(retries) == 1
+    assert "seed 4" in retries[0].getMessage()
+    expected = [abs(green(H4, x, y, z + 1e-10j)) ** s, abs(green(H5, x, y, z)) ** s]
     assert math.isfinite(est.mean)
+    assert est == Estimate.from_samples(expected, [4, 5])
 
 
 def test_eigenvalue_hit_is_nudged_in_wegner_samples(caplog):
@@ -275,8 +288,8 @@ def _wegner_violations(model=None, **params):
 
 
 def test_wegner_requires_marked_particles():
-    assert _wegner_violations(u1=[-2]) == ["params.u1: x has no particle at (-2,)"]
-    assert _wegner_violations(u2=[-2]) == ["params.u2: y has no particle at (-2,)"]
+    assert _wegner_violations(u1=[-2]) == ["params.u1: x has no particle at [-2]"]
+    assert _wegner_violations(u2=[-2]) == ["params.u2: y has no particle at [-2]"]
 
 
 def test_wegner_rejects_free_system_and_tiny_ensemble():

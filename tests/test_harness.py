@@ -287,6 +287,43 @@ _SITE_CORPUS = [
         ],
         id="wegner_x_site_not_a_list",
     ),
+    # sites are quoted as the config's JSON lists, and a site must have
+    # model.d coordinates, not lie "outside the box" for want of them
+    pytest.param(
+        _cfg("wegner", params={"u1": [100]}),
+        [
+            'params.u1: x has no particle at [100]',
+        ],
+        id="wegner_u1_outside_box",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": [[[[50]], [[0]]]]}),
+        [
+            'params.pairs: site [50] lies outside the box',
+        ],
+        id="pair_site_outside_box",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": [[[[]], [[0]]]]}),
+        [
+            'params.pairs: site [] has 0 coordinates, model.d is 1',
+        ],
+        id="pair_site_without_coordinates",
+    ),
+    pytest.param(
+        _cfg("decay_probe", params={"pairs": [[[[0, 0]], [[1]]]]}),
+        [
+            'params.pairs: site [0, 0] has 2 coordinates, model.d is 1',
+        ],
+        id="pair_site_of_two_coordinates_in_d1",
+    ),
+    pytest.param(
+        _cfg("wegner", {"d": 2}, params={"x": [[0]]}),
+        [
+            'params: site [0] has 1 coordinate, model.d is 2',
+        ],
+        id="wegner_x_site_of_one_coordinate_in_d2",
+    ),
     pytest.param(
         _cfg("wegner", params={"z_count": math.inf}),
         [
@@ -615,8 +652,8 @@ _VALIDATE_CORPUS = [
         ),
         [
             'params.z_grid must not be empty',
-            'params.u1: x has no particle at (3,)',
-            'params.u2: y has no particle at (2,)',
+            'params.u1: x has no particle at [3]',
+            'params.u2: y has no particle at [2]',
         ],
         id="wegner_marks_and_empty_grid",
     ),
@@ -1336,8 +1373,8 @@ def test_serial_run_loads_no_process_pool(tmp_path):
 
 def test_scipy_loads_only_for_special_functions_and_sparse_solves(tmp_path):
     """A truncated-Gaussian decay_probe loads scipy.special but not
-    scipy.sparse; a sparse Green solve loads scipy.sparse.linalg, with the
-    value it gave when scipy.sparse was imported with mplab."""
+    scipy.sparse; `green` solves densely up to dim 256 (here dim 21, with
+    pinned bits) and loads scipy.sparse.linalg only above it (dim 300)."""
     cfg = probe_config(tmp_path, density={"kind": "truncated_gaussian", "params": [0.5, 1.0]})
     cfg["ensemble"]["count"] = 2
     script = (
@@ -1354,12 +1391,22 @@ def test_scipy_loads_only_for_special_functions_and_sparse_solves(tmp_path):
         "y = Configuration(sites=((2,), (4,)), sector='boson')\n"
         "g = mplab.green(H, x, y, 0.7 + 0.05j)\n"
         "out['green'] = ['scipy.sparse.linalg' in sys.modules, g.real.hex(), g.imag.hex()]\n"
+        "spec = OperatorSpec(box=Box(d=1, side=300), n=1)\n"
+        "H = mplab.assemble(spec, mplab.sample(spec.box, mplab.UNIFORM_HALF, 4))\n"
+        "x, y = Configuration(sites=((0,),)), Configuration(sites=((2,),))\n"
+        "g = mplab.green(H, x, y, 0.3 + 0.1j)\n"
+        "out['sparse'] = ['scipy.sparse.linalg' in sys.modules, g.real, g.imag]\n"
         "print(json.dumps(out))\n"
     )
     got = _loaded_scipy(script)
     assert got["probe"] == [True, False]
     assert got["green"] == [
-        True, (0.009631568287593251).hex(), (0.0012096828892811248).hex()
+        False, (0.009631568287593243).hex(), (0.001209682889281124).hex()
+    ]
+    assert got["sparse"] == [
+        True,
+        pytest.approx(0.6803223992810713, rel=1e-12),
+        pytest.approx(0.6906066199399538, rel=1e-12),
     ]
 
 

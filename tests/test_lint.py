@@ -357,3 +357,44 @@ def test_sparse_hamiltonians_are_built_in_operator_py():
     # one operator form: assemble and kron_sum build it, nothing else does
     sites = call_sites("SparseHamiltonian")
     assert sites and all(site.startswith("operator.py:") for site in sites)
+
+
+def names_read(source: str, name: str) -> list[str]:
+    """The reads of `name` in source, a loaded name or a loaded attribute
+    `.name`, as nodes_where gives them. Stores and imports are not reads."""
+
+    def matches(node):
+        if isinstance(node, ast.Name):
+            found = node.id
+        elif isinstance(node, ast.Attribute):
+            found = node.attr
+        else:
+            return False
+        return found == name and isinstance(node.ctx, ast.Load)
+
+    return nodes_where(source, matches)
+
+
+def test_names_read_finds_every_read():
+    source = (
+        "import spectral\n"
+        "from spectral import CAP\n"
+        "CAP = 256\n"
+        "def green(H):\n"
+        "    return H.dense() if H.dim <= CAP else H.matrix\n"
+        "def other(H):\n"
+        "    spectral.CAP = 3\n"
+        "    return spectral.CAP, [CAP for _ in H]\n"
+    )
+    assert names_read(source, "CAP") == ["5: green", "8: other", "8: other"]
+
+
+def test_green_alone_solves_and_picks_the_matrix_form():
+    # one single-entry LU solve: spectral.green reads H.dim against
+    # _DENSE_SOLVE_CAP and is the one caller of _green_column
+    for found in (
+        call_sites("_green_column"),
+        sites(lambda source: names_read(source, "_DENSE_SOLVE_CAP")),
+    ):
+        (site,) = found
+        assert site.startswith("spectral.py:") and site.endswith(": green")

@@ -30,9 +30,10 @@ harness.run({"kind": "rescaling", "model": {"L": 4, "lambda": 5.0},
 harness.run({"kind": "composite_check", "model": {"L": 4, "lambda": 1.0},
              "params": {"instances": 1, "quadrature_points": 16},
              "output": out}, workers=1)
-# composite_check solves densely, so one sparse (SuperLU) solve feeds spectral.lu
+# composite_check solves densely, and so does green up to dim 256, so one
+# sparse (SuperLU) solve at dim 300 feeds spectral.lu
 from mplab import UNIFORM_HALF, Box, Configuration, OperatorSpec, assemble, green, sample
-spec = OperatorSpec(box=Box(d=1, side=4), n=1)
+spec = OperatorSpec(box=Box(d=1, side=300), n=1)
 H = assemble(spec, sample(spec.box, UNIFORM_HALF, 0))
 green(H, Configuration(sites=((0,),)), Configuration(sites=((2,),)), 0.3 + 0.1j)
 metrics, accounting = spans.layer_metrics([rec.dump()])
